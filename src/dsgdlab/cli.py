@@ -13,9 +13,11 @@ from .errors import ConfigError, DsgdLabError
 from .experiments import (
     CampaignResult,
     build_noise,
+    build_problem,
     build_schedule,
     load_config,
     parse_seeds,
+    parse_steps,
     run_experiment,
 )
 from .records import read_campaign, write_campaign, write_manifold_report, write_summary
@@ -48,8 +50,9 @@ def _echo_resolved(config, out):
               + (f" scale={noise.scale:g}" if noise.kind != "none" else "") + "\n")
     if config.has("run", "seeds"):
         out.write(f"seeds: {len(parse_seeds(config.get('run', 'seeds')))}\n")
+    if config.has("run", "steps"):
+        out.write(f"steps: {parse_steps(config)}\n")
     if config.kind != "manifold-verify":
-        from .experiments import build_problem
         problem = build_problem(config)
         out.write(f"problem: {config.get('problem', 'loss')}, "
                   f"{problem.n_agents} agents x dim {problem.agent_dim}\n")

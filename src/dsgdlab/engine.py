@@ -104,7 +104,7 @@ def general_step(x, k, loss, q, schedule, noise):
     if k < 1:
         raise ValueError("step index starts at 1")
     x = np.asarray(x, dtype=float)
-    qm = q.matrix if hasattr(q, "matrix") else np.asarray(q, dtype=float)
+    qm = q.matrix
     if x.shape[-1] != qm.shape[0] or loss.dim != qm.shape[0]:
         raise ValueError("dimension mismatch between state, loss, and penalty")
     v = loss.subgradient(x)
@@ -198,7 +198,7 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
         rotation = constraint_rotation(q)
     stream = noise.start(n_agents, m // n_agents, rotation)
     points = _record_points(steps, record)
-    qm = q.matrix if hasattr(q, "matrix") else np.asarray(q, dtype=float)
+    qm = q.matrix
 
     rows, states, noise_means = [], [], []
     zeta = 0.0
@@ -379,7 +379,7 @@ def rate_check_kar(a1, delta1, a2, delta2, delta0, z0, steps):
 def technical_inner_product(x, v, q, alpha_k, gamma_k):
     """<x - alpha/2 (v - gamma Q x), v + gamma Q x>, positive for large k
     outside the coercivity radius."""
-    qm = q.matrix if hasattr(q, "matrix") else np.asarray(q, dtype=float)
+    qm = q.matrix
     qx = qm @ np.asarray(x, dtype=float)
     w = np.asarray(v, dtype=float) + gamma_k * qx
     return float(np.dot(x - 0.5 * alpha_k * (np.asarray(v) - gamma_k * qx), w))
@@ -425,7 +425,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
         raise ValueError("state dimension must split evenly across agents")
     if rotation is None:
         rotation = constraint_rotation(q)
-    qm = q.matrix if hasattr(q, "matrix") else np.asarray(q, dtype=float)
+    qm = q.matrix
     streams = [noise.start(n_agents, m // n_agents, rotation, seed=int(s)) for s in seeds]
 
     points = _record_points(steps, record)

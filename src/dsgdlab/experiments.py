@@ -1,6 +1,7 @@
 """Batch experiment campaigns: config parsing, seeded Monte-Carlo runs of the
-convergence/consensus/saddle-avoidance claims, drift diagnostics near saddle
-points, and consolidated manifold verification.
+consensus, critical-point and saddle-avoidance claims (one runner driven by the
+`SEED_CAMPAIGNS` table), drift diagnostics near saddle points, and
+consolidated manifold verification. `RUNNERS` maps every kind to its runner.
 
 Configs are flat INI files (one section per concern); identical configs
 produce byte-identical result records. Seeds run vectorized in chunks
@@ -41,7 +42,7 @@ from .losses import (
     sum_loss,
     zero_loss,
 )
-from .manifold import ManifoldModel, PicardOptions, saddle_context
+from .manifold import ManifoldModel, PicardOptions, evolution_operator, saddle_context
 from .records import config_hash
 from .rectify import (
     autonomous_restriction,
@@ -95,14 +96,9 @@ class ExperimentConfig:
         return section in self.sections and key in self.sections[section]
 
 
-KNOWN_KINDS = ("consensus", "critical-point", "saddle-avoidance",
-               "manifold-verify", "drift-stats")
-
-
 def load_config(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
     if "experiment" not in sections or "kind" not in sections["experiment"]:
@@ -115,11 +111,28 @@ def load_config(path):
 
 
 def parse_seeds(spec):
-    spec = spec.strip()
-    if ":" in spec:
-        lo, hi = spec.split(":")
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.replace(",", " ").split()]
+    """Distinct non-negative seeds from `lo:hi` or a comma/space list."""
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":")
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in spec.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"bad seed list {spec!r}; use lo:hi or a comma list") from exc
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be non-negative: {spec!r}")
+    if len(set(seeds)) < len(seeds):
+        repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+        raise ConfigError(f"seed {repeated} is listed more than once")
+    return seeds
+
+
+def parse_steps(config):
+    steps = config.get("run", "steps", cast=int)
+    if steps < 0:
+        raise ConfigError(f"[run] steps must be >= 0, got {steps}")
+    return steps
 
 
 def parse_vector(spec):
@@ -137,12 +150,14 @@ def build_graph(spec):
             return load_graph(arg)
         except OSError as exc:
             raise ConfigError(f"cannot read graph file {arg}: {exc}") from exc
-    n = int(arg)
     builders = {"path": path_graph, "complete": complete_graph,
                 "star": star_graph, "ring": ring_graph}
     if kind not in builders:
         raise ConfigError(f"unknown graph spec {spec!r}")
-    return builders[kind](n)
+    try:
+        return builders[kind](int(arg))
+    except ValueError as exc:
+        raise ConfigError(f"bad graph spec {spec!r}: {exc}") from exc
 
 
 def build_schedule(config):
@@ -158,10 +173,8 @@ def build_schedule(config):
 
 
 def build_noise(config):
-    kind = config.get("noise", "kind", "none")
-    return NoiseModel(kind,
-                      config.get("noise", "scale", 0.0, float),
-                      0,
+    return NoiseModel(config.get("noise", "kind", "none"),
+                      config.get("noise", "scale", 0.0, float), 0,
                       config.get("noise", "restrict_to_constraint", False, bool))
 
 
@@ -180,7 +193,7 @@ def saddle_quadratic_component(n_agents):
 
 @dataclass
 class Problem:
-    losses: object            # SumLoss for agentwise problems
+    losses: object            # SumLoss
     q: object
     graph: object
     n_agents: int
@@ -189,15 +202,13 @@ class Problem:
 
     @property
     def assembled(self):
-        return self.losses.assembled if hasattr(self.losses, "assembled") \
-            else self.losses
+        return self.losses.assembled
 
 
 def build_problem(config):
     key = config.get("problem", "loss")
-    graph_spec = config.get("problem", "graph", "")
-    graph = build_graph(graph_spec) if graph_spec else None
-    if graph is not None and not graph.is_connected():
+    graph = build_graph(config.get("problem", "graph"))
+    if not graph.is_connected():
         raise ConfigError("communication graph must be connected")
 
     if key == "zero":
@@ -207,7 +218,7 @@ def build_problem(config):
         known = {}
     elif key in ("quadratic_wells", "l1_wells"):
         anchors = parse_vectors(config.get("problem", "anchors"))
-        if graph is None or len(anchors) != graph.vertex_count:
+        if len(anchors) != graph.vertex_count:
             raise ConfigError("anchors must give one vector per agent")
         d = len(anchors[0])
         comps = [shifted_quadratic(a) for a in anchors]
@@ -219,8 +230,6 @@ def build_problem(config):
         losses = sum_loss(comps)
         known = {"minimizer": minimizer}
     elif key in ("saddle_quartic", "saddle_quadratic"):
-        if graph is None:
-            raise ConfigError(f"{key} needs a communication graph")
         n = graph.vertex_count
         comp = saddle_quartic_component(n) if key == "saddle_quartic" \
             else saddle_quadratic_component(n)
@@ -278,13 +287,10 @@ class CampaignResult:
         return aggregate(self.kind, self.records)
 
 
-def _chunked(seq, size):
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
 def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
     """Dispatch seed chunks to the bounded pool; reassemble sorted by seed."""
-    chunks = _chunked(sorted(seeds), chunk)
+    ordered = sorted(seeds)
+    chunks = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
     if len(chunks) == 1 or worker_count() == 1:
         parts = [fn(c) for c in chunks]
     else:
@@ -295,109 +301,58 @@ def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
 
 
 def aggregate(kind, records):
-    if not records:
+    """Aggregates of a seed campaign: a pure function of its per-seed records."""
+    if not records or kind not in SEED_CAMPAIGNS:
         return {}
-    if kind == "consensus":
-        terms = np.array([r["terminal_consensus"] for r in records])
-        passed = np.array([r["below_tol"] for r in records])
-        return {"max_terminal_consensus": float(terms.max()),
-                "median_terminal_consensus": float(np.median(terms)),
-                "fraction_below_tol": float(passed.mean()),
-                "diverged": int(sum(r["diverged_at"] >= 0 for r in records))}
-    if kind == "critical-point":
-        dist = np.array([r["distance"] for r in records])
-        return {"max_distance": float(dist.max()),
-                "median_distance": float(np.median(dist)),
-                "fraction_within_tol": float(np.mean([r["within_tol"] for r in records])),
-                "max_grad_norm": float(max(r["grad_norm"] for r in records)),
-                "diverged": int(sum(r["diverged_at"] >= 0 for r in records))}
-    if kind == "saddle-avoidance":
-        classes = [r["class"] for r in records]
-        return {"fraction_saddle": classes.count("saddle") / len(classes),
-                "fraction_minimum": classes.count("minimum") / len(classes),
-                "fraction_other": classes.count("other") / len(classes),
-                "diverged": int(sum(r["diverged_at"] >= 0 for r in records))}
-    return {}
+    return {**SEED_CAMPAIGNS[kind].summarize(records),
+            "diverged": int(sum(r["diverged_at"] >= 0 for r in records))}
 
 
-# -- experiment runners --------------------------------------------------------
-
-
-def run_consensus_experiment(config):
+def campaign_setup(config, known):
+    """Problem, schedule, noise and sorted seeds of a seeded campaign; the
+    problem must have the `known` point the campaign measures against."""
     problem = build_problem(config)
-    schedule = build_schedule(config)
-    noise = build_noise(config)
-    seeds = parse_seeds(config.get("run", "seeds"))
-    steps = config.get("run", "steps", cast=int)
-    tol = config.get("tolerances", "consensus_tol", 1e-3, float)
-    rotation = constraint_rotation(problem.q)
-    inits = initial_states(config, problem, sorted(seeds))
-
-    def run_chunk(chunk_seeds):
-        idx = [sorted(seeds).index(s) for s in chunk_seeds]
-        batch = run_batch(inits[idx], steps, problem.assembled, problem.q, schedule,
-                          noise, chunk_seeds, rotation=rotation,
-                          n_agents=problem.n_agents)
-        recs = []
-        for row, seed in enumerate(chunk_seeds):
-            cons = batch.consensus_error[row]
-            below = np.flatnonzero(cons < tol)
-            first = int(batch.steps[below[0]]) if len(below) else -1
-            recs.append({"seed": int(seed),
-                         "terminal_consensus": float(cons[-1]),
-                         "first_passage_step": first,
-                         "below_tol": bool(cons[-1] < tol),
-                         "diverged_at": int(batch.diverged_at[row])})
-        return recs
-
-    records = _run_seed_chunks(run_chunk, seeds)
-    fields = ["seed", "terminal_consensus", "first_passage_step", "below_tol",
-              "diverged_at"]
-    return CampaignResult("consensus", config.name, config.hash, fields, records,
-                          aggregate("consensus", records))
+    if known is not None and known not in problem.known:
+        raise ConfigError(f"{config.kind} experiments need a loss with a known {known}")
+    return (problem, build_schedule(config), build_noise(config),
+            sorted(parse_seeds(config.get("run", "seeds"))))
 
 
-def run_critical_point_experiment(config):
-    problem = build_problem(config)
-    if "minimizer" not in problem.known:
-        raise ConfigError("critical-point experiments need a loss with a known minimizer")
-    schedule = build_schedule(config)
-    noise = build_noise(config)
-    seeds = parse_seeds(config.get("run", "seeds"))
-    steps = config.get("run", "steps", cast=int)
-    tol = config.get("tolerances", "distance_tol", 1e-2, float)
-    coercivity = check_coercivity(problem.assembled,
-                                  config.get("tolerances", "coercivity_radius", 10.0,
-                                             float), 500, seed=0)
-    if not coercivity.passed:
-        raise ConfigError("loss fails the sampled coercivity check")
-    rotation = constraint_rotation(problem.q)
-    inits = initial_states(config, problem, sorted(seeds))
-    target = problem.known["minimizer"]
+# -- seed campaigns --------------------------------------------------------------
 
-    def run_chunk(chunk_seeds):
-        idx = [sorted(seeds).index(s) for s in chunk_seeds]
-        batch = run_batch(inits[idx], steps, problem.assembled, problem.q, schedule,
-                          noise, chunk_seeds, rotation=rotation,
-                          n_agents=problem.n_agents)
-        recs = []
-        for row, seed in enumerate(chunk_seeds):
-            mean = batch.final_states[row].reshape(problem.n_agents,
-                                                   problem.agent_dim).mean(axis=0)
-            dist = float(np.linalg.norm(mean - target))
-            recs.append({"seed": int(seed),
-                         "distance": dist,
-                         "grad_norm": float(batch.grad_norm[row, -1]),
-                         "terminal_consensus": float(batch.consensus_error[row, -1]),
-                         "within_tol": bool(dist < tol),
-                         "diverged_at": int(batch.diverged_at[row])})
-        return recs
 
-    records = _run_seed_chunks(run_chunk, seeds)
-    fields = ["seed", "distance", "grad_norm", "terminal_consensus", "within_tol",
-              "diverged_at"]
-    return CampaignResult("critical-point", config.name, config.hash, fields, records,
-                          aggregate("critical-point", records))
+def _terminal_mean(batch, row, problem):
+    return batch.final_states[row].reshape(problem.n_agents,
+                                           problem.agent_dim).mean(axis=0)
+
+
+def _consensus_record(batch, row, problem, tol):
+    cons = batch.consensus_error[row]
+    below = np.flatnonzero(cons < tol)
+    return {"terminal_consensus": float(cons[-1]),
+            "first_passage_step": int(batch.steps[below[0]]) if len(below) else -1,
+            "below_tol": bool(cons[-1] < tol)}
+
+
+def _spread(records, key, flag):
+    """Max and median of column `key`, and the fraction of rows with `flag`."""
+    vals = np.array([r[key] for r in records])
+    return {f"max_{key}": float(vals.max()), f"median_{key}": float(np.median(vals)),
+            f"fraction_{flag}": float(np.mean([r[flag] for r in records]))}
+
+
+def _critical_point_record(batch, row, problem, tol):
+    mean = _terminal_mean(batch, row, problem)
+    dist = float(np.linalg.norm(mean - problem.known["minimizer"]))
+    return {"distance": dist,
+            "grad_norm": float(batch.grad_norm[row, -1]),
+            "terminal_consensus": float(batch.consensus_error[row, -1]),
+            "within_tol": bool(dist < tol)}
+
+
+def _critical_point_summary(records):
+    return {**_spread(records, "distance", "within_tol"),
+            "max_grad_norm": float(max(r["grad_norm"] for r in records))}
 
 
 def classify_terminal(mean, known, radius):
@@ -409,41 +364,77 @@ def classify_terminal(mean, known, radius):
     return "other"
 
 
-def run_saddle_avoidance_experiment(config):
-    problem = build_problem(config)
-    if "saddle" not in problem.known:
-        raise ConfigError("saddle-avoidance experiments need a loss with a known saddle")
-    schedule = build_schedule(config)
-    noise = build_noise(config)
-    seeds = parse_seeds(config.get("run", "seeds"))
-    steps = config.get("run", "steps", cast=int)
-    radius = config.get("tolerances", "classification_radius", 0.1, float)
+def _saddle_record(batch, row, problem, radius):
+    mean = _terminal_mean(batch, row, problem)
+    return {"class": classify_terminal(mean, problem.known, radius),
+            "mean_y1": float(mean[0]),
+            "mean_y2": float(mean[1]),
+            "terminal_consensus": float(batch.consensus_error[row, -1])}
+
+
+def _saddle_summary(records):
+    classes = [r["class"] for r in records]
+    return {f"fraction_{c}": classes.count(c) / len(classes)
+            for c in ("saddle", "minimum", "other")}
+
+
+@dataclass(frozen=True)
+class SeedCampaign:
+    """A seeded Monte-Carlo claim: the columns between `seed` and
+    `diverged_at`, computed per row of each finished batch."""
+    known: object             # point the loss must have, or None
+    tol_key: str              # [tolerances] key passed to `record` as tol
+    tol_default: float
+    fields: tuple
+    record: object            # (batch, row, problem, tol) -> {field: value}
+    summarize: object         # records -> aggregates other than `diverged`
+    coercive: bool = False    # refuse losses failing the sampled coercivity check
+
+
+SEED_CAMPAIGNS = {
+    "consensus": SeedCampaign(
+        None, "consensus_tol", 1e-3,
+        ("terminal_consensus", "first_passage_step", "below_tol"),
+        _consensus_record,
+        lambda records: _spread(records, "terminal_consensus", "below_tol")),
+    "critical-point": SeedCampaign(
+        "minimizer", "distance_tol", 1e-2,
+        ("distance", "grad_norm", "terminal_consensus", "within_tol"),
+        _critical_point_record, _critical_point_summary, coercive=True),
+    "saddle-avoidance": SeedCampaign(
+        "saddle", "classification_radius", 0.1,
+        ("class", "mean_y1", "mean_y2", "terminal_consensus"),
+        _saddle_record, _saddle_summary),
+}
+
+
+def run_seed_campaign(config):
+    """Run every seed of a SEED_CAMPAIGNS kind for `steps` steps from its
+    initial state; one record per seed."""
+    spec = SEED_CAMPAIGNS[config.kind]
+    problem, schedule, noise, seeds = campaign_setup(config, spec.known)
+    steps = parse_steps(config)
+    tol = config.get("tolerances", spec.tol_key, spec.tol_default, float)
+    if spec.coercive:
+        radius = config.get("tolerances", "coercivity_radius", 10.0, float)
+        if not check_coercivity(problem.assembled, radius, 500, seed=0).passed:
+            raise ConfigError("loss fails the sampled coercivity check")
     rotation = constraint_rotation(problem.q)
-    inits = initial_states(config, problem, sorted(seeds))
+    inits = initial_states(config, problem, seeds)
+    row_of = {seed: row for row, seed in enumerate(seeds)}
 
     def run_chunk(chunk_seeds):
-        idx = [sorted(seeds).index(s) for s in chunk_seeds]
-        batch = run_batch(inits[idx], steps, problem.assembled, problem.q, schedule,
-                          noise, chunk_seeds, rotation=rotation,
-                          n_agents=problem.n_agents)
-        recs = []
-        for row, seed in enumerate(chunk_seeds):
-            mean = batch.final_states[row].reshape(problem.n_agents,
-                                                   problem.agent_dim).mean(axis=0)
-            label = classify_terminal(mean, problem.known, radius)
-            recs.append({"seed": int(seed),
-                         "class": label,
-                         "mean_y1": float(mean[0]),
-                         "mean_y2": float(mean[1]),
-                         "terminal_consensus": float(batch.consensus_error[row, -1]),
-                         "diverged_at": int(batch.diverged_at[row])})
-        return recs
+        batch = run_batch(inits[[row_of[s] for s in chunk_seeds]], steps,
+                          problem.assembled, problem.q, schedule, noise, chunk_seeds,
+                          rotation=rotation, n_agents=problem.n_agents)
+        return [{"seed": int(seed), **spec.record(batch, row, problem, tol),
+                 "diverged_at": int(batch.diverged_at[row])}
+                for row, seed in enumerate(chunk_seeds)]
 
     records = _run_seed_chunks(run_chunk, seeds)
-    fields = ["seed", "class", "mean_y1", "mean_y2", "terminal_consensus",
-              "diverged_at"]
-    return CampaignResult("saddle-avoidance", config.name, config.hash, fields,
-                          records, aggregate("saddle-avoidance", records))
+    return CampaignResult(config.kind, config.name, config.hash,
+                          ["seed", *spec.fields, "diverged_at"], records,
+                          aggregate(config.kind, records))
 
 
 # -- drift statistics ------------------------------------------------------------
@@ -499,10 +490,8 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
 def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
     """Pure function of the per-seed records (band edges included as inputs)."""
     k0_grid = sorted(k0_grid)
-    med = []
-    for k0 in k0_grid:
-        sups = [r["sup_s"] for r in records if r["k0"] == k0]
-        med.append(float(np.median(sups)))
+    med = [float(np.median([r["sup_s"] for r in records if r["k0"] == k0]))
+           for k0 in k0_grid]
     if len(k0_grid) > 1 and all(m > 0 for m in med):
         slope = float(np.polyfit(np.log(k0_grid), np.log(med), 1)[0])
     else:
@@ -516,7 +505,6 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
     sums = np.array([r["sum_x_mid"] for r in records])
     counts = np.array([r["count_mid"] for r in records])
     total = counts.sum()
-    mean_drift = float(sums.sum() / total) if total else float("nan")
     rng = np.random.default_rng(12345)
     boots = []
     if total:
@@ -533,7 +521,7 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
         "band_lo": band_lo,
         "band_hi": band_hi,
         "low_band_mean_drift": band_mean("lo"),
-        "mid_band_mean_drift": mean_drift,
+        "mid_band_mean_drift": band_mean("mid"),
         "high_band_mean_drift": band_mean("hi"),
         "mid_band_ci_lo": ci_lo,
         "mid_band_ci_hi": ci_hi,
@@ -549,22 +537,13 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
 
 
 def run_drift_stats(config):
-    problem = build_problem(config)
-    if "saddle" not in problem.known:
-        raise ConfigError("drift statistics need a loss with a known saddle")
-    schedule = build_schedule(config)
-    noise = build_noise(config)
-    if noise.kind == "none":
-        pass  # zero-noise controls are legitimate configs
-    seeds = parse_seeds(config.get("run", "seeds"))
+    problem, schedule, noise, seeds = campaign_setup(config, "saddle")
     k0_grid = [int(v) for v in config.get("drift", "k0_grid", "250 500 1000 2000").split()]
     window_factor = config.get("drift", "window_factor", 4.0, float)
     model = build_saddle_model(config, problem, schedule)
 
-    all_series = {}
-    for k0 in k0_grid:
-        all_series[k0] = _restart_series(problem, schedule, noise, model,
-                                         sorted(seeds), k0, window_factor)
+    all_series = {k0: _restart_series(problem, schedule, noise, model, seeds, k0,
+                                      window_factor) for k0 in k0_grid}
 
     # mid-band edges from the pooled distance values: above the noise-fold
     # core near zero, below the excursion tail
@@ -582,7 +561,7 @@ def run_drift_stats(config):
     records = []
     for k0, (series, censor, zetas) in all_series.items():
         thresh = c_fit * k0 ** (0.5 - tau_alpha)
-        for row, seed in enumerate(sorted(seeds)):
+        for row, seed in enumerate(seeds):
             s_row = series[row]
             finite = np.isfinite(s_row)
             sup_s = float(np.nanmax(s_row)) if finite.any() else model.radius
@@ -667,7 +646,6 @@ def _fit_evolution_constants(model, t0, seed=0):
     pairs = np.sort(frame.t0 + span * rng.random((60, 2)), axis=1)
     gaps = pairs[:, 1] - pairs[:, 0]
     keep = gaps > 0.05 * span
-    from .manifold import evolution_operator
     s_norm = np.array([np.linalg.norm(evolution_operator(frame, t1, t2, "stable"), 2)
                        for t1, t2 in pairs[keep]])
     slope_s, icpt_s = np.polyfit(gaps[keep], np.log(s_norm), 1)
@@ -815,12 +793,11 @@ def _fit_decay_rate(model, t0):
     return float(-slope)
 
 
+RUNNERS = {**dict.fromkeys(SEED_CAMPAIGNS, run_seed_campaign),
+           "drift-stats": run_drift_stats,
+           "manifold-verify": run_manifold_verification}
+KNOWN_KINDS = tuple(RUNNERS)
+
+
 def run_experiment(config):
-    runners = {
-        "consensus": run_consensus_experiment,
-        "critical-point": run_critical_point_experiment,
-        "saddle-avoidance": run_saddle_avoidance_experiment,
-        "drift-stats": run_drift_stats,
-        "manifold-verify": run_manifold_verification,
-    }
-    return runners[config.kind](config)
+    return RUNNERS[config.kind](config)

@@ -43,7 +43,7 @@ def integrate_dgf(loss, q, gamma, x0, t0, t1, step=1e-3):
         raise ValueError("step must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    qm = q.matrix if hasattr(q, "matrix") else np.asarray(q, dtype=float)
+    qm = q.matrix
 
     def rhs(x, t):
         return -loss.subgradient(x) - gamma(t) * (qm @ x)

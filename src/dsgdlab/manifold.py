@@ -660,9 +660,3 @@ class ManifoldModel:
         if self.psi_is_zero:
             return np.zeros((z_s.shape[0], self.context.n_u))
         return self.picard_solve(t0, z_s, options).psi
-
-
-def build_manifold_model(context, t_start, t_end, picard=PicardOptions(),
-                         radius=0.3, ref_points=256):
-    return ManifoldModel(context, t_start, t_end, picard, radius, ref_points)
-

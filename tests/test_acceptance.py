@@ -10,10 +10,8 @@ import pytest
 from dsgdlab.engine import NoiseModel, agentwise_step, general_step, run, run_batch
 from dsgdlab.experiments import (
     ExperimentConfig,
-    run_consensus_experiment,
-    run_critical_point_experiment,
     run_drift_stats,
-    run_saddle_avoidance_experiment,
+    run_experiment,
 )
 from dsgdlab.flow import discrete_vs_continuous_gap, integrate_dgf
 from dsgdlab.graphs import (
@@ -104,7 +102,7 @@ def test_02_consensus_zero_loss():
         init={"mode": "gaussian", "scale": 1.0},
         tolerances={"consensus_tol": 1e-3},
     )
-    result = run_consensus_experiment(cfg)
+    result = run_experiment(cfg)
     worst = result.aggregates["max_terminal_consensus"]
     check(2, "consensus at 1e5 steps", worst < 1e-3,
           f"max terminal consensus {worst:.2e} over 20 seeds")
@@ -123,7 +121,7 @@ def test_03_critical_points():
         init={"mode": "consensual", "value": "0 0"},
         tolerances={"distance_tol": 1e-2},
     )
-    res_w = run_critical_point_experiment(wells)
+    res_w = run_experiment(wells)
     l1 = config(
         "critical-point",
         problem={"loss": "l1_wells", "graph": "path:3", "l1_weight": 0.3,
@@ -134,7 +132,7 @@ def test_03_critical_points():
         init={"mode": "consensual", "value": "0"},
         tolerances={"distance_tol": 1e-2},
     )
-    res_l = run_critical_point_experiment(l1)
+    res_l = run_experiment(l1)
     ok = (res_w.aggregates["fraction_within_tol"] >= 0.95
           and res_l.aggregates["fraction_within_tol"] >= 0.95)
     check(3, "critical points (wells + soft threshold)", ok,
@@ -157,12 +155,10 @@ def saddle_cfg(noise_kind, init_value, seeds, steps=300000):
 
 
 def test_04_saddle_avoidance():
-    noisy = run_saddle_avoidance_experiment(saddle_cfg("gaussian", "0.5 0.0", "0:200"))
+    noisy = run_experiment(saddle_cfg("gaussian", "0.5 0.0", "0:200"))
     frac_saddle = noisy.aggregates["fraction_saddle"]
-    on_manifold = run_saddle_avoidance_experiment(
-        saddle_cfg("none", "0.5 0.0", "0:1", steps=100000))
-    off_manifold = run_saddle_avoidance_experiment(
-        saddle_cfg("none", "0.5 0.01", "0:1"))
+    on_manifold = run_experiment(saddle_cfg("none", "0.5 0.0", "0:1", steps=100000))
+    off_manifold = run_experiment(saddle_cfg("none", "0.5 0.01", "0:1"))
     ok = (frac_saddle == 0.0
           and on_manifold.records[0]["class"] == "saddle"
           and on_manifold.records[0]["mean_y2"] == 0.0

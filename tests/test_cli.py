@@ -77,6 +77,28 @@ def test_validate_missing_loss_key(tmp_path):
     assert "nonexistent_loss" in err
 
 
+MALFORMED = {
+    "graph-size": ("graph = path:3", "graph = path:x"),
+    "seed-range": ("seeds = 0:4", "seeds = 0:20:2"),
+    "negative-seed": ("seeds = 0:4", "seeds = -3, 1"),
+    "duplicate-seed": ("seeds = 0:4", "seeds = 3,3"),
+    "no-graph": ("graph = path:3\n", ""),
+    "negative-steps": ("steps = 2000", "steps = -5"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_config_error(tmp_path, case, command):
+    old, new = MALFORMED[case]
+    assert old in GOOD_CONFIG
+    path = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    code, out, err = run_cli(command, str(path))
+    assert code == 1
+    assert err.startswith("config error:")
+    assert not (tmp_path / "results").exists()
+
+
 def test_validate_bad_schedule(tmp_path):
     broken = GOOD_CONFIG.replace("tau_gamma = 0.6", "tau_gamma = 1.0")
     path = write_config(tmp_path, broken)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsgdlab import experiments
 from dsgdlab.errors import ConfigError
 from dsgdlab.experiments import (
     ExperimentConfig,
@@ -9,12 +10,11 @@ from dsgdlab.experiments import (
     load_config,
     parse_seeds,
     parse_vectors,
-    run_consensus_experiment,
-    run_critical_point_experiment,
     run_drift_stats,
+    run_experiment,
     run_manifold_verification,
-    run_saddle_avoidance_experiment,
 )
+from dsgdlab.records import read_campaign, write_campaign
 
 
 def make_config(kind, **sections):
@@ -43,13 +43,15 @@ def consensus_config(steps=20000, seeds="0:5", graph="path:5"):
 def test_parse_helpers():
     assert parse_seeds("0:4") == [0, 1, 2, 3]
     assert parse_seeds("3, 5, 9") == [3, 5, 9]
+    with pytest.raises(ConfigError, match="seed 3 is listed more than once"):
+        parse_seeds("3,3")
     vecs = parse_vectors("0.5 0.3; -0.2 0.1")
     assert np.allclose(vecs[0], [0.5, 0.3])
     assert np.allclose(vecs[1], [-0.2, 0.1])
 
 
 def test_consensus_experiment_runs_and_converges():
-    result = run_consensus_experiment(consensus_config())
+    result = run_experiment(consensus_config())
     assert len(result.records) == 5
     assert result.aggregates["fraction_below_tol"] == 1.0
     assert result.aggregates["max_terminal_consensus"] < 1e-2
@@ -67,7 +69,7 @@ def test_consensus_single_agent_trivially_zero():
         init={"mode": "consensual", "value": "0.3 -0.2"},
         tolerances={"consensus_tol": 1e-3},
     )
-    result = run_consensus_experiment(cfg)
+    result = run_experiment(cfg)
     assert result.aggregates["max_terminal_consensus"] == 0.0
 
 
@@ -89,9 +91,24 @@ def test_disconnected_graph_from_file(tmp_path):
 
 
 def test_determinism_identical_configs():
-    a = run_consensus_experiment(consensus_config(steps=2000))
-    b = run_consensus_experiment(consensus_config(steps=2000))
+    a = run_experiment(consensus_config(steps=2000))
+    b = run_experiment(consensus_config(steps=2000))
     assert a.records == b.records
+
+
+def test_seed_order_does_not_change_rows(tmp_path, monkeypatch):
+    # two-seed chunks, so the initial states of later chunks are looked up
+    # by seed rather than by chunk position
+    chunks = experiments._run_seed_chunks
+    monkeypatch.setattr(experiments, "_run_seed_chunks",
+                        lambda fn, seeds: chunks(fn, seeds, 2))
+    rows = []
+    for seeds in ("3, 1, 0, 2", "0:4"):
+        path = tmp_path / f"{len(rows)}.tsv"
+        write_campaign(run_experiment(consensus_config(steps=500, seeds=seeds)), path)
+        rows.append(read_campaign(path)[2])
+    assert [r["seed"] for r in rows[0]] == [0, 1, 2, 3]
+    assert rows[0] == rows[1]
 
 
 def critical_config(loss="quadratic_wells", steps=50000, weight=0.3):
@@ -112,7 +129,7 @@ def critical_config(loss="quadratic_wells", steps=50000, weight=0.3):
 
 
 def test_critical_point_quadratic_wells():
-    result = run_critical_point_experiment(critical_config())
+    result = run_experiment(critical_config())
     target = np.mean(parse_vectors("1.0 0.5; -0.2 0.3; 0.4 -0.1"), axis=0)
     assert result.aggregates["fraction_within_tol"] == 1.0
     assert result.aggregates["max_distance"] < 1e-2
@@ -122,7 +139,7 @@ def test_critical_point_quadratic_wells():
 
 
 def test_critical_point_l1_soft_threshold():
-    result = run_critical_point_experiment(critical_config("l1_wells"))
+    result = run_experiment(critical_config("l1_wells"))
     prob = build_problem(critical_config("l1_wells"))
     mean = np.mean(parse_vectors("1.0 0.5; -0.2 0.3; 0.4 -0.1"), axis=0)
     soft = np.sign(mean) * np.maximum(np.abs(mean) - 0.3, 0.0)
@@ -137,7 +154,7 @@ def test_critical_point_start_at_minimizer_zero_noise():
     cfg.sections["noise"] = {"kind": "none"}
     cfg.sections["init"] = {"mode": "consensual",
                             "value": " ".join(str(v) for v in target)}
-    result = run_critical_point_experiment(cfg)
+    result = run_experiment(cfg)
     assert result.aggregates["max_distance"] < 1e-6
 
 
@@ -156,14 +173,14 @@ def saddle_config(noise_kind="gaussian", init_value="0.5 0.0", seeds="0:8",
 
 
 def test_saddle_avoidance_noisy_escapes():
-    result = run_saddle_avoidance_experiment(saddle_config())
+    result = run_experiment(saddle_config())
     assert result.aggregates["fraction_saddle"] == 0.0
     assert result.aggregates["fraction_minimum"] == 1.0
 
 
 def test_saddle_zero_noise_on_manifold_converges_to_saddle():
     cfg = saddle_config(noise_kind="none", seeds="0:1", steps=60000)
-    result = run_saddle_avoidance_experiment(cfg)
+    result = run_experiment(cfg)
     assert result.records[0]["class"] == "saddle"
     assert abs(result.records[0]["mean_y2"]) == 0.0  # symmetry is exact
 
@@ -171,7 +188,7 @@ def test_saddle_zero_noise_on_manifold_converges_to_saddle():
 def test_saddle_zero_noise_off_manifold_escapes():
     cfg = saddle_config(noise_kind="none", init_value="0.5 0.01", seeds="0:1",
                         steps=120000)
-    result = run_saddle_avoidance_experiment(cfg)
+    result = run_experiment(cfg)
     assert result.records[0]["class"] == "minimum"
 
 
@@ -274,7 +291,7 @@ dir = results
 """)
     cfg = load_config(path)
     assert cfg.kind == "consensus"
-    result = run_consensus_experiment(cfg)
+    result = run_experiment(cfg)
     assert len(result.records) == 3
     assert result.config_hash == cfg.hash
 
