@@ -11,10 +11,12 @@ from pathlib import Path
 
 from .errors import ConfigError, DsgdLabError
 from .experiments import (
+    SEED_CAMPAIGNS,
     CampaignResult,
     build_noise,
     build_problem,
     build_schedule,
+    initial_states,
     load_config,
     parse_seeds,
     parse_steps,
@@ -56,6 +58,8 @@ def _echo_resolved(config, out):
         problem = build_problem(config)
         out.write(f"problem: {config.get('problem', 'loss')}, "
                   f"{problem.n_agents} agents x dim {problem.agent_dim}\n")
+        if config.kind in SEED_CAMPAIGNS:
+            initial_states(config, problem, parse_seeds(config.get("run", "seeds")))
     else:
         out.write(f"battery: {config.get('problem', 'battery')}\n")
 

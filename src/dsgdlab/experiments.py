@@ -122,6 +122,8 @@ def parse_seeds(spec):
         raise ConfigError(f"bad seed list {spec!r}; use lo:hi or a comma list") from exc
     if any(s < 0 for s in seeds):
         raise ConfigError(f"seeds must be non-negative: {spec!r}")
+    if not seeds:
+        raise ConfigError(f"seed list {spec!r} is empty")
     if len(set(seeds)) < len(seeds):
         repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
         raise ConfigError(f"seed {repeated} is listed more than once")
@@ -136,7 +138,11 @@ def parse_steps(config):
 
 
 def parse_vector(spec):
-    return np.array([float(v) for v in spec.replace(",", " ").split()])
+    try:
+        return np.array([float(v) for v in spec.replace(",", " ").split()])
+    except ValueError as exc:
+        raise ConfigError(f"bad vector {spec!r}; use numbers separated by spaces "
+                          "or commas") from exc
 
 
 def parse_vectors(spec):

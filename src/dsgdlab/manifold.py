@@ -224,6 +224,33 @@ def linearize(context, t, g_at_t=None, reference_modes=None):
     return SpectralSplit(float(t), a, modes, w, n_u)
 
 
+@dataclass(frozen=True)
+class Frame:
+    """Per-time linear maps: the eigenframe U(t) (rows are eigenvectors) or its
+    rate Udot U^T. `matrices` is one (M, M) matrix when the frame does not
+    move, otherwise one per grid time, (n, M, M).
+
+    rotate(v) = U v and unrotate(v) = U^T v act on the last axis of v. A
+    constant frame is one GEMM over all leading axes; a time-varying frame
+    takes v of shape (batch, n, M) and is one batched matmul over the grid.
+    """
+
+    matrices: np.ndarray
+
+    def rotate(self, v):
+        return self._right_multiply(v, self.matrices.swapaxes(-1, -2))
+
+    def unrotate(self, v):
+        return self._right_multiply(v, self.matrices)
+
+    @staticmethod
+    def _right_multiply(v, mats):
+        v = np.asarray(v, dtype=float)
+        if mats.ndim == 2:
+            return (v.reshape(-1, v.shape[-1]) @ mats).reshape(v.shape)
+        return (v.swapaxes(0, 1) @ mats).swapaxes(0, 1)
+
+
 @dataclass
 class PicardFrame:
     """Everything the integral equation needs on a uniform grid from t0."""
@@ -232,12 +259,12 @@ class PicardFrame:
     dt: float
     n_u: int
     lambdas: np.ndarray        # (n, M), unstable block first
-    modes: np.ndarray          # (n, M, M), rows are eigenvectors
+    rotation: Frame            # U(t)
     cumlam: np.ndarray         # (n, M), trapezoid cumulative integral of lambdas
     gamma_vals: np.ndarray
     g_path: np.ndarray         # (n, M)
     forcing: np.ndarray        # (n, M): U(t) g'(gamma_t) gammadot_t
-    mode_rate: np.ndarray      # (n, M, M): Udot U^T
+    mode_rate: Frame | None    # Udot U^T; None when the frame does not move
     context: SaddleContext
 
     @property
@@ -298,6 +325,40 @@ def _phi_tilde(a):
     ab = a[big]
     out[big] = (np.exp(ab) - _phi1(ab)) / ab
     return out
+
+
+SCAN_SPAN = 1.0   # largest cumulative exponent inside one block of the scan
+
+
+def _decay_scan(log_decay, inc, reverse=False):
+    """x_0 = 0, x_{i+1} = e^{log_decay_i} x_i + inc_i for every i at once; with
+    reverse, x_{n-1} = 0, x_i = e^{log_decay_i} x_{i+1} + inc_i instead.
+
+    log_decay is (n-1, m), inc is (batch, n-1, m); returns x, (batch, n, m).
+    Blocked scan: from a block start s, x_{s+k} = e^{c_k} (x_s + sum_{i<k}
+    e^{-c_{i+1}} inc_{s+i}), where c is the cumulative exponent from s. Blocks
+    are short enough that |c| <= SCAN_SPAN, so the rescaled terms stay within
+    a factor e^SCAN_SPAN of each other; block starts are carried in a loop.
+    """
+    if reverse:
+        return _decay_scan(log_decay[::-1], inc[:, ::-1])[:, ::-1]
+    steps, m = log_decay.shape
+    peak = float(np.max(np.abs(log_decay), initial=0.0))
+    block = max(1, min(steps, int(SCAN_SPAN / peak) if peak > 0.0 else steps))
+    n_blocks = -(-steps // block)
+    padded = np.zeros((n_blocks * block, m))
+    padded[:steps] = log_decay
+    grow = np.exp(np.cumsum(padded.reshape(n_blocks, block, m), axis=1))
+    batch = inc.shape[0]
+    blocks = np.zeros((batch, n_blocks * block, m))
+    blocks[:, :steps] = inc
+    blocks = blocks.reshape(batch, n_blocks, block, m) / grow
+    blocks = grow * np.cumsum(blocks, axis=2)
+    for k in range(1, n_blocks):
+        blocks[:, k] += grow[k] * blocks[:, k - 1, -1:]
+    x = np.zeros((batch, steps + 1, m))
+    x[:, 1:] = blocks.reshape(batch, -1, m)[:, :steps]
+    return x
 
 
 @dataclass(frozen=True)
@@ -392,22 +453,30 @@ class ManifoldModel:
 
     def _detect_structure(self):
         ctx = self.context
-        self.const_modes = bool(
+        const_modes = bool(
             np.max(np.abs(self.ref_modes[0] - self.ref_modes[-1])) < 1e-10
             and np.max(np.abs(self.ref_modes[len(self.ref_modes) // 2]
                               - self.ref_modes[-1])) < 1e-10)
+        self.fixed_frame = None
+        self.psi_is_zero = False
+        if not (self.stationary and const_modes):
+            return
+        # a stationary path with a constant eigenframe needs no tracking: U is
+        # fixed, g = saddle, and the eigenvalues are affine in gamma
+        modes = self.ref_modes[-1]
+        hess = ctx.loss.hessian(ctx.saddle)
+        self.fixed_frame = Frame(modes)
+        self._fixed_base = np.diag(modes @ (-hess) @ modes.T)
+        self._fixed_qdiag = np.diag(modes @ ctx.qmat @ modes.T)
         # remainder-free detection: along a stationary path the nonlinear
         # remainder reduces to the gradient's linearization error at the
         # saddle, which vanishes identically for quadratic objectives
-        self.psi_is_zero = False
-        if self.stationary and self.const_modes:
-            rng = np.random.default_rng(0)
-            offsets = self.radius * rng.standard_normal((16, ctx.dim))
-            hess = ctx.loss.hessian(ctx.saddle)
-            grad0 = ctx.loss.subgradient(ctx.saddle)
-            lin_err = ctx.loss.subgradient(ctx.saddle + offsets) - grad0 - offsets @ hess
-            scale = max(1.0, float(np.max(np.abs(hess))))
-            self.psi_is_zero = float(np.max(np.abs(lin_err))) <= 1e-12 * scale
+        rng = np.random.default_rng(0)
+        offsets = self.radius * rng.standard_normal((16, ctx.dim))
+        grad0 = ctx.loss.subgradient(ctx.saddle)
+        lin_err = ctx.loss.subgradient(ctx.saddle + offsets) - grad0 - offsets @ hess
+        scale = max(1.0, float(np.max(np.abs(hess))))
+        self.psi_is_zero = float(np.max(np.abs(lin_err))) <= 1e-12 * scale
 
     # -- coordinate machinery ----------------------------------------------
 
@@ -425,18 +494,21 @@ class ManifoldModel:
                                      self.ref_g[i])
         return linearize(ctx, t, g_t, reference_modes=self.ref_modes[i]), g_t
 
+    def _frame_at(self, t):
+        """Eigenframe U(t) and path point g(gamma_t) at one time."""
+        if self.fixed_frame is not None:
+            return self.fixed_frame, self.context.saddle
+        split, g_t = self.split_at(t)
+        return Frame(split.modes), g_t
+
     def coordinate_change(self, x, t):
         """z = U(t) (x - g(gamma_t)); batched over leading axes of x."""
-        if self.stationary and self.const_modes:
-            return (np.asarray(x, dtype=float) - self.context.saddle) @ self.ref_modes[-1].T
-        split, g_t = self.split_at(t)
-        return (np.asarray(x, dtype=float) - g_t) @ split.modes.T
+        frame, g_t = self._frame_at(t)
+        return frame.rotate(np.asarray(x, dtype=float) - g_t)
 
     def coordinate_change_inverse(self, z, t):
-        if self.stationary and self.const_modes:
-            return np.asarray(z, dtype=float) @ self.ref_modes[-1] + self.context.saddle
-        split, g_t = self.split_at(t)
-        return np.asarray(z, dtype=float) @ split.modes + g_t
+        frame, g_t = self._frame_at(t)
+        return frame.unrotate(z) + g_t
 
     def drive_field(self, x, t):
         """Right-hand side of the flow, -grad h(x) - gamma_t Q x."""
@@ -447,13 +519,10 @@ class ManifoldModel:
     def local_linearization(self, t, fd_step=1e-4):
         """(lambdas, modes, mode rate, forcing, path point) at a single time."""
         ctx = self.context
-        if self.stationary and self.const_modes:
-            modes = self.ref_modes[-1]
-            base = np.diag(modes @ (-ctx.loss.hessian(ctx.saddle)) @ modes.T)
-            qdiag = np.diag(modes @ ctx.qmat @ modes.T)
-            lam = base - float(ctx.gamma(t)) * qdiag
+        if self.fixed_frame is not None:
+            lam = self._fixed_base - float(ctx.gamma(t)) * self._fixed_qdiag
             zero = np.zeros((ctx.dim, ctx.dim))
-            return lam, modes, zero, np.zeros(ctx.dim), ctx.saddle
+            return lam, self.fixed_frame.matrices, zero, np.zeros(ctx.dim), ctx.saddle
         split, g_t = self.split_at(t)
         if self.stationary:
             g_p = g_m = ctx.saddle
@@ -486,19 +555,14 @@ class ManifoldModel:
         times = t0 + opts.dt * np.arange(n)
         if times[-1] > self.t_end + 1e-9:
             raise ValueError("frame grid exceeds the model span; extend t_end")
-        gamma_vals = np.array([float(ctx.gamma(t)) for t in times])
+        gamma_vals = np.asarray(ctx.gamma(times), dtype=float)
         m = ctx.dim
 
-        if self.stationary and self.const_modes:
-            modes0 = self.ref_modes[-1]
-            a0 = -ctx.loss.hessian(ctx.saddle)
-            base = np.diag(modes0 @ a0 @ modes0.T)
-            qdiag = np.diag(modes0 @ ctx.qmat @ modes0.T)
-            lam = base[None, :] - gamma_vals[:, None] * qdiag[None, :]
+        if self.fixed_frame is not None:
+            lam = self._fixed_base[None, :] - gamma_vals[:, None] * self._fixed_qdiag[None, :]
+            rotation, mode_rate = self.fixed_frame, None
             g_path = np.tile(ctx.saddle, (n, 1))
-            modes = np.broadcast_to(modes0, (n, m, m)).copy()
             forcing = np.zeros((n, m))
-            mode_rate = np.zeros((n, m, m))
         else:
             lam = np.empty((n, m))
             modes = np.empty((n, m, m))
@@ -521,15 +585,15 @@ class ManifoldModel:
                 jac = ctx.loss.hessian(g_i) + gamma_vals[i] * ctx.qmat
                 g_prime = -np.linalg.solve(jac, ctx.qmat @ g_i)
                 forcing[i] = modes[i] @ (g_prime * float(gdot[i]))
-            d_modes = np.gradient(modes, opts.dt, axis=0)
-            mode_rate = np.einsum("nij,nkj->nik", d_modes, modes)
+            rate = np.gradient(modes, opts.dt, axis=0) @ modes.swapaxes(1, 2)
+            rotation, mode_rate = Frame(modes), Frame(rate) if np.any(rate) else None
 
         if np.any(lam[:, : ctx.n_u] <= 0) or np.any(lam[:, ctx.n_u:] >= 0):
             raise PartitionError(
                 f"split sign pattern unstable inside the frame starting at t0={t0:g}")
         cumlam = np.zeros((n, m))
         cumlam[1:] = np.cumsum(0.5 * (lam[1:] + lam[:-1]) * opts.dt, axis=0)
-        return PicardFrame(times, opts.dt, ctx.n_u, lam, modes, cumlam, gamma_vals,
+        return PicardFrame(times, opts.dt, ctx.n_u, lam, rotation, cumlam, gamma_vals,
                            g_path, forcing, mode_rate, ctx)
 
     # -- the integral equation ----------------------------------------------
@@ -541,54 +605,39 @@ class ManifoldModel:
         with F(y, t) = -grad h(y + g) - gamma Q (y + g) - A(t) y.
         """
         ctx = frame.context
-        y = np.einsum("nji,bnj->bni", frame.modes, z)
-        w = y + frame.g_path[None, :, :]
+        w = frame.rotation.unrotate(z) + frame.g_path[None, :, :]
         drive = -ctx.loss.subgradient(w) - frame.gamma_vals[None, :, None] * (w @ ctx.qmat)
         # U A U^T z is diagonal in the rotated frame: just lambda * z
-        f_rot = np.einsum("nij,bnj->bni", frame.modes, drive) - frame.lambdas[None, :, :] * z
-        if np.any(frame.mode_rate):
-            f_rot = f_rot + np.einsum("nij,bnj->bni", frame.mode_rate, z)
+        f_rot = frame.rotation.rotate(drive) - frame.lambdas[None, :, :] * z
+        if frame.mode_rate is not None:
+            f_rot = f_rot + frame.mode_rate.rotate(z)
         return f_rot
 
     def _apply_integral_operator(self, u, a_s, frame):
         """One substitution into the right-hand side of the integral equation."""
         n_u = frame.n_u
-        n = len(frame.times)
         h = frame.dt
         g_all = self.remainder_field(u, frame) - frame.forcing[None, :, :]
         a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
 
         new = np.empty_like(u)
         # stable block: forward propagation of the initial condition plus the
-        # exponential-trapezoid integral recursion
+        # exponential-trapezoid integral recursion j_{i+1} = e^{a_i} j_i + inc_i
         a_st = a_coef[:, n_u:]
-        p1 = _phi1(a_st)
-        pt = _phi_tilde(a_st)
-        decay = np.exp(a_st)
         gs = g_all[:, :, n_u:]
         dg = gs[:, 1:, :] - gs[:, :-1, :]
-        inc = h * (gs[:, 1:, :] * p1[None] - dg * pt[None])
-        j_acc = np.zeros((u.shape[0], u.shape[2] - n_u))
+        inc = h * (gs[:, 1:, :] * _phi1(a_st)[None] - dg * _phi_tilde(a_st)[None])
         prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
-        new[:, 0, n_u:] = a_s + j_acc
-        for i in range(n - 1):
-            j_acc = decay[i][None, :] * j_acc + inc[:, i, :]
-            new[:, i + 1, n_u:] = prop[i + 1][None, :] * a_s + j_acc
+        new[:, :, n_u:] = prop[None] * a_s[:, None, :] + _decay_scan(a_st, inc)
 
-        # unstable block: backward tail recursion, truncated at the grid end
+        # unstable block: backward tail recursion k_i = inc_i + e^{-a_i} k_{i+1},
+        # truncated at the grid end
         if n_u:
             a_un = a_coef[:, :n_u]
-            p1u = _phi1(-a_un)
-            ptu = _phi_tilde(-a_un)
-            decay_u = np.exp(-a_un)
             gu = g_all[:, :, :n_u]
             dgu = gu[:, 1:, :] - gu[:, :-1, :]
-            inc_u = h * (gu[:, :-1, :] * p1u[None] + dgu * ptu[None])
-            k_acc = np.zeros((u.shape[0], n_u))
-            new[:, n - 1, :n_u] = -k_acc
-            for i in range(n - 2, -1, -1):
-                k_acc = inc_u[:, i, :] + decay_u[i][None, :] * k_acc
-                new[:, i, :n_u] = -k_acc
+            inc_u = h * (gu[:, :-1, :] * _phi1(-a_un)[None] + dgu * _phi_tilde(-a_un)[None])
+            new[:, :, :n_u] = -_decay_scan(-a_un, inc_u, reverse=True)
         return new, g_all
 
     def picard_solve(self, t0, a_s, options=None):

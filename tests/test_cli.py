@@ -84,6 +84,9 @@ MALFORMED = {
     "duplicate-seed": ("seeds = 0:4", "seeds = 3,3"),
     "no-graph": ("graph = path:3\n", ""),
     "negative-steps": ("steps = 2000", "steps = -5"),
+    "empty-seeds": ("seeds = 0:4", "seeds = 5:5"),
+    "init-value": ("mode = gaussian\nscale = 1.0", "mode = consensual\nvalue = a b"),
+    "init-size": ("mode = gaussian\nscale = 1.0", "mode = consensual\nvalue = 1 2"),
 }
 
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsgdlab.errors import ContractionError, PartitionError, RegularityError
 from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
 from dsgdlab.manifold import (
+    SCAN_SPAN,
     ManifoldModel,
     PicardOptions,
+    _decay_scan,
     default_gamma0,
     evolution_operator,
     linearize,
@@ -287,3 +291,71 @@ def test_coordinate_change_roundtrip():
     z = model.coordinate_change(x, 10.0)
     back = model.coordinate_change_inverse(z, 10.0)
     assert np.max(np.abs(back - x)) < 1e-10
+
+
+def _sequential_decay(log_decay, inc):
+    x = np.zeros((inc.shape[0], inc.shape[1] + 1, inc.shape[2]))
+    for i in range(inc.shape[1]):
+        x[:, i + 1] = np.exp(log_decay[i]) * x[:, i] + inc[:, i]
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(peak=st.floats(0.004, 0.2), n_blocks=st.integers(1, 8), partial=st.booleans(),
+       batch=st.integers(1, 4), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_decay_scan_matches_sequential_recursion(peak, n_blocks, partial, batch, width, seed):
+    # per-step exponents up to those of the shifted and quadratic-penalized
+    # batteries (|a_i| <= 0.15, cumulative spans over 200); grid lengths on
+    # and off a multiple of the scan block
+    rng = np.random.default_rng(seed)
+    block = int(SCAN_SPAN / peak)
+    steps = n_blocks * block + (int(rng.integers(1, block)) if partial and block > 1 else 0)
+    log_decay = -peak * rng.random((steps, width))
+    log_decay[rng.integers(steps)] = -peak
+    inc = rng.standard_normal((batch, steps, width))
+    # |x| is bounded by the recursion driven by |inc|; errors are relative to it
+    forward = _sequential_decay(log_decay, inc)
+    scale = _sequential_decay(log_decay, np.abs(inc))
+    assert np.all(np.abs(_decay_scan(log_decay, inc) - forward) <= 1e-12 * scale)
+    # backward: k_{n-1} = 0, k_i = e^{a_i} k_{i+1} + inc_i
+    backward = _sequential_decay(log_decay[::-1], inc[:, ::-1])[:, ::-1]
+    scale_b = _sequential_decay(log_decay[::-1], np.abs(inc[:, ::-1]))[:, ::-1]
+    assert np.all(np.abs(_decay_scan(log_decay, inc, reverse=True) - backward)
+                  <= 1e-12 * scale_b)
+
+
+def test_decay_scan_without_decay_is_a_cumulative_sum():
+    inc = np.arange(12.0).reshape(2, 3, 2)
+    out = _decay_scan(np.zeros((3, 2)), inc)
+    assert np.array_equal(out[:, 1:], np.cumsum(inc, axis=1))
+    assert np.array_equal(out[:, 0], np.zeros((2, 2)))
+
+
+def test_frame_rotations_match_einsum():
+    rng = np.random.default_rng(4)
+    cross = ManifoldModel(cross_cubic_context(), 1.0, 40.0,
+                          PicardOptions(horizon=10.0, dt=0.005, tail=5.0))
+    fixed = cross.frame(2.0).rotation
+    assert fixed.matrices.shape == (2, 2)
+    z = rng.standard_normal((5, 3001, 2))
+    assert np.max(np.abs(fixed.rotate(z) - np.einsum("ij,bnj->bni", fixed.matrices, z))) <= 1e-14
+    assert np.max(np.abs(fixed.unrotate(z) - np.einsum("ji,bnj->bni", fixed.matrices, z))) <= 1e-14
+
+    # the shifted battery: the x2 x3 coupling turns the eigenframe with gamma
+    loss = monomial_loss(3, {(2, 0, 0): 0.5, (0, 2, 0): -0.5, (0, 0, 2): 0.5,
+                             (0, 0, 1): 0.2, (0, 1, 1): 0.3})
+    ctx = saddle_context(loss, penalty_from_matrix(np.diag([0.0, 0.0, 2.0])),
+                         PowerLawGamma(0.5, 0.6), np.zeros(3))
+    shifted = ManifoldModel(ctx, 4.0, 80.0, PicardOptions(horizon=8.0, dt=0.01, tail=8.0))
+    frame = shifted.frame(6.0)
+    moving = frame.rotation
+    assert moving.matrices.shape == (1601, 3, 3)
+    assert np.ptp(moving.matrices, axis=0).max() > 1e-6   # the frame really moves
+    z = rng.standard_normal((5, 1601, 3))
+    assert np.max(np.abs(moving.rotate(z) - np.einsum("nij,bnj->bni", moving.matrices, z))) \
+        <= 1e-14
+    assert np.max(np.abs(moving.unrotate(z) - np.einsum("nji,bnj->bni", moving.matrices, z))) \
+        <= 1e-14
+    rate = frame.mode_rate.matrices
+    assert np.max(np.abs(frame.mode_rate.rotate(z) - np.einsum("nij,bnj->bni", rate, z))) \
+        <= 1e-14 * max(1.0, np.max(np.abs(rate)))
