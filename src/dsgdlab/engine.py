@@ -8,12 +8,14 @@ with v(k) a subgradient selection; the agentwise form
                - alpha_k (v_n(k) + xi_n(k+1))
 is its special case with Q = L kron I_d and beta_k = alpha_k gamma_k. Noise is
 drawn from one sub-stream per agent, spawned from the master seed, so stacked
-and agentwise runs can consume identical realizations.
+and agentwise runs can consume identical realizations. `run_batch` is the one
+loop that iterates the recursion; `run` and `run_agentwise` are its one-seed
+views, and `general_step`/`agentwise_step` are the single-step references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -119,17 +121,14 @@ def general_step(x, k, loss, q, schedule, noise):
 def agentwise_step(states, k, losses, graph, schedule, noise):
     """One agentwise update; each agent mixes neighbor states and descends its
     private loss. Equals the stacked general step with Q = L kron I_d."""
-    return _agentwise_update(np.asarray(states, dtype=float), k, losses,
-                             laplacian(graph), schedule, noise)
-
-
-def _agentwise_update(states, k, losses, lap, schedule, noise):
     if k < 1:
         raise ValueError("step index starts at 1")
+    states = np.asarray(states, dtype=float)
     grads = np.stack([c.subgradient(states[n]) for n, c in enumerate(losses.components)])
     xi = noise.draw()
     # sum over neighbors of (x_l - x_n) is exactly -(L @ states) row-wise
-    new = states - schedule.beta(k) * (lap @ states) - schedule.alpha(k) * (grads + xi)
+    new = (states - schedule.beta(k) * (laplacian(graph) @ states)
+           - schedule.alpha(k) * (grads + xi))
     if not np.all(np.isfinite(new)):
         raise DivergedError(k)
     return new
@@ -173,116 +172,60 @@ def _record_points(steps, record):
     return sorted(pts)
 
 
-def _metrics(x, loss, rotation):
-    cons = float(rotation.off_constraint_norm(x))
-    proj = rotation.project_constraint(x)
-    v = loss.subgradient(proj)
-    gnorm = float(np.linalg.norm(rotation.constraint_part(v)))
-    return cons, gnorm, float(np.linalg.norm(x))
-
-
 def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geometric",
         record_state=False, record_noise=False, ceiling=DIVERGENCE_CEILING,
         rotation=None, n_agents=1):
     """Iterate the general recursion, recording metrics at checkpoints.
 
-    Deterministic given the noise seed. n_agents fixes the noise sub-stream
-    layout: with n_agents = N the run consumes the same realizations as the
-    agentwise form on N agents. Raises DivergedError past the ceiling.
+    The one-row view of `run_batch` whose only seed is the noise seed, so it is
+    deterministic given that seed. n_agents fixes the noise sub-stream layout:
+    with n_agents = N the run consumes the same realizations as the agentwise
+    form on N agents. Raises DivergedError past the ceiling.
     """
-    x = np.asarray(initial, dtype=float).copy()
-    m = len(x)
-    if m % n_agents:
-        raise ValueError("state dimension must split evenly across agents")
+    x0 = np.asarray(initial, dtype=float)
+    m = len(x0)
     if rotation is None:
         rotation = constraint_rotation(q)
-    stream = noise.start(n_agents, m // n_agents, rotation)
-    points = _record_points(steps, record)
-    qm = q.matrix
+    states, callback = None, None
+    if record_state:
+        wanted = set(_record_points(steps, record))
+        states = [x0.copy()]
 
-    rows, states, noise_means = [], [], []
-    zeta = 0.0
-    sup_norm = float(np.linalg.norm(x))
+        def callback(k, zeta, x, active):
+            if k in wanted:
+                states.append(x[0].copy())
 
-    def record_row(count):
-        rows.append((count, zeta) + _metrics(x, loss, rotation))
-        if record_state:
-            states.append(x.copy())
-
-    record_row(0)
-    pts = iter(points[1:])
-    next_pt = next(pts, None)
-    for k in range(1, steps + 1):
-        v = loss.subgradient(x)
-        xi_mat = stream.draw()
-        alpha_k = schedule.alpha(k)
-        x = x - alpha_k * (v + schedule.gamma(k) * (qm @ x) + xi_mat.ravel())
-        zeta += alpha_k
-        norm = float(np.linalg.norm(x))
-        sup_norm = max(sup_norm, norm)
-        if not np.isfinite(norm) or norm > ceiling:
-            raise DivergedError(k)
-        if record_noise:
-            noise_means.append(xi_mat.mean(axis=0))
-        if k == next_pt:
-            record_row(k)
-            next_pt = next(pts, None)
-
-    cols = np.array(rows).T
-    return Trajectory(cols[0].astype(int), cols[1], cols[2], cols[3], cols[4],
-                      x, sup_norm, "general", noise.kind, n_agents, m // n_agents,
-                      np.array(states) if record_state else None,
-                      np.array(noise_means) if record_noise else None)
+    batch = run_batch(x0, steps, loss, q, schedule, noise, [noise.seed], record=record,
+                      ceiling=ceiling, rotation=rotation, step_callback=callback,
+                      n_agents=n_agents)
+    if batch.diverged_at[0] >= 0:
+        raise DivergedError(int(batch.diverged_at[0]))
+    noise_means = None
+    if record_noise:
+        # a fresh stream for the same seed replays the realizations the run drew
+        stream = noise.start(n_agents, m // n_agents, rotation)
+        noise_means = stream.draw_chunk(steps).mean(axis=1)
+    return Trajectory(batch.steps, batch.zeta, batch.consensus_error[0],
+                      batch.grad_norm[0], batch.state_norm[0], batch.final_states[0],
+                      float(batch.sup_state_norm[0]), "general", noise.kind, n_agents,
+                      m // n_agents, None if states is None else np.array(states),
+                      noise_means)
 
 
 def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseModel(),
                   *, record="geometric", record_state=False, record_noise=False,
                   ceiling=DIVERGENCE_CEILING):
-    """Iterate the agentwise recursion on a communication graph."""
-    states = np.asarray(initial_states, dtype=float).copy()
+    """Iterate the agentwise recursion on a communication graph: `run` with
+    Q = L kron I_d and one noise sub-stream per agent."""
+    states = np.asarray(initial_states, dtype=float)
     n, d = states.shape
     if n != losses.n_agents or d != losses.agent_dim:
         raise ValueError("initial states disagree with the loss stack")
-    lap = laplacian(graph)
-    rotation = constraint_rotation(consensus_penalty(lap, d))
-    stream = noise.start(n, d, rotation)
-    points = _record_points(steps, record)
-    loss = losses.assembled
-
-    rows, recs, noise_means = [], [], []
-    zeta = 0.0
-    sup_norm = float(np.linalg.norm(states))
-
-    def record_row(count):
-        flat = states.ravel()
-        rows.append((count, zeta) + _metrics(flat, loss, rotation))
-        if record_state:
-            recs.append(flat.copy())
-
-    record_row(0)
-    pts = iter(points[1:])
-    next_pt = next(pts, None)
-    for k in range(1, steps + 1):
-        grads = np.stack([c.subgradient(states[i]) for i, c in enumerate(losses.components)])
-        xi = stream.draw()
-        alpha_k = schedule.alpha(k)
-        states = states - schedule.beta(k) * (lap @ states) - alpha_k * (grads + xi)
-        zeta += alpha_k
-        norm = float(np.linalg.norm(states))
-        sup_norm = max(sup_norm, norm)
-        if not np.isfinite(norm) or norm > ceiling:
-            raise DivergedError(k)
-        if record_noise:
-            noise_means.append(xi.mean(axis=0))
-        if k == next_pt:
-            record_row(k)
-            next_pt = next(pts, None)
-
-    cols = np.array(rows).T
-    return Trajectory(cols[0].astype(int), cols[1], cols[2], cols[3], cols[4],
-                      states.ravel(), sup_norm, "agentwise", noise.kind, n, d,
-                      np.array(recs) if record_state else None,
-                      np.array(noise_means) if record_noise else None)
+    traj = run(states.ravel(), steps, losses.assembled,
+               consensus_penalty(laplacian(graph), d), schedule, noise, record=record,
+               record_state=record_state, record_noise=record_noise, ceiling=ceiling,
+               n_agents=n)
+    return replace(traj, mode="agentwise")
 
 
 @dataclass(frozen=True)
@@ -409,10 +352,14 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
               chunk=256, step_callback=None, n_agents=1, k_start=1):
     """Run one seed per row of a vectorized batch of the general recursion.
 
-    Each seed draws from its own spawned stream, so row s reproduces the
-    single run with that seed (up to BLAS summation order). Diverged rows are
-    frozen at their last finite state and recorded, not fatal. k_start shifts
-    the schedule index (restart experiments resume mid-schedule).
+    This is the one loop that iterates the recursion; `run` and
+    `run_agentwise` are its one-row views. Each seed draws from its own
+    spawned stream, so row s reproduces `run` with that seed up to the BLAS
+    summation order of the wider batch. Diverged rows are frozen at their last
+    finite state and recorded, not fatal; once every row has diverged the loop
+    stops, and the remaining checkpoints repeat the frozen rows' metrics.
+    step_callback(k, zeta_k, x, active) runs after each step it takes. k_start
+    shifts the schedule index (restart experiments resume mid-schedule).
     """
     seeds = np.asarray(list(seeds), dtype=int)
     s_count = len(seeds)
@@ -431,9 +378,9 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     points = _record_points(steps, record)
     zeta0 = float(np.sum(schedule.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
     ks = np.arange(k_start, k_start + steps)
-    zeta_all = zeta0 + np.concatenate([[0.0], np.cumsum(schedule.alpha(ks))]) \
-        if steps else np.array([zeta0])
-    zeta_rec = zeta_all[points]
+    alphas = schedule.alpha(ks)
+    gammas = schedule.gamma(ks)
+    zeta_all = zeta0 + np.concatenate([[0.0], np.cumsum(alphas)])
 
     basis = rotation.constraint_basis
     off = rotation.off_basis
@@ -456,7 +403,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
 
     rec_idx = 1
     k = 1
-    while k <= steps:
+    while k <= steps and active.any():
         span = min(chunk, steps - k + 1)
         if noise.kind == "none":
             xi_chunk = None
@@ -466,23 +413,29 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             count = k + j
             kk = k_start + count - 1
             v = loss.subgradient(x)
-            drive = v + schedule.gamma(kk) * (x @ qm)
+            drive = v + gammas[count - 1] * (x @ qm)
             if xi_chunk is not None:
                 drive = drive + xi_chunk[:, j, :]
-            x_new = x - schedule.alpha(kk) * drive
+            x_new = x - alphas[count - 1] * drive
             norms = np.linalg.norm(x_new, axis=1)
             bad = active & (~np.isfinite(norms) | (norms > ceiling))
             if np.any(bad):
                 diverged_at[bad] = kk
                 active &= ~bad
+                if not active.any():
+                    break
             x = np.where(active[:, None], x_new, x)
             sup_norm = np.maximum(sup_norm, np.where(active, norms, sup_norm))
             if step_callback is not None:
-                step_callback(kk, x, active)
+                step_callback(kk, zeta_all[count], x, active)
             if rec_idx < n_rec and count == points[rec_idx]:
                 cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = metrics(x)
                 rec_idx += 1
         k += span
+    if rec_idx < n_rec:
+        # every row diverged: stepping on would record these frozen states again
+        for rec, col in zip((cons_rec, grad_rec, norm_rec), metrics(x)):
+            rec[:, rec_idx:] = col[:, None]
 
-    return BatchRun(seeds, np.asarray(points), zeta_rec, cons_rec, grad_rec,
+    return BatchRun(seeds, np.asarray(points), zeta_all[points], cons_rec, grad_rec,
                     norm_rec, x, sup_norm, diverged_at)

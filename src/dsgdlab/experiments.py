@@ -15,6 +15,7 @@ import configparser
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -286,11 +287,12 @@ class CampaignResult:
     fields: list
     records: list
     aggregates: dict
+    summarize: object  # records -> aggregates, the function that produced them
     version: str = __version__
 
     def recompute_aggregates(self):
         """Aggregates must be a pure function of the per-seed records."""
-        return aggregate(self.kind, self.records)
+        return self.summarize(self.records)
 
 
 def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
@@ -308,7 +310,7 @@ def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
 
 def aggregate(kind, records):
     """Aggregates of a seed campaign: a pure function of its per-seed records."""
-    if not records or kind not in SEED_CAMPAIGNS:
+    if not records:
         return {}
     return {**SEED_CAMPAIGNS[kind].summarize(records),
             "diverged": int(sum(r["diverged_at"] >= 0 for r in records))}
@@ -438,9 +440,10 @@ def run_seed_campaign(config):
                 for row, seed in enumerate(chunk_seeds)]
 
     records = _run_seed_chunks(run_chunk, seeds)
+    summarize = partial(aggregate, config.kind)
     return CampaignResult(config.kind, config.name, config.hash,
                           ["seed", *spec.fields, "diverged_at"], records,
-                          aggregate(config.kind, records))
+                          summarize(records), summarize)
 
 
 # -- drift statistics ------------------------------------------------------------
@@ -465,14 +468,10 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
     n_seeds = len(seeds)
     s_series = np.full((n_seeds, steps), np.nan)
     censor = np.full(n_seeds, -1, dtype=int)
-    zeta0 = float(np.sum(schedule.alpha(np.arange(1, k0))))
-    zetas = zeta0 + np.cumsum(schedule.alpha(np.arange(k0, k0 + steps)))
     n_u = model.context.n_u
-    pos = {"i": 0}
 
-    def callback(kk, x, active):
-        i = pos["i"]
-        z = model.coordinate_change(x, float(zetas[i]))
+    def callback(kk, zeta, x, active):
+        z = model.coordinate_change(x, float(zeta))
         inside = np.linalg.norm(z, axis=1) <= model.radius
         newly_out = (censor < 0) & ~inside & active
         censor[newly_out] = kk
@@ -482,15 +481,14 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
             ok = inside & active
             s_val = np.full(len(z), np.nan)
             if np.any(ok):
-                psi = model.psi(float(zetas[i]), z[ok, n_u:])
+                psi = model.psi(float(zeta), z[ok, n_u:])
                 s_val[ok] = np.linalg.norm(z[ok, :n_u] - psi, axis=1)
-        s_series[:, i] = np.where((censor < 0) | (kk <= censor), s_val, np.nan)
-        pos["i"] = i + 1
+        s_series[:, kk - k0] = np.where((censor < 0) | (kk <= censor), s_val, np.nan)
 
     run_batch(np.tile(saddle, (n_seeds, 1)), steps, problem.assembled, problem.q,
               schedule, noise, seeds, k_start=k0, step_callback=callback,
               record=max(steps, 1))
-    return s_series, censor, zetas
+    return s_series, censor
 
 
 def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
@@ -555,17 +553,17 @@ def run_drift_stats(config):
     # core near zero, below the excursion tail
     lo_q = config.get("drift", "band_lo_q", 0.5, float)
     hi_q = config.get("drift", "band_hi_q", 0.95, float)
-    pooled = np.concatenate([s[np.isfinite(s)] for s, _, _ in all_series.values()])
+    pooled = np.concatenate([s[np.isfinite(s)] for s, _ in all_series.values()])
     band_lo = float(np.quantile(pooled[pooled > 0], lo_q)) if np.any(pooled > 0) else 0.0
     band_hi = float(np.quantile(pooled[pooled > 0], hi_q)) if np.any(pooled > 0) else 0.0
 
     tau_alpha = schedule.tau_alpha
     c_fit = float(np.median([np.median(np.nanmax(
         np.where(np.isfinite(s), s, model.radius), axis=1))
-        / k0 ** (0.5 - tau_alpha) for k0, (s, _, _) in all_series.items()]))
+        / k0 ** (0.5 - tau_alpha) for k0, (s, _) in all_series.items()]))
 
     records = []
-    for k0, (series, censor, zetas) in all_series.items():
+    for k0, (series, censor) in all_series.items():
         thresh = c_fit * k0 ** (0.5 - tau_alpha)
         for row, seed in enumerate(seeds):
             s_row = series[row]
@@ -596,13 +594,15 @@ def run_drift_stats(config):
                             "returned": bool(returned),
                             "censored_at": int(censor[row])})
 
-    aggregates = drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid)
-    aggregates["threshold_coefficient"] = c_fit
+    def summarize(recs):
+        return {**drift_aggregate(recs, band_lo, band_hi, tau_alpha, k0_grid),
+                "threshold_coefficient": c_fit}
+
     fields = ["seed", "k0", "sup_s", "sum_x_lo", "count_lo", "sum_x_mid",
               "count_mid", "sum_x_hi", "count_hi", "crossed", "returned",
               "censored_at"]
     return CampaignResult("drift-stats", config.name, config.hash, fields, records,
-                          aggregates)
+                          summarize(records), summarize)
 
 
 # -- manifold verification -------------------------------------------------------

@@ -23,8 +23,10 @@ from dsgdlab.graphs import (
 )
 from dsgdlab.losses import (
     custom_loss,
+    l1_regularized,
     quadratic_form,
     quadratic_saddle,
+    relu_regression,
     shifted_quadratic,
     sum_loss,
     zero_loss,
@@ -345,3 +347,75 @@ def test_run_batch_divergence_recorded_not_fatal():
     assert np.all(batch.diverged_at > 0)
     batch_ok = run_batch(np.array([1.0]), 1000, ok, q, SCHED, NoiseModel(), [0])
     assert np.all(batch_ok.diverged_at == -1)
+
+
+def test_run_batch_steps_match_agentwise_form():
+    # the kernel every campaign runs follows the paper's agentwise recursion at
+    # every step, row by row, on the three loss families of acceptance 01
+    rng = np.random.default_rng(7)
+    sched = Schedule(0.3, 0.9, 0.4, 0.6)
+    steps = 30
+    for trial in range(12):
+        n = int(rng.integers(2, 7))
+        d = int(rng.integers(1, 4))
+        edges = {(1, j) for j in range(2, n + 1)}
+        edges |= {(int(i), int(j)) for i, j in rng.integers(1, n + 1, (2 * n, 2))
+                  if i < j}
+        g = Graph.from_edges(n, edges)
+        pick = trial % 3
+        comps = []
+        for _ in range(n):
+            if pick == 0:
+                h = rng.standard_normal((d, d))
+                comps.append(quadratic_form(h + h.T + 2 * d * np.eye(d),
+                                            rng.standard_normal(d)))
+            elif pick == 1:
+                comps.append(l1_regularized(shifted_quadratic(rng.standard_normal(d)),
+                                            0.5))
+            else:
+                comps.append(relu_regression(0.5 * rng.standard_normal((3, d)),
+                                             0.5 * rng.standard_normal(3), widths=(2,)))
+        losses = sum_loss(comps)
+        dim = comps[0].dim
+        q = consensus_penalty(laplacian(g), dim)
+        seeds = [int(s) for s in rng.integers(1 << 30, size=2)]
+        x0 = 0.5 * rng.standard_normal((len(seeds), n * dim))
+        states = []
+        batch = run_batch(x0, steps, losses.assembled, q, sched,
+                          NoiseModel("gaussian", 0.5), seeds, n_agents=n, chunk=8,
+                          step_callback=lambda k, zeta, x, active: states.append(x.copy()))
+        assert len(states) == steps and np.all(batch.diverged_at == -1)
+        for row, seed in enumerate(seeds):
+            stream = NoiseModel("gaussian", 0.5, seed=seed).start(n, dim)
+            xa = x0[row].reshape(n, dim)
+            for k, xb in enumerate(states, start=1):
+                xa = agentwise_step(xa, k, losses, g, sched, stream)
+                gap = np.linalg.norm(xb[row] - xa.ravel()) / max(1.0, np.linalg.norm(xa))
+                assert gap <= 1e-12, (trial, row, k, gap)
+
+
+def test_run_batch_stops_once_every_row_diverged():
+    # x(k+1) = (1 + alpha_k) x(k) grows like k and crosses the ceiling near
+    # k = 1000; the x0 = 0 row never moves, so only the first batch can stop
+    anti = quadratic_form(-np.eye(1))
+    q = penalty_from_matrix(np.zeros((1, 1)))
+    sched = Schedule(1.0, 1.0, 0.5, 0.6)
+    steps = 5000
+    calls = []
+
+    def count_calls(k, zeta, x, active):
+        calls.append(k)
+
+    alone = run_batch(np.array([[1.0]]), steps, anti, q, sched, NoiseModel(), [0],
+                      ceiling=1e3, step_callback=count_calls)
+    stopped_after = len(calls)
+    both = run_batch(np.array([[1.0], [0.0]]), steps, anti, q, sched, NoiseModel(),
+                     [0, 1], ceiling=1e3, step_callback=count_calls)
+    assert 0 < alone.diverged_at[0] < steps
+    assert stopped_after == alone.diverged_at[0] - 1
+    assert len(calls) - stopped_after == steps
+    assert both.diverged_at[1] == -1
+    assert alone.steps[-1] == steps and len(alone.steps) == len(both.steps)
+    for name in ("consensus_error", "grad_norm", "state_norm", "final_states",
+                 "sup_state_norm", "diverged_at"):
+        assert np.array_equal(getattr(alone, name)[0], getattr(both, name)[0]), name

@@ -218,6 +218,15 @@ def test_drift_stats_positive_mid_band_drift():
         assert agg[key] == pytest.approx(val, rel=1e-12), key
 
 
+def test_drift_stats_recompute_aggregates_matches():
+    cfg = drift_config(seeds="0:4")
+    cfg.sections["drift"]["k0_grid"] = "100 200"
+    result = run_experiment(cfg)
+    assert {"band_lo", "band_hi", "threshold_coefficient",
+            "median_sup_s_k0_200"} <= set(result.aggregates)
+    np.testing.assert_equal(result.recompute_aggregates(), result.aggregates)
+
+
 def test_drift_stats_zero_noise_on_manifold_is_identically_zero():
     result = run_drift_stats(drift_config(seeds="0:3", noise_kind="none"))
     assert all(r["sup_s"] == 0.0 for r in result.records)
