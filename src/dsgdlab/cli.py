@@ -10,18 +10,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DsgdLabError
-from .experiments import (
-    SEED_CAMPAIGNS,
-    CampaignResult,
-    build_noise,
-    build_problem,
-    build_schedule,
-    initial_states,
-    load_config,
-    parse_seeds,
-    parse_steps,
-    run_experiment,
-)
+from .experiments import CampaignResult, load_config, prepare, run_experiment
 from .records import read_campaign, write_campaign, write_manifold_report, write_summary
 
 
@@ -33,46 +22,31 @@ def _build_parser():
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to the INI config file")
     p_run.add_argument("--output", help="override the [output] dir", default=None)
-    p_val = sub.add_parser("validate", help="check a config and echo resolved parameters")
+    p_val = sub.add_parser("validate", help="run a config's setup, echo the keys it read")
     p_val.add_argument("config")
     p_rep = sub.add_parser("report", help="summarize a directory of result records")
     p_rep.add_argument("result_dir")
     return parser
 
 
-def _echo_resolved(config, out):
+def _prepare(path, out):
+    """Load the config, run its kind's setup, and echo every key it read."""
+    config = load_config(path)
+    prepare(config)
     out.write(f"experiment: {config.kind} ({config.name})\n")
     out.write(f"config-hash: {config.hash}\n")
-    sched = build_schedule(config)
-    out.write(f"schedule: alpha = {sched.alpha_scale:g} k^-{sched.tau_alpha:g}, "
-              f"gamma = {sched.gamma_scale:g} k^{sched.tau_gamma:g} "
-              f"(tau_beta = {sched.tau_beta:g})\n")
-    noise = build_noise(config)
-    out.write(f"noise: {noise.kind}"
-              + (f" scale={noise.scale:g}" if noise.kind != "none" else "") + "\n")
-    if config.has("run", "seeds"):
-        out.write(f"seeds: {len(parse_seeds(config.get('run', 'seeds')))}\n")
-    if config.has("run", "steps"):
-        out.write(f"steps: {parse_steps(config)}\n")
-    if config.kind != "manifold-verify":
-        problem = build_problem(config)
-        out.write(f"problem: {config.get('problem', 'loss')}, "
-                  f"{problem.n_agents} agents x dim {problem.agent_dim}\n")
-        if config.kind in SEED_CAMPAIGNS:
-            initial_states(config, problem, parse_seeds(config.get("run", "seeds")))
-    else:
-        out.write(f"battery: {config.get('problem', 'battery')}\n")
+    for (section, key), (text, defaulted) in config.read.items():
+        out.write(f"[{section}] {key} = {text}{' (default)' if defaulted else ''}\n")
+    return config
 
 
 def _cmd_validate(args, out, err):
-    config = load_config(args.config)
-    _echo_resolved(config, out)
+    _prepare(args.config, out)
     return 0
 
 
 def _cmd_run(args, out, err):
-    config = load_config(args.config)
-    _echo_resolved(config, out)
+    config = _prepare(args.config, out)
     out_dir = Path(args.output or config.get("output", "dir", "results"))
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(config)
@@ -83,14 +57,12 @@ def _cmd_run(args, out, err):
         for key in sorted(result.aggregates):
             out.write(f"  {key} = {result.aggregates[key]}\n")
         return 0
-    # manifold verification report
     write_manifold_report(result, out_dir / "report.txt")
-    passed = result["overall"]["passed"]
     out.write(f"wrote {out_dir}/report.txt\n")
     for section, payload in result.items():
         if isinstance(payload, dict) and "passed" in payload:
             out.write(f"  {section}: {'pass' if payload['passed'] else 'FAIL'}\n")
-    return 0 if passed else 2
+    return 0 if result["overall"]["passed"] else 2
 
 
 def _cmd_report(args, out, err):

@@ -1,7 +1,8 @@
 """Batch experiment campaigns: config parsing, seeded Monte-Carlo runs of the
-consensus, critical-point and saddle-avoidance claims (one runner driven by the
+consensus, critical-point and saddle-avoidance claims (one setup driven by the
 `SEED_CAMPAIGNS` table), drift diagnostics near saddle points, and
-consolidated manifold verification. `RUNNERS` maps every kind to its runner.
+consolidated manifold verification. `RUNNERS` maps every kind to its setup,
+which reads and checks every key the kind uses and returns the experiment.
 
 Configs are flat INI files (one section per concern); identical configs
 produce byte-identical result records. Seeds run vectorized in chunks
@@ -12,6 +13,7 @@ assembled sorted by seed, so scheduling never changes output.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,84 +72,97 @@ def worker_count():
 
 @dataclass
 class ExperimentConfig:
+    """The sections of an INI config; `get` is the one place a key is read."""
     kind: str
     name: str
     sections: dict
-    path: str = ""
+    read: dict = field(default_factory=dict)  # (section, key) -> (text, defaulted)
+    experiment: object = None                 # the callable `prepare` built
 
     @property
     def hash(self):
         return config_hash(self.sections)
 
-    def get(self, section, key, default=None, cast=str):
-        try:
-            raw = self.sections[section][key]
-        except KeyError:
+    def get(self, section, key, default=None, parse=str):
+        """`parse` of the key's text, or of `str(default)` when the key is
+        absent (a key without a default is required); records the key."""
+        raw = self.sections.get(section, {}).get(key)
+        defaulted = raw is None
+        if defaulted:
             if default is None:
                 raise ConfigError(f"missing config key [{section}] {key}")
-            return default
+            raw = str(default)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            value = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-    def has(self, section, key):
-        return section in self.sections and key in self.sections[section]
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+        self.read[section, key] = (raw, defaulted)
+        return value
 
 
 def load_config(path):
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if "experiment" not in sections or "kind" not in sections["experiment"]:
         raise ConfigError("config needs [experiment] kind = ...")
     kind = sections["experiment"]["kind"]
     if kind not in KNOWN_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; known: {KNOWN_KINDS}")
     name = sections["experiment"].get("name", kind)
-    return ExperimentConfig(kind, name, sections, str(path))
+    return ExperimentConfig(kind, name, sections)
+
+
+def ranged(cast, low, high=math.inf, strict=False):
+    """Parser of `cast(text)` within [low, high], or (low, high] when strict."""
+    def parse(raw):
+        value = cast(raw)
+        if not ((low < value) if strict else (low <= value)) or not value <= high:
+            raise ValueError(f"must be {'>' if strict else '>='} {low:g}"
+                             + (f" and <= {high:g}" if high < math.inf else ""))
+        return value
+    return parse
+
+
+positive = ranged(float, 0.0, strict=True)
+
+
+def boolean(raw):
+    """A configparser boolean: 1/yes/true/on or 0/no/false/off."""
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("must be one of 1/yes/true/on or 0/no/false/off")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def parse_seeds(spec):
     """Distinct non-negative seeds from `lo:hi` or a comma/space list."""
-    try:
-        if ":" in spec:
-            lo, hi = spec.split(":")
-            seeds = list(range(int(lo), int(hi)))
-        else:
-            seeds = [int(s) for s in spec.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad seed list {spec!r}; use lo:hi or a comma list") from exc
+    lo, colon, hi = spec.partition(":")
+    seeds = list(range(int(lo), int(hi))) if colon else \
+        [int(s) for s in spec.replace(",", " ").split()]
     if any(s < 0 for s in seeds):
-        raise ConfigError(f"seeds must be non-negative: {spec!r}")
+        raise ValueError("seeds must be non-negative")
     if not seeds:
-        raise ConfigError(f"seed list {spec!r} is empty")
+        raise ValueError("the seed list is empty")
     if len(set(seeds)) < len(seeds):
         repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
         raise ConfigError(f"seed {repeated} is listed more than once")
     return seeds
 
 
-def parse_steps(config):
-    steps = config.get("run", "steps", cast=int)
-    if steps < 0:
-        raise ConfigError(f"[run] steps must be >= 0, got {steps}")
-    return steps
-
-
 def parse_vector(spec):
-    try:
-        return np.array([float(v) for v in spec.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ConfigError(f"bad vector {spec!r}; use numbers separated by spaces "
-                          "or commas") from exc
+    return np.array([float(v) for v in spec.replace(",", " ").split()])
 
 
 def parse_vectors(spec):
-    return [parse_vector(part) for part in spec.split(";") if part.strip()]
+    """Semicolon-separated vectors, all of one length."""
+    vectors = [parse_vector(part) for part in spec.split(";") if part.strip()]
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("the vectors differ in length")
+    return vectors
 
 
 def build_graph(spec):
@@ -160,18 +175,15 @@ def build_graph(spec):
     builders = {"path": path_graph, "complete": complete_graph,
                 "star": star_graph, "ring": ring_graph}
     if kind not in builders:
-        raise ConfigError(f"unknown graph spec {spec!r}")
-    try:
-        return builders[kind](int(arg))
-    except ValueError as exc:
-        raise ConfigError(f"bad graph spec {spec!r}: {exc}") from exc
+        raise ValueError("use path:N, complete:N, star:N, ring:N or file:PATH")
+    return builders[kind](int(arg))
 
 
 def build_schedule(config):
-    sched = Schedule(config.get("schedule", "alpha_scale", cast=float),
-                     config.get("schedule", "tau_alpha", cast=float),
-                     config.get("schedule", "gamma_scale", cast=float),
-                     config.get("schedule", "tau_gamma", cast=float))
+    sched = Schedule(config.get("schedule", "alpha_scale", parse=float),
+                     config.get("schedule", "tau_alpha", parse=float),
+                     config.get("schedule", "gamma_scale", parse=float),
+                     config.get("schedule", "tau_gamma", parse=float))
     try:
         validate(sched)
     except DsgdLabError as exc:
@@ -180,9 +192,11 @@ def build_schedule(config):
 
 
 def build_noise(config):
-    return NoiseModel(config.get("noise", "kind", "none"),
-                      config.get("noise", "scale", 0.0, float), 0,
-                      config.get("noise", "restrict_to_constraint", False, bool))
+    scale = config.get("noise", "scale", 0.0, ranged(float, 0.0))
+    restrict = config.get("noise", "restrict_to_constraint", False, boolean)
+    # NoiseModel refuses an unknown kind, and a zero scale for a noisy kind
+    return config.get("noise", "kind", "none",
+                      lambda kind: NoiseModel(kind, scale, 0, restrict))
 
 
 def saddle_quartic_component(n_agents):
@@ -214,24 +228,24 @@ class Problem:
 
 def build_problem(config):
     key = config.get("problem", "loss")
-    graph = build_graph(config.get("problem", "graph"))
+    graph = config.get("problem", "graph", parse=build_graph)
     if not graph.is_connected():
         raise ConfigError("communication graph must be connected")
 
     if key == "zero":
-        d = config.get("problem", "agent_dim", cast=int)
+        d = config.get("problem", "agent_dim", parse=ranged(int, 1))
         comps = [zero_loss(d) for _ in range(graph.vertex_count)]
         losses = sum_loss(comps)
         known = {}
     elif key in ("quadratic_wells", "l1_wells"):
-        anchors = parse_vectors(config.get("problem", "anchors"))
+        anchors = config.get("problem", "anchors", parse=parse_vectors)
         if len(anchors) != graph.vertex_count:
             raise ConfigError("anchors must give one vector per agent")
         d = len(anchors[0])
         comps = [shifted_quadratic(a) for a in anchors]
         minimizer = np.mean(anchors, axis=0)
         if key == "l1_wells":
-            w = config.get("problem", "l1_weight", cast=float)
+            w = config.get("problem", "l1_weight", parse=positive)
             comps = [l1_regularized(c, w) for c in comps]
             minimizer = np.sign(minimizer) * np.maximum(np.abs(minimizer) - w, 0.0)
         losses = sum_loss(comps)
@@ -257,17 +271,17 @@ def initial_states(config, problem, seeds):
     mode = config.get("init", "mode", "consensual")
     m = problem.n_agents * problem.agent_dim
     if mode == "consensual":
-        y = parse_vector(config.get("init", "value"))
+        y = config.get("init", "value", parse=parse_vector)
         if len(y) != problem.agent_dim:
             raise ConfigError("init value must have the agent dimension")
         return np.tile(np.tile(y, problem.n_agents), (len(seeds), 1))
     if mode == "stacked":
-        x = parse_vector(config.get("init", "value"))
+        x = config.get("init", "value", parse=parse_vector)
         if len(x) != m:
             raise ConfigError("stacked init value must have the full dimension")
         return np.tile(x, (len(seeds), 1))
     if mode == "gaussian":
-        scale = config.get("init", "scale", 1.0, float)
+        scale = config.get("init", "scale", 1.0, parse=float)
         out = np.empty((len(seeds), m))
         for i, s in enumerate(seeds):
             gen = np.random.default_rng(np.random.SeedSequence([int(s), 0xD5]))
@@ -323,7 +337,7 @@ def campaign_setup(config, known):
     if known is not None and known not in problem.known:
         raise ConfigError(f"{config.kind} experiments need a loss with a known {known}")
     return (problem, build_schedule(config), build_noise(config),
-            sorted(parse_seeds(config.get("run", "seeds"))))
+            sorted(config.get("run", "seeds", parse=parse_seeds)))
 
 
 # -- seed campaigns --------------------------------------------------------------
@@ -416,15 +430,15 @@ SEED_CAMPAIGNS = {
 }
 
 
-def run_seed_campaign(config):
-    """Run every seed of a SEED_CAMPAIGNS kind for `steps` steps from its
-    initial state; one record per seed."""
+def setup_seed_campaign(config):
+    """Setup of a SEED_CAMPAIGNS kind; its experiment runs every seed for
+    `steps` steps from its initial state, one record per seed."""
     spec = SEED_CAMPAIGNS[config.kind]
     problem, schedule, noise, seeds = campaign_setup(config, spec.known)
-    steps = parse_steps(config)
-    tol = config.get("tolerances", spec.tol_key, spec.tol_default, float)
+    steps = config.get("run", "steps", parse=ranged(int, 0))
+    tol = config.get("tolerances", spec.tol_key, spec.tol_default, positive)
     if spec.coercive:
-        radius = config.get("tolerances", "coercivity_radius", 10.0, float)
+        radius = config.get("tolerances", "coercivity_radius", 10.0, positive)
         if not check_coercivity(problem.assembled, radius, 500, seed=0).passed:
             raise ConfigError("loss fails the sampled coercivity check")
     rotation = constraint_rotation(problem.q)
@@ -439,24 +453,16 @@ def run_seed_campaign(config):
                  "diverged_at": int(batch.diverged_at[row])}
                 for row, seed in enumerate(chunk_seeds)]
 
-    records = _run_seed_chunks(run_chunk, seeds)
-    summarize = partial(aggregate, config.kind)
-    return CampaignResult(config.kind, config.name, config.hash,
-                          ["seed", *spec.fields, "diverged_at"], records,
-                          summarize(records), summarize)
+    def experiment():
+        records = _run_seed_chunks(run_chunk, seeds)
+        summarize = partial(aggregate, config.kind)
+        return CampaignResult(config.kind, config.name, config.hash,
+                              ["seed", *spec.fields, "diverged_at"], records,
+                              summarize(records), summarize)
+    return experiment
 
 
 # -- drift statistics ------------------------------------------------------------
-
-
-def build_saddle_model(config, problem, schedule):
-    gamma = interpolate_gamma(schedule)
-    saddle = np.tile(problem.known["saddle"], problem.n_agents)
-    ctx = saddle_context(problem.assembled, problem.q, gamma, saddle)
-    t_start = config.get("drift", "t_start", 4.0, float)
-    t_end = config.get("drift", "t_end", 10.0, float)
-    radius = config.get("drift", "validity_radius", 0.3, float)
-    return ManifoldModel(ctx, t_start, t_end, radius=radius)
 
 
 def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
@@ -540,82 +546,95 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
     return out
 
 
-def run_drift_stats(config):
+def _drift_record(seed, k0, s_row, censored_at, thresh, band_lo, band_hi, radius):
+    """One seed's excursion and band drift sums after the restart at k0."""
+    finite = np.isfinite(s_row)
+    sup_s = float(np.nanmax(s_row)) if finite.any() else radius
+    if censored_at >= 0:
+        sup_s = max(sup_s, radius)  # ball exit is a large excursion
+    x_incr = np.diff(s_row)
+    pair_ok = finite[:-1] & finite[1:]
+    bands = {"lo": pair_ok & (s_row[:-1] < band_lo),
+             "mid": pair_ok & (s_row[:-1] >= band_lo) & (s_row[:-1] <= band_hi),
+             "hi": pair_ok & (s_row[:-1] > band_hi)}
+    crossing = np.flatnonzero(finite & (s_row > thresh))
+    returned = False
+    if len(crossing):
+        after = s_row[crossing[0]:]
+        returned = bool(np.any(np.isfinite(after) & (after < 0.5 * thresh)))
+    record = {"seed": int(seed), "k0": int(k0), "sup_s": sup_s}
+    for band, mask in bands.items():
+        record[f"sum_x_{band}"] = float(np.sum(x_incr[mask])) if mask.any() else 0.0
+        record[f"count_{band}"] = int(mask.sum())
+    return {**record, "crossed": bool(len(crossing)), "returned": returned,
+            "censored_at": int(censored_at)}
+
+
+def setup_drift_stats(config):
     problem, schedule, noise, seeds = campaign_setup(config, "saddle")
-    k0_grid = [int(v) for v in config.get("drift", "k0_grid", "250 500 1000 2000").split()]
-    window_factor = config.get("drift", "window_factor", 4.0, float)
-    model = build_saddle_model(config, problem, schedule)
 
-    all_series = {k0: _restart_series(problem, schedule, noise, model, seeds, k0,
-                                      window_factor) for k0 in k0_grid}
+    def restarts(raw):
+        grid = [int(v) for v in raw.split()]
+        if not grid or min(grid) < 1:
+            raise ValueError("need one or more positive integers")
+        return grid
 
-    # mid-band edges from the pooled distance values: above the noise-fold
-    # core near zero, below the excursion tail
-    lo_q = config.get("drift", "band_lo_q", 0.5, float)
-    hi_q = config.get("drift", "band_hi_q", 0.95, float)
-    pooled = np.concatenate([s[np.isfinite(s)] for s, _ in all_series.values()])
-    band_lo = float(np.quantile(pooled[pooled > 0], lo_q)) if np.any(pooled > 0) else 0.0
-    band_hi = float(np.quantile(pooled[pooled > 0], hi_q)) if np.any(pooled > 0) else 0.0
+    k0_grid = config.get("drift", "k0_grid", "250 500 1000 2000", restarts)
 
+    def window_factor(raw):
+        factor = float(raw)
+        if not 1 <= (factor - 1) * min(k0_grid) < math.inf:
+            raise ValueError(f"the window of k0 = {min(k0_grid)} has no step")
+        return factor
+
+    factor = config.get("drift", "window_factor", 4.0, window_factor)
+    lo_q = config.get("drift", "band_lo_q", 0.5, ranged(float, 0.0, 1.0))
+    hi_q = config.get("drift", "band_hi_q", 0.95, ranged(float, lo_q, 1.0, strict=True))
+    ctx = saddle_context(problem.assembled, problem.q, interpolate_gamma(schedule),
+                         np.tile(problem.known["saddle"], problem.n_agents))
+    t_start = config.get("drift", "t_start", 4.0, positive)
+    t_end = config.get("drift", "t_end", 10.0, ranged(float, t_start, strict=True))
+    model = ManifoldModel(ctx, t_start, t_end,
+                          radius=config.get("drift", "validity_radius", 0.3, positive))
     tau_alpha = schedule.tau_alpha
-    c_fit = float(np.median([np.median(np.nanmax(
-        np.where(np.isfinite(s), s, model.radius), axis=1))
-        / k0 ** (0.5 - tau_alpha) for k0, (s, _) in all_series.items()]))
 
-    records = []
-    for k0, (series, censor) in all_series.items():
-        thresh = c_fit * k0 ** (0.5 - tau_alpha)
-        for row, seed in enumerate(seeds):
-            s_row = series[row]
-            finite = np.isfinite(s_row)
-            sup_s = float(np.nanmax(s_row)) if finite.any() else model.radius
-            if censor[row] >= 0:
-                sup_s = max(sup_s, model.radius)  # ball exit is a large excursion
-            x_incr = np.diff(s_row)
-            pair_ok = finite[:-1] & finite[1:]
-            low = pair_ok & (s_row[:-1] < band_lo)
-            mid = pair_ok & (s_row[:-1] >= band_lo) & (s_row[:-1] <= band_hi)
-            high = pair_ok & (s_row[:-1] > band_hi)
-            crossing = np.flatnonzero(finite & (s_row > thresh))
-            crossed = len(crossing) > 0
-            returned = False
-            if crossed:
-                after = s_row[crossing[0]:]
-                returned = bool(np.any(np.isfinite(after) & (after < 0.5 * thresh)))
-            records.append({"seed": int(seed), "k0": int(k0),
-                            "sup_s": sup_s,
-                            "sum_x_lo": float(np.sum(x_incr[low])) if low.any() else 0.0,
-                            "count_lo": int(low.sum()),
-                            "sum_x_mid": float(np.sum(x_incr[mid])) if mid.any() else 0.0,
-                            "count_mid": int(mid.sum()),
-                            "sum_x_hi": float(np.sum(x_incr[high])) if high.any() else 0.0,
-                            "count_hi": int(high.sum()),
-                            "crossed": bool(crossed),
-                            "returned": bool(returned),
-                            "censored_at": int(censor[row])})
+    def experiment():
+        all_series = {k0: _restart_series(problem, schedule, noise, model, seeds, k0,
+                                          factor) for k0 in k0_grid}
+        # mid-band edges from the pooled distance values: above the
+        # noise-fold core near zero, below the excursion tail
+        pooled = np.concatenate([s[np.isfinite(s)] for s, _ in all_series.values()])
+        pooled = pooled[pooled > 0]
+        band_lo, band_hi = (float(np.quantile(pooled, q)) if len(pooled) else 0.0
+                            for q in (lo_q, hi_q))
+        c_fit = float(np.median([np.median(np.nanmax(
+            np.where(np.isfinite(s), s, model.radius), axis=1))
+            / k0 ** (0.5 - tau_alpha) for k0, (s, _) in all_series.items()]))
+        records = [_drift_record(seed, k0, series[row], censor[row],
+                                 c_fit * k0 ** (0.5 - tau_alpha), band_lo, band_hi,
+                                 model.radius)
+                   for k0, (series, censor) in all_series.items()
+                   for row, seed in enumerate(seeds)]
 
-    def summarize(recs):
-        return {**drift_aggregate(recs, band_lo, band_hi, tau_alpha, k0_grid),
-                "threshold_coefficient": c_fit}
+        def summarize(recs):
+            return {**drift_aggregate(recs, band_lo, band_hi, tau_alpha, k0_grid),
+                    "threshold_coefficient": c_fit}
 
-    fields = ["seed", "k0", "sup_s", "sum_x_lo", "count_lo", "sum_x_mid",
-              "count_mid", "sum_x_hi", "count_hi", "crossed", "returned",
-              "censored_at"]
-    return CampaignResult("drift-stats", config.name, config.hash, fields, records,
-                          summarize(records), summarize)
+        fields = ["seed", "k0", "sup_s", "sum_x_lo", "count_lo", "sum_x_mid",
+                  "count_mid", "sum_x_hi", "count_hi", "crossed", "returned",
+                  "censored_at"]
+        return CampaignResult("drift-stats", config.name, config.hash, fields, records,
+                              summarize(records), summarize)
+    return experiment
 
 
 # -- manifold verification -------------------------------------------------------
 
 
-MANIFOLD_BATTERIES = ("quadratic", "quadratic-penalized", "cross-cubic", "shifted")
-
-
-def build_manifold_battery(config):
+def setup_manifold_verification(config):
+    """Setup of a manifold-verify battery; its experiment returns the report."""
+    schedule = build_schedule(config)
     battery = config.get("problem", "battery")
-    if battery not in MANIFOLD_BATTERIES:
-        raise ConfigError(f"unknown manifold battery {battery!r}")
-    coef = config.get("problem", "cubic_coef", 0.1, float)
     if battery == "quadratic":
         loss = quadratic_saddle([1.0, -1.0])
         q = penalty_from_matrix(np.zeros((2, 2)))
@@ -625,24 +644,136 @@ def build_manifold_battery(config):
     elif battery == "quadratic-penalized":
         loss = separable_polynomial({0: {2: 0.5}, 1: {2: -0.5}, 2: {2: 0.5}}, dim=3)
         q = penalty_from_matrix(np.diag([0.0, 0.0, 2.0]))
-        gamma = interpolate_gamma(build_schedule(config))
+        gamma = interpolate_gamma(schedule)
         span = (4.0, 60.0)
         opts = PicardOptions(horizon=8.0, dt=0.01, tail=4.0, tol=1e-10)
     elif battery == "cross-cubic":
+        coef = config.get("problem", "cubic_coef", 0.1, float)
         loss = monomial_loss(2, {(2, 0): 0.5, (0, 2): -0.5, (2, 1): coef})
         q = penalty_from_matrix(np.zeros((2, 2)))
         gamma = ConstantGamma(1.0)
         span = (1.0, 40.0)
         opts = PicardOptions(horizon=10.0, dt=0.005, tail=5.0, tol=1e-10)
-    else:
+    elif battery == "shifted":
         loss = monomial_loss(3, {(2, 0, 0): 0.5, (0, 2, 0): -0.5, (0, 0, 2): 0.5,
                                  (0, 0, 1): 0.2, (0, 1, 1): 0.3})
         q = penalty_from_matrix(np.diag([0.0, 0.0, 2.0]))
-        gamma = interpolate_gamma(build_schedule(config))
+        gamma = interpolate_gamma(schedule)
         span = (4.0, 80.0)
         opts = PicardOptions(horizon=8.0, dt=0.01, tail=8.0, tol=1e-10)
+    else:
+        raise ConfigError(f"unknown manifold battery {battery!r}")
     ctx = saddle_context(loss, q, gamma, np.zeros(loss.dim))
-    return battery, ManifoldModel(ctx, span[0], span[1], opts)
+    model = ManifoldModel(ctx, span[0], span[1], opts)
+    n_samples = config.get("manifold", "n_samples", 500, ranged(int, 1))
+    t0 = model.t_start + 0.25 * (model.t_end - model.t_start - model.picard.horizon
+                                 - model.picard.tail)
+    t0 = max(model.t_start + 1.0, t0)
+    a_scale = 0.3 * model.radius / 3.0  # size of the sampled stable offsets
+
+    def experiment():
+        report = {"battery": {"name": battery, "n_u": model.context.n_u,
+                              "psi_is_zero": model.psi_is_zero}}
+
+        def picard_check():
+            zeros = np.zeros((1, model.context.n_s))
+            if model.psi_is_zero:
+                sol = model.picard_solve(t0, zeros)
+                return {"iterations": sol.iterations, "residual": sol.residual,
+                        "max_u": float(np.max(np.abs(sol.u))),
+                        "passed": sol.iterations <= 1 and sol.residual == 0.0}
+            sol = model.picard_solve(t0, a_scale * np.eye(1, model.context.n_s))
+            ratios = sol.contraction_ratios()
+            sizes = np.geomspace(0.1 * a_scale, a_scale, 5)
+            stacked = np.zeros((5, model.context.n_s))
+            stacked[:, 0] = sizes
+            # measured from the graph over z_s = 0, which a moving saddle path offsets
+            psis = np.linalg.norm(model.psi(t0, stacked) - model.psi(t0, zeros), axis=1)
+            good = psis > 1e-13
+            fit = np.sum(good) >= 3
+            slope = float(np.polyfit(np.log(sizes[good]), np.log(psis[good]), 1)[0]) \
+                if fit else 0.0
+            return {"iterations": sol.iterations, "residual": sol.residual,
+                    "max_contraction_ratio": float(np.max(ratios)) if len(ratios) else 0.0,
+                    "tangency_slope": slope,
+                    "passed": sol.residual < 1e-6
+                    and (len(ratios) == 0 or np.max(ratios) < 0.5)
+                    and (not fit or abs(slope - 2.0) <= 0.2)}
+
+        def repulsion():
+            rep = repulsion_check(model, sample_ball=0.05,
+                                  epsilon_grid=[1e-3, 3e-3, 1e-2],
+                                  t_grid=np.linspace(t0, t0 + 9.0, 10),
+                                  n_samples=n_samples, seed=0)
+            out = {"c2_hat": rep.c2_hat, "c3_hat": rep.c3_hat,
+                   "violations": len(rep.violations), "censored": rep.n_censored,
+                   "pairs": rep.n_pairs}
+            ok = rep.fit_valid
+            if model.psi_is_zero:
+                ok = ok and abs(rep.c2_hat - 1.0) <= 0.05 and rep.c3_hat < 1e-6
+            out["passed"] = ok
+            return out
+
+        def spectrum():
+            ts = np.linspace(t0, min(t0 + 10.0, model.t_end - model.picard.horizon
+                                     - model.picard.tail - 1.0), 6)
+            rep = rectified_field_spectrum(model, ts)
+            out = {"min_positive_tail": rep.min_positive_tail,
+                   "max_imag": rep.max_imag,
+                   "n_positive_stable": bool(np.all(rep.n_positive == model.context.n_u))}
+            out["passed"] = out["n_positive_stable"] and rep.min_positive_tail > 0.0
+            return out
+
+        def comparison():
+            auto = autonomous_restriction(model.context, picard=model.picard)
+            ts = np.linspace(t0, model.t_end - model.picard.horizon
+                             - model.picard.tail - 1.0, 4)
+            comp = compare_flattening_limit(model, auto, ts, n_samples=16,
+                                            sample_ball=0.04)
+            probe = dt_phi_decay_probe(model, ts)
+            out = {"gap_initial": float(comp.gaps[0]), "gap_final": float(comp.gaps[-1]),
+                   "dt_phi_final": float(probe.dt_phi_norm[-1])}
+            out["passed"] = bool(comp.gaps[-1] <= comp.gaps[0] + 1e-12)
+            return out
+
+        checks = (("picard", picard_check), ("repulsion", repulsion),
+                  ("spectrum", spectrum), ("comparison", comparison))
+        for section, check in checks:
+            try:
+                out = check()
+                report[section] = {"passed": bool(out.pop("passed")), **out}
+            except DsgdLabError as exc:
+                report[section] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+
+        k_fit, sigma, nu = _fit_evolution_constants(model, t0)
+        alpha_fit = _fit_decay_rate(model, t0)
+        report["constants"] = {"k_envelope": k_fit, "sigma": sigma, "nu": nu,
+                               "alpha": alpha_fit}
+        if "c2_hat" in report.get("repulsion", {}):
+            report["constants"]["c2"] = report["repulsion"]["c2_hat"]
+            report["constants"]["c3"] = report["repulsion"]["c3_hat"]
+
+        # graph-map samples and eigenvalue tracks round out the summary
+        sizes = np.linspace(-a_scale, a_scale, 5)
+        stacked = np.zeros((5, model.context.n_s))
+        stacked[:, 0] = sizes
+        psis = model.psi(t0, stacked)
+        report["psi_samples"] = {
+            "z_values": " ".join("%.6g" % z for z in sizes),
+            "psi_norms": " ".join("%.6g" % np.linalg.norm(p) for p in psis),
+        }
+        track_ts = np.linspace(t0, t0 + model.picard.horizon, 5)
+        tracks = {"t_values": " ".join("%.6g" % t for t in track_ts)}
+        frame = model.frame(t0)
+        for j in range(model.context.dim):
+            lam_j = np.interp(track_ts, frame.times, frame.lambdas[:, j])
+            tracks[f"lambda_{j}"] = " ".join("%.6g" % v for v in lam_j)
+        report["eigenvalue_tracks"] = tracks
+
+        report["overall"] = {"passed": all(report[s]["passed"] for s, _ in checks)}
+        report["config_hash"] = config.hash
+        return report
+    return experiment
 
 
 def _fit_evolution_constants(model, t0, seed=0):
@@ -666,126 +797,6 @@ def _fit_evolution_constants(model, t0, seed=0):
     return float(np.exp(icpt_s)) * 1.05, sigma, nu
 
 
-def run_manifold_verification(config):
-    battery, model = build_manifold_battery(config)
-    t0 = model.t_start + 0.25 * (model.t_end - model.t_start - model.picard.horizon
-                                 - model.picard.tail)
-    t0 = max(model.t_start + 1.0, t0)
-    report = {"battery": {"name": battery, "n_u": model.context.n_u,
-                          "psi_is_zero": model.psi_is_zero}}
-    checks = {}
-
-    def guarded(section, fn):
-        try:
-            out = fn()
-            checks[section] = bool(out.pop("passed"))
-            report[section] = {"passed": checks[section], **out}
-        except DsgdLabError as exc:
-            checks[section] = False
-            report[section] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
-
-    def picard_check():
-        a_scale = 0.3 * model.radius / 3.0
-        a_s = np.array([[a_scale] + [0.0] * (model.context.n_s - 1)])
-        sol = model.picard_solve(t0, a_s) if not model.psi_is_zero else None
-        out = {}
-        if model.psi_is_zero:
-            zero_sol = model.picard_solve(t0, np.zeros((1, model.context.n_s)))
-            out.update(iterations=zero_sol.iterations,
-                       residual=zero_sol.residual,
-                       max_u=float(np.max(np.abs(zero_sol.u))),
-                       passed=zero_sol.iterations <= 1 and zero_sol.residual == 0.0)
-            return out
-        ratios = sol.contraction_ratios()
-        sizes = np.geomspace(0.1 * a_scale, a_scale, 5)
-        stacked = np.zeros((5, model.context.n_s))
-        stacked[:, 0] = sizes
-        psis = np.linalg.norm(model.psi(t0, stacked), axis=1)
-        good = psis > 1e-13
-        slope = float(np.polyfit(np.log(sizes[good]), np.log(psis[good]), 1)[0]) \
-            if np.sum(good) >= 3 else 0.0
-        tangent_ok = abs(slope - 2.0) <= 0.2 if np.sum(good) >= 3 else True
-        out.update(iterations=sol.iterations,
-                   residual=sol.residual,
-                   max_contraction_ratio=float(np.max(ratios)) if len(ratios) else 0.0,
-                   tangency_slope=slope,
-                   passed=sol.residual < 1e-6
-                   and (len(ratios) == 0 or np.max(ratios) < 0.5) and tangent_ok)
-        return out
-
-    def repulsion():
-        rep = repulsion_check(model, sample_ball=0.05,
-                              epsilon_grid=[1e-3, 3e-3, 1e-2],
-                              t_grid=np.linspace(t0, t0 + 9.0, 10),
-                              n_samples=config.get("manifold", "n_samples", 500, int),
-                              seed=0)
-        out = {"c2_hat": rep.c2_hat, "c3_hat": rep.c3_hat,
-               "violations": len(rep.violations), "censored": rep.n_censored,
-               "pairs": rep.n_pairs}
-        ok = rep.fit_valid
-        if model.psi_is_zero:
-            ok = ok and abs(rep.c2_hat - 1.0) <= 0.05 and rep.c3_hat < 1e-6
-        out["passed"] = ok
-        return out
-
-    def spectrum():
-        ts = np.linspace(t0, min(t0 + 10.0, model.t_end - model.picard.horizon
-                                 - model.picard.tail - 1.0), 6)
-        rep = rectified_field_spectrum(model, ts)
-        out = {"min_positive_tail": rep.min_positive_tail,
-               "max_imag": rep.max_imag,
-               "n_positive_stable": bool(np.all(rep.n_positive == model.context.n_u))}
-        out["passed"] = out["n_positive_stable"] and rep.min_positive_tail > 0.0
-        return out
-
-    def comparison():
-        auto = autonomous_restriction(model.context, picard=model.picard)
-        ts = np.linspace(t0, model.t_end - model.picard.horizon
-                         - model.picard.tail - 1.0, 4)
-        comp = compare_flattening_limit(model, auto, ts, n_samples=16,
-                                        sample_ball=0.04)
-        probe = dt_phi_decay_probe(model, ts)
-        out = {"gap_initial": float(comp.gaps[0]), "gap_final": float(comp.gaps[-1]),
-               "dt_phi_final": float(probe.dt_phi_norm[-1])}
-        out["passed"] = bool(comp.gaps[-1] <= comp.gaps[0] + 1e-12)
-        return out
-
-    guarded("picard", picard_check)
-    guarded("repulsion", repulsion)
-    guarded("spectrum", spectrum)
-    guarded("comparison", comparison)
-
-    k_fit, sigma, nu = _fit_evolution_constants(model, t0)
-    alpha_fit = _fit_decay_rate(model, t0)
-    report["constants"] = {"k_envelope": k_fit, "sigma": sigma, "nu": nu,
-                           "alpha": alpha_fit}
-    if "c2_hat" in report.get("repulsion", {}):
-        report["constants"]["c2"] = report["repulsion"]["c2_hat"]
-        report["constants"]["c3"] = report["repulsion"]["c3_hat"]
-
-    # graph-map samples and eigenvalue tracks round out the summary
-    a_scale = 0.3 * model.radius / 3.0
-    sizes = np.linspace(-a_scale, a_scale, 5)
-    stacked = np.zeros((5, model.context.n_s))
-    stacked[:, 0] = sizes
-    psis = model.psi(t0, stacked)
-    report["psi_samples"] = {
-        "z_values": " ".join("%.6g" % z for z in sizes),
-        "psi_norms": " ".join("%.6g" % np.linalg.norm(p) for p in psis),
-    }
-    track_ts = np.linspace(t0, t0 + model.picard.horizon, 5)
-    tracks = {"t_values": " ".join("%.6g" % t for t in track_ts)}
-    frame = model.frame(t0)
-    for j in range(model.context.dim):
-        lam_j = np.interp(track_ts, frame.times, frame.lambdas[:, j])
-        tracks[f"lambda_{j}"] = " ".join("%.6g" % v for v in lam_j)
-    report["eigenvalue_tracks"] = tracks
-
-    report["overall"] = {"passed": all(checks.values())}
-    report["config_hash"] = config.hash
-    return report
-
-
 def _fit_decay_rate(model, t0):
     """Fitted exponential decay rate of the integral-equation solution."""
     a_s = np.zeros((1, model.context.n_s))
@@ -799,11 +810,28 @@ def _fit_decay_rate(model, t0):
     return float(-slope)
 
 
-RUNNERS = {**dict.fromkeys(SEED_CAMPAIGNS, run_seed_campaign),
-           "drift-stats": run_drift_stats,
-           "manifold-verify": run_manifold_verification}
+RUNNERS = {**dict.fromkeys(SEED_CAMPAIGNS, setup_seed_campaign),
+           "drift-stats": setup_drift_stats,
+           "manifold-verify": setup_manifold_verification}
 KNOWN_KINDS = tuple(RUNNERS)
 
 
+def prepare(config):
+    """The config's experiment as a zero-argument callable, built once by its
+    kind's setup (which reads every key the kind uses and builds everything
+    before any work) and kept on the config. Refuses keys the setup never read."""
+    if config.experiment is None:
+        config.read.clear()
+        experiment = RUNNERS[config.kind](config)
+        used = config.read.keys() | {("experiment", "kind"), ("experiment", "name"),
+                                     ("output", "dir")}
+        unread = [f"[{section}] {key}" for section, keys in config.sections.items()
+                  for key in keys if (section, key) not in used]
+        if unread:
+            raise ConfigError(f"{config.kind} experiments do not use {', '.join(unread)}")
+        config.experiment = experiment
+    return config.experiment
+
+
 def run_experiment(config):
-    return RUNNERS[config.kind](config)
+    return prepare(config)()

@@ -10,7 +10,6 @@ import pytest
 from dsgdlab.engine import NoiseModel, agentwise_step, general_step, run, run_batch
 from dsgdlab.experiments import (
     ExperimentConfig,
-    run_drift_stats,
     run_experiment,
 )
 from dsgdlab.flow import discrete_vs_continuous_gap, integrate_dgf
@@ -259,7 +258,7 @@ def test_08_drift_statistics():
         drift={"k0_grid": "250 500 1000 2000", "window_factor": 4,
                "t_start": 4.0, "t_end": 10.0, "validity_radius": 0.3},
     )
-    result = run_drift_stats(cfg)
+    result = run_experiment(cfg)
     agg = result.aggregates
     target = 0.5 - 1.0
     ok = (agg["mid_band_ci_lo"] > 0

@@ -1,9 +1,14 @@
+import configparser
 import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dsgdlab import cli, experiments
 from dsgdlab.cli import main
 from dsgdlab.records import (
     read_campaign,
@@ -100,6 +105,191 @@ def test_malformed_config_is_config_error(tmp_path, case, command):
     assert code == 1
     assert err.startswith("config error:")
     assert not (tmp_path / "results").exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(name, tmp_path, edits=()):
+    """configs/<name>.ini at probe scale (steps = 50, seeds = 0:3, drift
+    k0_grid = 20 40, output under tmp_path/results) with `edits` applied:
+    (section, key, value) sets the key; a value of None drops it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / f"{name}.ini")
+    scale = [("output", "dir", str(tmp_path / "results"))]
+    if parser.has_section("run"):
+        scale.append(("run", "seeds", "0:3"))
+    if parser.has_option("run", "steps"):
+        scale.append(("run", "steps", "50"))
+    if parser.has_section("drift"):
+        scale.append(("drift", "k0_grid", "20 40"))
+    for section, key, value in scale + list(edits):
+        if value is None:
+            parser.remove_option(section, key)
+            continue
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+# malformed inputs on the shipped configs: id -> (config, edits)
+PROBES = {
+    "noise-kind": ("consensus", [("noise", "kind", "bogus")]),
+    "noise-scale-negative": ("consensus", [("noise", "scale", "-1")]),
+    "noise-scale-zero": ("consensus", [("noise", "scale", "0")]),
+    "agent-dim-zero": ("consensus", [("problem", "agent_dim", "0")]),
+    "agent-dim-negative": ("consensus", [("problem", "agent_dim", "-1")]),
+    "anchors-ragged": ("critical_point_wells", [("problem", "anchors", "1 2; 3; 4 5")]),
+    "l1-weight-negative": ("critical_point_l1", [("problem", "l1_weight", "-1")]),
+    "k0-grid-junk": ("drift_stats", [("drift", "k0_grid", "a b")]),
+    "k0-grid-zero": ("drift_stats", [("drift", "k0_grid", "0")]),
+    "k0-grid-empty": ("drift_stats", [("drift", "k0_grid", "")]),
+    "window-short": ("drift_stats", [("drift", "window_factor", "0.5")]),
+    "window-stepless": ("drift_stats", [("drift", "window_factor", "1.001")]),
+    "band-lo-above-one": ("drift_stats", [("drift", "band_lo_q", "2")]),
+    "t-end-before-start": ("drift_stats", [("drift", "t_end", "3")]),
+    "t-start-negative": ("drift_stats", [("drift", "t_start", "-5")]),
+    "n-samples-zero": ("manifold_quadratic", [("manifold", "n_samples", "0")]),
+    "t-start-junk": ("drift_stats", [("drift", "t_start", "x")]),
+    "consensus-tol-junk": ("consensus", [("tolerances", "consensus_tol", "abc")]),
+    "battery-unknown": ("manifold_quadratic", [("problem", "battery", "bogus")]),
+    "cubic-coef-junk": ("manifold_cross_cubic", [("problem", "cubic_coef", "x")]),
+    "n-samples-junk": ("manifold_quadratic", [("manifold", "n_samples", "x")]),
+    "drift-without-saddle": ("drift_stats", [("problem", "loss", "zero"),
+                                             ("problem", "agent_dim", "2")]),
+    "saddle-without-saddle": ("saddle_avoidance", [("problem", "loss", "zero"),
+                                                   ("problem", "agent_dim", "2")]),
+    "critical-without-minimizer": ("critical_point_wells",
+                                   [("problem", "loss", "saddle_quartic"),
+                                    ("problem", "anchors", None)]),
+    "restrict-not-boolean": ("consensus", [("noise", "restrict_to_constraint", "maybe")]),
+    "tolerance-typo": ("consensus", [("tolerances", "consensus_tol", None),
+                                     ("tolerances", "consensus_tl", "1e-3")]),
+    "radius-negative": ("saddle_avoidance",
+                        [("tolerances", "classification_radius", "-1")]),
+    "band-order": ("drift_stats", [("drift", "band_lo_q", "0.9"),
+                                   ("drift", "band_hi_q", "0.1")]),
+    "saddle-agent-dim": ("saddle_avoidance", [("problem", "agent_dim", "3")]),
+    "init-mode": ("consensus", [("init", "mode", "bogus")]),
+    "init-scale-junk": ("consensus", [("init", "scale", "x")]),
+    "loss-unknown": ("consensus", [("problem", "loss", "bogus")]),
+    "anchors-empty": ("critical_point_wells", [("problem", "anchors", "")]),
+    "tau-alpha-junk": ("consensus", [("schedule", "tau_alpha", "x")]),
+    "stacked-init-size": ("saddle_avoidance", [("init", "mode", "stacked"),
+                                               ("init", "value", "1 2")]),
+    "graph-empty": ("consensus", [("problem", "graph", "path:0")]),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(PROBES))
+def test_probe_is_config_error(tmp_path, case, command):
+    name, edits = PROBES[case]
+    code, out, err = run_cli(command, str(shipped(name, tmp_path, edits)))
+    assert code == 1, err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+# a key the kind's setup never reads: id -> (config, edits, kind, refused key)
+UNREAD = {
+    "consensus-typo": ("consensus", [("run", "step", "50")], "consensus", "[run] step"),
+    "critical-point-typo": ("critical_point_l1", [("problem", "l1weight", "0.3")],
+                            "critical-point", "[problem] l1weight"),
+    "saddle-typo": ("saddle_avoidance", [("init", "values", "0 0")],
+                    "saddle-avoidance", "[init] values"),
+    "drift-typo": ("drift_stats", [("drift", "window", "4")], "drift-stats",
+                   "[drift] window"),
+    "manifold-typo": ("manifold_quadratic", [("manifold", "samples", "20")],
+                      "manifold-verify", "[manifold] samples"),
+    "value-with-gaussian-init": ("consensus", [("init", "value", "0 0")], "consensus",
+                                 "[init] value"),
+    "cubic-coef-on-quadratic": ("manifold_quadratic", [("problem", "cubic_coef", "0.1")],
+                                "manifold-verify", "[problem] cubic_coef"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_unread_key_is_refused(tmp_path, case):
+    name, edits, kind, key = UNREAD[case]
+    code, out, err = run_cli("validate", str(shipped(name, tmp_path, edits)))
+    assert code == 1
+    assert err == f"config error: {kind} experiments do not use {key}\n"
+
+
+def test_output_dir_is_accepted(tmp_path):
+    path = shipped("manifold_quadratic", tmp_path, [("output", "dir", "elsewhere")])
+    assert run_cli("validate", str(path))[0] == 0
+
+
+def test_run_builds_problem_once(tmp_path, monkeypatch):
+    calls = []
+    build = experiments.build_problem
+
+    def counted(config):
+        calls.append(config)
+        return build(config)
+
+    # every module that binds the builder, as a tracer rebinds it
+    for module in (experiments, cli):
+        monkeypatch.setattr(module, "build_problem", counted, raising=False)
+    code, out, err = run_cli("run", str(write_config(tmp_path)))
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_validate_and_run_print_the_same_echo(tmp_path):
+    path = write_config(tmp_path)
+    code, echo, err = run_cli("validate", str(path))
+    assert code == 0, err
+    code, out, err = run_cli("run", str(path))
+    assert code == 0, err
+    assert out.startswith(echo)
+    assert "[run] steps = 2000\n" in echo
+    assert "[noise] restrict_to_constraint = False (default)\n" in echo
+
+
+JUNK = st.text(alphabet="abxyz%:;,.-_ ", min_size=1, max_size=6)
+VALUES = st.one_of(JUNK, st.sampled_from(["-1", "-0.5", "-20", "0", ""]))
+
+
+@st.composite
+def mutations(draw):
+    """A shipped config and one edit: a dropped key, an unknown key, or junk,
+    negative, zero or empty text in a value."""
+    name = draw(st.sampled_from(sorted(p.stem for p in CONFIGS.glob("*.ini"))))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / f"{name}.ini")
+    action = draw(st.sampled_from(["drop", "add", "set"]))
+    if action == "add":
+        return name, [(draw(st.sampled_from(parser.sections())), "unknown_key",
+                       draw(VALUES))]
+    section, key = draw(st.sampled_from(
+        [(s, k) for s in parser.sections() for k in parser[s]]))
+    return name, [(section, key, None if action == "drop" else draw(VALUES))]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(mutations())
+@example(("drift_stats", [("drift", "t_start", "0.5")]))
+def test_mutated_config_fails_alike_under_validate_and_run(mutation):
+    name, edits = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = shipped(name, Path(tmp), edits)
+        code, out, err = run_cli("validate", str(path))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("config error:")
+        if code:
+            run_code, _, run_err = run_cli("run", str(path))
+            assert (run_code, run_err.splitlines()[0]) == (code, err.splitlines()[0])
+            assert not (Path(tmp) / "results").exists()
 
 
 def test_validate_bad_schedule(tmp_path):

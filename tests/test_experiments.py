@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsgdlab import experiments
-from dsgdlab.errors import ConfigError
+from dsgdlab.errors import ConfigError, DsgdLabError
 from dsgdlab.experiments import (
     ExperimentConfig,
     build_problem,
@@ -10,9 +10,7 @@ from dsgdlab.experiments import (
     load_config,
     parse_seeds,
     parse_vectors,
-    run_drift_stats,
     run_experiment,
-    run_manifold_verification,
 )
 from dsgdlab.records import read_campaign, write_campaign
 
@@ -206,7 +204,7 @@ def drift_config(seeds="0:40", noise_kind="gaussian"):
 
 
 def test_drift_stats_positive_mid_band_drift():
-    result = run_drift_stats(drift_config())
+    result = run_experiment(drift_config())
     agg = result.aggregates
     assert agg["mid_band_mean_drift"] > 0
     assert agg["mid_band_ci_lo"] > 0
@@ -228,14 +226,14 @@ def test_drift_stats_recompute_aggregates_matches():
 
 
 def test_drift_stats_zero_noise_on_manifold_is_identically_zero():
-    result = run_drift_stats(drift_config(seeds="0:3", noise_kind="none"))
+    result = run_experiment(drift_config(seeds="0:3", noise_kind="none"))
     assert all(r["sup_s"] == 0.0 for r in result.records)
 
 
 def test_manifold_verification_quadratic_battery():
     cfg = make_config("manifold-verify", problem={"battery": "quadratic"},
                       schedule=SCHED, manifold={"n_samples": 200})
-    report = run_manifold_verification(cfg)
+    report = run_experiment(cfg)
     assert report["overall"]["passed"]
     assert report["repulsion"]["c2_hat"] == pytest.approx(1.0, rel=0.05)
     assert report["repulsion"]["c3_hat"] < 1e-6
@@ -245,10 +243,28 @@ def test_manifold_verification_quadratic_battery():
 def test_manifold_verification_cross_cubic_battery():
     cfg = make_config("manifold-verify", problem={"battery": "cross-cubic"},
                       schedule=SCHED, manifold={"n_samples": 150})
-    report = run_manifold_verification(cfg)
+    report = run_experiment(cfg)
     assert report["overall"]["passed"]
     assert report["repulsion"]["c2_hat"] > 0
     assert report["picard"]["tangency_slope"] == pytest.approx(2.0, abs=0.2)
+
+
+def test_manifold_verification_shifted_battery_picard(monkeypatch):
+    # the forced saddle path offsets the graph, psi(t0, 0) != 0; the tangency
+    # fit measures from it, so the offset alone fails nothing. The sweeps of
+    # the other checks take about a minute on this battery and are stubbed.
+    def stub(*args, **kwargs):
+        raise DsgdLabError("stubbed")
+
+    for name in ("repulsion_check", "rectified_field_spectrum", "autonomous_restriction"):
+        monkeypatch.setattr(experiments, name, stub)
+    cfg = make_config("manifold-verify", problem={"battery": "shifted"},
+                      schedule=SCHED, manifold={"n_samples": 20})
+    report = run_experiment(cfg)
+    assert not report["battery"]["psi_is_zero"]
+    assert report["picard"]["passed"]
+    assert report["picard"]["tangency_slope"] == 0.0
+    assert report["repulsion"] == {"passed": False, "error": "DsgdLabError: stubbed"}
 
 
 def test_manifold_verification_rejects_degenerate_saddle():
