@@ -15,6 +15,7 @@ views, and `general_step`/`agentwise_step` are the single-step references.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -79,24 +80,28 @@ class NoiseStream:
     def draw_chunk(self, count):
         """count consecutive events, shape (count, n_agents, agent_dim).
 
-        Chunked draws consume each agent generator exactly as repeated single
-        draws do, so chunking never changes realizations.
+        Each agent fills its (count, agent_dim) block of one contiguous
+        (n_agents, count, agent_dim) array, which is scaled once and returned
+        as a view. Chunked draws consume each agent generator exactly as
+        repeated single draws do, so chunking never changes realizations.
         """
         if self.kind == "none":
             return np.zeros((count, self.n_agents, self.agent_dim))
-        cols = []
-        for gen in self._gens:
-            block = gen.standard_normal((count, self.agent_dim))
-            if self.kind == "uniform-sphere":
-                norms = np.linalg.norm(block, axis=-1, keepdims=True)
-                norms[norms == 0.0] = 1.0
-                block = self.scale * block / norms
-            else:
-                block = self.scale * block
-            cols.append(block)
-        out = np.stack(cols, axis=1)
+        out = np.empty((self.n_agents, count, self.agent_dim))
+        for gen, block in zip(self._gens, out):
+            gen.standard_normal(out=block)
+        if self.kind == "uniform-sphere":
+            norms = np.linalg.norm(out, axis=-1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            out = self.scale * out / norms
+        else:
+            out *= self.scale
+        out = out.transpose(1, 0, 2)
         if self.projector is not None:
-            flat = out.reshape(count, -1) @ self.projector.T
+            # a product summed row by row, so a draw's projection does not
+            # depend on the chunk size (a BLAS product's summation order can)
+            flat = out.reshape(count, -1)
+            flat = (flat[:, :, None] * self.projector.T).sum(axis=1)
             out = flat.reshape(count, self.n_agents, self.agent_dim)
         return out
 
@@ -358,8 +363,15 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     summation order of the wider batch. Diverged rows are frozen at their last
     finite state and recorded, not fatal; once every row has diverged the loop
     stops, and the remaining checkpoints repeat the frozen rows' metrics.
-    step_callback(k, zeta_k, x, active) runs after each step it takes. k_start
-    shifts the schedule index (restart experiments resume mid-schedule).
+    step_callback(k, zeta_k, x, active) runs after each step it takes; x is
+    valid only during the call (it is reused for later steps), so a callback
+    copies what it keeps and never writes to it. k_start shifts the schedule
+    index (restart experiments resume mid-schedule).
+
+    Steps run `chunk` at a time. Divergence and the sup-norm are checked once
+    per chunk on the chunk's stored states; a chunk in which some row crossed
+    the ceiling is replayed step by step from its start, so every result,
+    callbacks included, is the same for any chunk size.
     """
     seeds = np.asarray(list(seeds), dtype=int)
     s_count = len(seeds)
@@ -370,6 +382,8 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     m = x.shape[1]
     if m % n_agents:
         raise ValueError("state dimension must split evenly across agents")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     if rotation is None:
         rotation = constraint_rotation(q)
     qm = q.matrix
@@ -400,38 +414,61 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     sup_norm = np.linalg.norm(x, axis=1)
     diverged_at = np.full(s_count, -1, dtype=int)
     active = np.ones(s_count, dtype=bool)
-
     rec_idx = 1
+
+    def step(x, count, xi, out=None):
+        """The update of every row at step `count` of this run (1-based)."""
+        drive = loss.subgradient(x) + gammas[count - 1] * (x @ qm)
+        if xi is not None:
+            drive += xi
+        return np.subtract(x, alphas[count - 1] * drive, out=out)
+
+    def serve(count, xs):
+        """Callback and checkpoint after step `count`, whose states are xs."""
+        nonlocal rec_idx
+        if step_callback is not None:
+            step_callback(k_start + count - 1, zeta_all[count], xs, active)
+        if rec_idx < n_rec and count == points[rec_idx]:
+            cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = metrics(xs)
+            rec_idx += 1
+
+    states = np.empty((min(chunk, steps), s_count, m))
     k = 1
     while k <= steps and active.any():
         span = min(chunk, steps - k + 1)
-        if noise.kind == "none":
-            xi_chunk = None
-        else:
-            xi_chunk = np.stack([st.draw_chunk(span).reshape(span, m) for st in streams])
+        xi = [None] * span if noise.kind == "none" else np.stack(
+            [st.draw_chunk(span).reshape(span, m) for st in streams], axis=1)
+        start = x.copy()
+        frozen = None if active.all() else ~active
         for j in range(span):
-            count = k + j
-            kk = k_start + count - 1
-            v = loss.subgradient(x)
-            drive = v + gammas[count - 1] * (x @ qm)
-            if xi_chunk is not None:
-                drive = drive + xi_chunk[:, j, :]
-            x_new = x - alphas[count - 1] * drive
-            norms = np.linalg.norm(x_new, axis=1)
-            bad = active & (~np.isfinite(norms) | (norms > ceiling))
-            if np.any(bad):
-                diverged_at[bad] = kk
-                active &= ~bad
-                if not active.any():
-                    break
-            x = np.where(active[:, None], x_new, x)
-            sup_norm = np.maximum(sup_norm, np.where(active, norms, sup_norm))
-            if step_callback is not None:
-                step_callback(kk, zeta_all[count], x, active)
-            if rec_idx < n_rec and count == points[rec_idx]:
-                cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = metrics(x)
-                rec_idx += 1
+            x = step(x, k + j, xi[j], out=states[j])
+            if frozen is not None:
+                x[frozen] = start[frozen]
+        norms = np.linalg.norm(states[:span], axis=2)
+        if (active & ~(norms <= ceiling)).any():
+            # some row crossed the ceiling: replay the chunk one checked step at a time
+            x = start
+            for j in range(span):
+                x_new = step(x, k + j, xi[j])
+                norms = np.linalg.norm(x_new, axis=1)
+                bad = active & ~(norms <= ceiling)
+                if bad.any():
+                    diverged_at[bad] = k_start + k + j - 1
+                    active &= ~bad
+                    if not active.any():
+                        break
+                x = np.where(active[:, None], x_new, x)
+                np.maximum(sup_norm, norms, out=sup_norm, where=active)
+                serve(k + j, x)
+        else:
+            np.maximum(sup_norm, norms.max(axis=0), out=sup_norm, where=active)
+            served = range(span)
+            if step_callback is None:  # only the chunk's checkpoints
+                served = [p - k for p in points[rec_idx:bisect_left(points, k + span)]]
+            for j in served:
+                serve(k + j, states[j])
         k += span
+    x = x.copy()  # not a view of the state buffer
     if rec_idx < n_rec:
         # every row diverged: stepping on would record these frozen states again
         for rec, col in zip((cons_rec, grad_rec, norm_rec), metrics(x)):

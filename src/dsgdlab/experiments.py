@@ -234,8 +234,7 @@ def build_problem(config):
 
     if key == "zero":
         d = config.get("problem", "agent_dim", parse=ranged(int, 1))
-        comps = [zero_loss(d) for _ in range(graph.vertex_count)]
-        losses = sum_loss(comps)
+        losses = sum_loss([zero_loss(d)] * graph.vertex_count)
         known = {}
     elif key in ("quadratic_wells", "l1_wells"):
         anchors = config.get("problem", "anchors", parse=parse_vectors)
@@ -243,12 +242,14 @@ def build_problem(config):
             raise ConfigError("anchors must give one vector per agent")
         d = len(anchors[0])
         comps = [shifted_quadratic(a) for a in anchors]
+        stacked = shifted_quadratic(np.concatenate(anchors))
         minimizer = np.mean(anchors, axis=0)
         if key == "l1_wells":
             w = config.get("problem", "l1_weight", parse=positive)
             comps = [l1_regularized(c, w) for c in comps]
+            stacked = l1_regularized(stacked, w)
             minimizer = np.sign(minimizer) * np.maximum(np.abs(minimizer) - w, 0.0)
-        losses = sum_loss(comps)
+        losses = sum_loss(comps, stacked)
         known = {"minimizer": minimizer}
     elif key in ("saddle_quartic", "saddle_quadratic"):
         n = graph.vertex_count

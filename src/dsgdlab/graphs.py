@@ -49,9 +49,6 @@ class Graph:
         """1-indexed neighbor set of vertex n."""
         return {j if i == n else i for i, j in self.edges if n in (i, j)}
 
-    def degree(self, n):
-        return len(self.neighbors(n))
-
     def is_connected(self):
         if self.vertex_count == 1:
             return True
@@ -96,6 +93,8 @@ def load_graph(path):
     """Read the edge-list format: first line N, then one '"i j"' pair per line."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"graph file {path} is empty")
     n = int(lines[0])
     edges = []
     for ln in lines[1:]:

@@ -10,6 +10,7 @@ for the absolute value and ReLU'(0)=0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,37 +59,55 @@ class SumLoss:
         return x.reshape(x.shape[:-1] + (self.n_agents, self.agent_dim))
 
 
-def sum_loss(components):
-    """Stack per-agent oracles into the assembled block-separable oracle."""
+def sum_loss(components, stacked=None):
+    """Stack per-agent oracles into the assembled block-separable oracle.
+
+    Components that are one shared oracle are evaluated in one call on the
+    (..., N, d) agent blocks. `stacked`, when given, is an oracle on the whole
+    stacked vector equal to the sum of the components (for instance one
+    shifted quadratic of the concatenated anchors); it then serves the
+    value, subgradient and Hessian, and the components serve the per-agent
+    views.
+    """
     components = tuple(components)
     d = components[0].dim
     if any(c.dim != d for c in components):
         raise ValueError("all components must share the agent dimension")
     n = len(components)
     m = n * d
+    shared = all(c is components[0] for c in components)
+
+    def per_agent(name, x):
+        """The components' `name` on their blocks of x, stacked on the agent axis."""
+        blocks = np.asarray(x, dtype=float)
+        blocks = blocks.reshape(blocks.shape[:-1] + (n, d))
+        if shared:
+            return getattr(components[0], name)(blocks)
+        return np.stack([getattr(c, name)(blocks[..., i, :])
+                         for i, c in enumerate(components)], axis=blocks.ndim - 2)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        blocks = x.reshape(x.shape[:-1] + (n, d))
-        return sum(c.value(blocks[..., i, :]) for i, c in enumerate(components))
+        values = per_agent("value", x)
+        return sum(values[..., i] for i in range(n))
 
     def subgradient(x):
-        x = np.asarray(x, dtype=float)
-        blocks = x.reshape(x.shape[:-1] + (n, d))
-        parts = [c.subgradient(blocks[..., i, :]) for i, c in enumerate(components)]
-        return np.concatenate(parts, axis=-1)
+        grads = per_agent("subgradient", x)
+        return grads.reshape(grads.shape[:-2] + (m,))
 
     hessian = None
     if all(c.hessian is not None for c in components):
         def hessian(x):
-            x = np.asarray(x, dtype=float)
-            blocks = x.reshape(x.shape[:-1] + (n, d))
-            if x.ndim == 1:
-                out = np.zeros((m, m))
-                for i, c in enumerate(components):
-                    out[i * d:(i + 1) * d, i * d:(i + 1) * d] = c.hessian(blocks[i])
-                return out
-            raise ValueError("batched Hessians are not supported")
+            blocks = per_agent("hessian", x)
+            lead = blocks.shape[:-3]
+            out = np.zeros(lead + (n, d, n, d))
+            for i in range(n):
+                out[..., i, :, i, :] = blocks[..., i, :, :]
+            return out.reshape(lead + (m, m))
+
+    if stacked is not None:
+        if stacked.dim != m:
+            raise ValueError("the stacked oracle must have the stacked dimension")
+        value, subgradient, hessian = stacked.value, stacked.subgradient, stacked.hessian
 
     smoothness = min((c.smoothness for c in components), key=lambda s: SMOOTHNESS_ORDER[s])
     zero_fns = [c.zero_in_subdifferential for c in components]
@@ -103,17 +122,8 @@ def sum_loss(components):
 
 
 def zero_loss(dim):
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    def subgradient(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def hessian(x):
-        return np.zeros((dim, dim))
-
-    return LossOracle(dim, value, subgradient, hessian, "c3",
+    return LossOracle(dim, lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.zeros(np.shape(x)),
+                      lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), "c3",
                       zero_in_subdifferential=lambda x, tol=1e-9: True)
 
 
@@ -146,7 +156,10 @@ def quadratic_form(hess, linear=None):
     def subgradient(x):
         return np.asarray(x, dtype=float) @ h + b
 
-    return LossOracle(dim, value, subgradient, lambda x: h.copy(), "c3",
+    def hessian(x):
+        return np.broadcast_to(h, np.shape(x)[:-1] + h.shape).copy()
+
+    return LossOracle(dim, value, subgradient, hessian, "c3",
                       zero_in_subdifferential=lambda x, tol=1e-9:
                       bool(np.linalg.norm(np.asarray(x) @ h + b) <= tol))
 
@@ -157,48 +170,84 @@ def shifted_quadratic(anchor):
     return quadratic_form(np.eye(len(a)), -a)
 
 
+def _derivative_terms(exponents, coefficients, order):
+    """The order-th derivative of a polynomial as the powers it needs and its
+    (slot, coefficient, factors) terms in the polynomial's term order.
+
+    Slot j is the gradient's coordinate j and slot j * d + k the Hessian's
+    entry (j, k); factors lists the (coordinate, power) pairs of the positive
+    powers in coordinate order. The powers are sorted, so x_i**(p - 1)
+    precedes x_i**p.
+    """
+    d = exponents.shape[1]
+    unit = np.eye(d, dtype=int)
+    terms = [(0, c, e) for e, c in zip(exponents, coefficients)]
+    for _ in range(order):
+        terms = [(slot * d + j, c * e[j], e - unit[j])
+                 for slot, c, e in terms for j in range(d) if e[j]]
+    terms = [(slot, c, [(i, int(p)) for i, p in enumerate(e) if p]) for slot, c, e in terms]
+    powers = sorted({(i, q) for _, _, fs in terms for i, p in fs for q in range(1, p + 1)})
+    return powers, terms
+
+
+def _evaluate(plan, x, *, tail):
+    """Sum a plan's terms at x of shape (..., d) into shape (...) + tail.
+
+    Each slot sums from zero in term order and each monomial multiplies its
+    factors in coordinate order, as a term-by-term loop does. Powers come from
+    repeated multiplication, so x**2 is x * x exactly as numpy's square, and
+    no power goes through pow.
+    """
+    needed, terms = plan
+    x = np.asarray(x, dtype=float)
+    powers = {}
+    for i, p in needed:
+        powers[i, p] = x[..., i] if p == 1 else powers[i, p - 1] * x[..., i]
+    out = np.zeros(x.shape[:-1] + (int(np.prod(tail)),))
+    term = np.empty(x.shape[:-1])
+    for slot, c, factors in terms:
+        mono = powers[factors[0]] if factors else 1.0
+        for f in factors[1:]:
+            mono = np.multiply(mono, powers[f], out=term)
+        column = out[..., slot]
+        np.add(column, np.multiply(c, mono, out=term), out=column)
+    return out.reshape(x.shape[:-1] + tail)[()]
+
+
+def polynomial(exponents, coefficients):
+    """h(x) = sum_t c_t prod_i x_i**E[t, i] for a (T, d) matrix E of
+    nonnegative integer exponents; value, gradient and Hessian are batched
+    over leading axes."""
+    exponents = np.asarray(exponents, dtype=int)
+    coefficients = np.asarray(coefficients, dtype=float)
+    if exponents.ndim != 2 or len(exponents) != len(coefficients):
+        raise ValueError("need a (terms, dim) exponent matrix and one coefficient per term")
+    if np.any(exponents < 0):
+        raise ValueError("exponents must be nonnegative")
+    dim = exponents.shape[1]
+    value, subgradient, hessian = (
+        partial(_evaluate, _derivative_terms(exponents, coefficients, order),
+                tail=(dim,) * order) for order in range(3))
+
+    def zero_in(x, tol=1e-9):
+        return bool(np.linalg.norm(subgradient(x)) <= tol)
+
+    return LossOracle(dim, value, subgradient, hessian, "c3", zero_in)
+
+
 def separable_polynomial(coeffs, dim):
     """h(x) = sum_i sum_p coeffs[i][p] * x_i**p, a smooth separable polynomial.
 
     coeffs maps coordinate index -> {power: coefficient} with powers >= 1.
     """
-    table = []
+    exponents, coefficients = [], []
     for i in range(dim):
-        terms = coeffs.get(i, {})
-        for p in terms:
+        for p, c in sorted(coeffs.get(i, {}).items()):
             if p < 1:
                 raise ValueError("powers must be >= 1")
-        table.append(sorted(terms.items()))
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for i, terms in enumerate(table):
-            for p, c in terms:
-                out = out + c * x[..., i] ** p
-        return out
-
-    def subgradient(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for i, terms in enumerate(table):
-            for p, c in terms:
-                out[..., i] += c * p * x[..., i] ** (p - 1)
-        return out
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        diag = np.zeros(dim)
-        for i, terms in enumerate(table):
-            for p, c in terms:
-                if p >= 2:
-                    diag[i] += c * p * (p - 1) * x[i] ** (p - 2)
-        return np.diag(diag)
-
-    def zero_in(x, tol=1e-9):
-        return bool(np.linalg.norm(subgradient(np.asarray(x, dtype=float))) <= tol)
-
-    return LossOracle(dim, value, subgradient, hessian, "c3", zero_in)
+            exponents.append([p if j == i else 0 for j in range(dim)])
+            coefficients.append(c)
+    return polynomial(np.reshape(exponents, (-1, dim)), coefficients)
 
 
 def monomial_loss(dim, terms):
@@ -207,59 +256,10 @@ def monomial_loss(dim, terms):
     terms maps exponent tuples (length dim, nonnegative ints) to coefficients;
     allows cross terms that separable_polynomial cannot express.
     """
-    parsed = []
-    for powers, c in terms.items():
-        powers = tuple(int(p) for p in powers)
-        if len(powers) != dim or any(p < 0 for p in powers):
-            raise ValueError(f"bad exponent tuple {powers}")
-        parsed.append((np.array(powers), float(c)))
-
-    def _mono(x, powers):
-        out = np.ones(x.shape[:-1])
-        for i, p in enumerate(powers):
-            if p:
-                out = out * x[..., i] ** p
-        return out
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for powers, c in parsed:
-            out = out + c * _mono(x, powers)
-        return out
-
-    def subgradient(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for powers, c in parsed:
-            for j in range(dim):
-                if powers[j]:
-                    dropped = powers.copy()
-                    dropped[j] -= 1
-                    out[..., j] += c * powers[j] * _mono(x, dropped)
-        return out
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((dim, dim))
-        for powers, c in parsed:
-            for j in range(dim):
-                if powers[j] == 0:
-                    continue
-                d1 = powers.copy()
-                d1[j] -= 1
-                for k in range(dim):
-                    if d1[k] == 0:
-                        continue
-                    d2 = d1.copy()
-                    d2[k] -= 1
-                    out[j, k] += c * powers[j] * d1[k] * _mono(x, d2)
-        return out
-
-    def zero_in(x, tol=1e-9):
-        return bool(np.linalg.norm(subgradient(np.asarray(x, dtype=float))) <= tol)
-
-    return LossOracle(dim, value, subgradient, hessian, "c3", zero_in)
+    for powers in terms:
+        if len(powers) != dim or any(int(p) < 0 for p in powers):
+            raise ValueError(f"bad exponent tuple {tuple(powers)}")
+    return polynomial(np.reshape(list(terms), (-1, dim)), list(terms.values()))
 
 
 def l1_regularized(base, weight):
@@ -290,15 +290,6 @@ def l1_regularized(base, weight):
     return LossOracle(base.dim, value, subgradient, None, "lipschitz", zero_in)
 
 
-def _relu_layer_sizes(input_dim, widths):
-    sizes = []
-    fan_in = input_dim
-    for w in list(widths) + [1]:
-        sizes.append((fan_in, w))
-        fan_in = w
-    return sizes
-
-
 def relu_regression(inputs, targets, widths=()):
     """Squared loss of a small bias-free ReLU network.
 
@@ -313,7 +304,8 @@ def relu_regression(inputs, targets, widths=()):
         raise ValueError("inputs and targets disagree on sample count")
     if xs.shape[0] == 0:
         raise ValueError("need at least one sample")
-    sizes = _relu_layer_sizes(xs.shape[1], widths)
+    fans = [xs.shape[1], *widths, 1]
+    sizes = list(zip(fans[:-1], fans[1:]))
     dim = sum(fi * fo for fi, fo in sizes)
 
     def unpack(theta):
@@ -324,26 +316,20 @@ def relu_regression(inputs, targets, widths=()):
         return mats
 
     def forward(mats):
-        act = xs
-        pre_acts = []
-        for k, w in enumerate(mats):
-            z = act @ w
-            pre_acts.append(z)
-            act = np.maximum(z, 0.0) if k < len(mats) - 1 else z
-        return act[:, 0], pre_acts
-
-    def value_one(theta):
-        pred, _ = forward(unpack(theta))
-        return 0.5 * np.sum((pred - ys) ** 2)
-
-    def subgradient_one(theta):
-        mats = unpack(theta)
-        acts = [xs]
-        pre_acts = []
+        acts, pre_acts = [xs], []
         for k, w in enumerate(mats):
             z = acts[-1] @ w
             pre_acts.append(z)
             acts.append(np.maximum(z, 0.0) if k < len(mats) - 1 else z)
+        return acts, pre_acts
+
+    def value_one(theta):
+        acts, _ = forward(unpack(theta))
+        return 0.5 * np.sum((acts[-1][:, 0] - ys) ** 2)
+
+    def subgradient_one(theta):
+        mats = unpack(theta)
+        acts, pre_acts = forward(mats)
         delta = acts[-1][:, 0] - ys
         grad_out = delta[:, None]
         grads = [None] * len(mats)
@@ -353,21 +339,16 @@ def relu_regression(inputs, targets, widths=()):
                 grad_out = (grad_out @ mats[k].T) * (pre_acts[k - 1] > 0.0)
         return np.concatenate([g.ravel() for g in grads])
 
-    def value(x):
+    def rowwise(one, x):
+        """one(theta) for every parameter vector theta of x, shape (..., dim)."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return value_one(x)
-        flat = x.reshape(-1, dim)
-        return np.array([value_one(t) for t in flat]).reshape(x.shape[:-1])
+            return one(x)
+        out = np.array([one(t) for t in x.reshape(-1, dim)])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
-    def subgradient(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return subgradient_one(x)
-        flat = x.reshape(-1, dim)
-        return np.stack([subgradient_one(t) for t in flat]).reshape(x.shape)
-
-    return LossOracle(dim, value, subgradient, None, "lipschitz")
+    return LossOracle(dim, partial(rowwise, value_one), partial(rowwise, subgradient_one),
+                      None, "lipschitz")
 
 
 def custom_loss(dim, value, subgradient, hessian=None, smoothness="c1"):

@@ -167,14 +167,6 @@ class SpectralSplit:
     lambdas: np.ndarray
     n_u: int
 
-    @property
-    def lambda_u(self):
-        return self.lambdas[: self.n_u]
-
-    @property
-    def lambda_s(self):
-        return self.lambdas[self.n_u:]
-
 
 def _eigh_descending(a):
     w, v = np.linalg.eigh(a)

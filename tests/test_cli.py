@@ -196,6 +196,19 @@ def test_probe_is_config_error(tmp_path, case, command):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+def test_empty_graph_file_is_config_error(tmp_path, text, command):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text)
+    path = shipped("consensus", tmp_path, [("problem", "graph", f"file:{graph}")])
+    code, out, err = run_cli(command, str(path))
+    assert code == 1, err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
 # a key the kind's setup never reads: id -> (config, edits, kind, refused key)
 UNREAD = {
     "consensus-typo": ("consensus", [("run", "step", "50")], "consensus", "[run] step"),

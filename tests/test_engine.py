@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dsgdlab.engine import (
+    BatchRun,
     NoiseModel,
     agentwise_step,
     boundedness_probe,
@@ -17,6 +20,7 @@ from dsgdlab.errors import DivergedError
 from dsgdlab.graphs import (
     Graph,
     consensus_penalty,
+    constraint_rotation,
     laplacian,
     path_graph,
     penalty_from_matrix,
@@ -419,3 +423,106 @@ def test_run_batch_stops_once_every_row_diverged():
     for name in ("consensus_error", "grad_norm", "state_norm", "final_states",
                  "sup_state_norm", "diverged_at"):
         assert np.array_equal(getattr(alone, name)[0], getattr(both, name)[0]), name
+
+
+@pytest.mark.parametrize("kind, restrict", [("gaussian", False), ("uniform-sphere", False),
+                                            ("gaussian", True), ("uniform-sphere", True)])
+def test_draw_chunk_matches_per_agent_reference(kind, restrict):
+    n, d, scale, seed = 3, 2, 0.3, 11
+    rotation = constraint_rotation(consensus_penalty(laplacian(path_graph(n)), d))
+    basis = rotation.constraint_basis
+    projector = basis @ basis.T
+    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+
+    def reference(count):
+        cols = []
+        for gen in gens:
+            block = gen.standard_normal((count, d))
+            if kind == "uniform-sphere":
+                norms = np.linalg.norm(block, axis=-1, keepdims=True)
+                norms[norms == 0.0] = 1.0
+                block = scale * block / norms
+            else:
+                block = scale * block
+            cols.append(block)
+        out = np.stack(cols, axis=1)
+        if restrict:
+            flat = out.reshape(count, -1)
+            acc = flat[:, 0, None] * projector.T[0]
+            for j in range(1, n * d):
+                acc = acc + flat[:, j, None] * projector.T[j]
+            out = acc.reshape(count, n, d)
+        return out
+
+    model = NoiseModel(kind, scale, seed, restrict)
+    chunked, single = model.start(n, d, rotation), model.start(n, d, rotation)
+    draws = [chunked.draw_chunk(c) for c in (5, 9, 1)]
+    for got in draws:
+        assert got.shape == (len(got), n, d)
+        want = reference(len(got))
+        assert got.tobytes() == want.tobytes()
+    singles = np.stack([single.draw() for _ in range(15)])
+    assert np.concatenate(draws).tobytes() == singles.tobytes()
+
+
+def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, record="geometric"):
+    """Rows of x(k+1) = (1 + alpha_k) x(k) - alpha_k (gamma_k Q x(k) + xi) on two
+    agents, started at the given scales: a row crosses the ceiling sooner the
+    larger it starts. Returns the batch and its recorded callback sequence."""
+    q = consensus_penalty(laplacian(path_graph(2)), 2)
+    x0 = np.asarray(scales, dtype=float)[:, None] * np.array([1.0, -0.5, 0.8, 0.3])
+    calls = []
+    batch = run_batch(x0, steps, quadratic_form(-np.eye(4)), q, SCHED, noise,
+                      range(len(scales)), record=record, ceiling=ceiling, chunk=chunk,
+                      n_agents=2, k_start=k_start,
+                      step_callback=lambda k, zeta, x, active:
+                      calls.append((k, zeta, x.copy(), active.copy())))
+    return batch, calls
+
+
+def _assert_same_run(a, b):
+    for f in dataclasses.fields(BatchRun):
+        x, y = np.asarray(getattr(a[0], f.name)), np.asarray(getattr(b[0], f.name))
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+    assert len(a[1]) == len(b[1])
+    for ca, cb in zip(a[1], b[1]):
+        assert ca[:2] == cb[:2]
+        assert ca[2].tobytes() == cb[2].tobytes() and np.array_equal(ca[3], cb[3])
+
+
+GAUSS = NoiseModel("gaussian", 0.1)
+KERNEL_CASES = {
+    "none-diverges": dict(scales=[0.5, 1.0, 0.01], steps=700, ceiling=1e6, noise=GAUSS),
+    "none-diverges-restricted": dict(scales=[0.5, 1.0], steps=600, ceiling=1e6,
+                                     noise=NoiseModel("gaussian", 0.1, 0, True),
+                                     record=50),
+    "some-diverge": dict(scales=[1.0, 3.0, 0.01], steps=700, ceiling=200.0, noise=GAUSS,
+                         k_start=3),
+    "all-diverge": dict(scales=[1.0, 3.0], steps=2000, ceiling=200.0, noise=NoiseModel()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_run_batch_is_the_same_for_every_chunk_size(case):
+    spec = KERNEL_CASES[case]
+    ref = _anti_quadratic_batch(chunk=1, **spec)
+    diverged = ref[0].diverged_at
+    if case.startswith("none"):
+        assert np.all(diverged == -1)
+    else:
+        assert np.all(diverged[:2] > 0)
+        assert np.all(diverged > 0) == (case == "all-diverge")
+    chunks = {7, 256}
+    if np.any(diverged > 0):
+        # the first row to diverge does so on the last step of the first
+        # chunk, then on the first step of the second chunk
+        first = int(np.min(diverged[diverged > 0])) - spec.get("k_start", 1) + 1
+        assert 2 < first < 256
+        chunks |= {first, first - 1}
+    for chunk in sorted(chunks):
+        _assert_same_run(_anti_quadratic_batch(chunk=chunk, **spec), ref)
+
+
+def test_run_batch_rejects_an_empty_chunk():
+    with pytest.raises(ValueError, match="chunk"):
+        _anti_quadratic_batch([1.0], 10, 0, 1e6, NoiseModel())

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsgdlab.losses import (
     check_coercivity,
     custom_loss,
     finite_difference_gradient,
     l1_regularized,
+    polynomial,
     quadratic_form,
     quadratic_saddle,
     relu_regression,
@@ -233,3 +236,110 @@ def test_coercivity_quartic_dominates():
 def test_fd_gradient_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_difference_gradient(zero_loss(1), np.zeros(1), step=0.0)
+
+
+def _term_loop(terms, x, order):
+    """The order-th derivative of sum c * prod x_i**p_i, term by term with
+    numpy's **, accumulated from zero in term order."""
+    d = x.shape[-1]
+
+    def mono(powers):
+        out = np.ones(x.shape[:-1])
+        for i, p in enumerate(powers):
+            if p:
+                out = out * x[..., i] ** p
+        return out
+
+    out = np.zeros(x.shape[:-1] + (d,) * order)
+    for powers, c in terms:
+        if order == 0:
+            out = out + c * mono(powers)
+            continue
+        for j in range(d):
+            if not powers[j]:
+                continue
+            d1 = list(powers)
+            d1[j] -= 1
+            if order == 1:
+                out[..., j] += c * powers[j] * mono(d1)
+                continue
+            for k in range(d):
+                if d1[k]:
+                    d2 = list(d1)
+                    d2[k] -= 1
+                    out[..., j, k] += c * powers[j] * d1[k] * mono(d2)
+    return out
+
+
+POLYNOMIALS = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.lists(st.integers(0, 4), min_size=d, max_size=d),
+              st.floats(-2.0, 2.0, allow_subnormal=False)),
+    min_size=1, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(POLYNOMIALS, st.integers(0, 2 ** 32 - 1))
+def test_polynomial_matches_term_loop_and_differences(terms, seed):
+    exps = np.array([p for p, _ in terms])
+    loss = polynomial(exps, [c for _, c in terms])
+    d = exps.shape[1]
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, (4, 3, d))
+    abs_terms = [(p, abs(c)) for p, c in terms]
+    for order, method in enumerate((loss.value, loss.subgradient, loss.hessian)):
+        got, want = method(x), _term_loop(terms, x, order)
+        assert got.shape == want.shape
+        scale = _term_loop(abs_terms, np.abs(x), order)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
+        if exps.max() <= 2:
+            # no power above 2: products and sums in the same order as **
+            assert got.tobytes() == want.tobytes()
+    hess = loss.hessian(x)
+    singles = np.stack([loss.hessian(p) for p in x.reshape(-1, d)])
+    assert hess.tobytes() == singles.reshape(hess.shape).tobytes()
+    point = x[0, 0]
+    assert np.allclose(loss.subgradient(point), finite_difference_gradient(loss, point),
+                       rtol=1e-6, atol=1e-6)
+    assert np.allclose(hess[0, 0], fd_hessian(loss, point), rtol=1e-5, atol=1e-5)
+
+
+def test_polynomial_rejects_bad_exponents():
+    with pytest.raises(ValueError):
+        polynomial([[1, -1]], [1.0])
+    with pytest.raises(ValueError):
+        polynomial([[1, 2]], [1.0, 2.0])
+
+
+def _wells(anchors, weight=None):
+    comps = [shifted_quadratic(a) for a in anchors]
+    stacked = shifted_quadratic(np.concatenate(anchors))
+    if weight is not None:
+        comps = [l1_regularized(c, weight) for c in comps]
+        stacked = l1_regularized(stacked, weight)
+    return sum_loss(comps), sum_loss(comps, stacked)
+
+
+@pytest.mark.parametrize("weight", [None, 0.3])
+def test_stacked_wells_oracle_matches_per_agent_assembly(weight):
+    rng = np.random.default_rng(4)
+    for n, d in ((3, 2), (4, 1), (2, 3)):
+        per_agent, stacked = _wells(list(rng.standard_normal((n, d))), weight)
+        for shape in ((n * d,), (20, n * d), (2, 5, n * d)):
+            x = rng.standard_normal(shape)
+            x[..., 0] = 0.0  # a kink of the l1 term
+            got = stacked.assembled.subgradient(x)
+            assert got.tobytes() == per_agent.assembled.subgradient(x).tobytes()
+            assert np.allclose(stacked.assembled.value(x), per_agent.assembled.value(x),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_shared_component_is_evaluated_as_the_per_agent_loop():
+    def comp():
+        return separable_polynomial({0: {2: 0.25, 1: -0.1}, 1: {2: -0.25, 4: 0.125}}, dim=2)
+
+    shared = sum_loss([comp()] * 3).assembled
+    separate = sum_loss([comp() for _ in range(3)]).assembled
+    x = np.random.default_rng(5).standard_normal((7, 6))
+    for method in ("value", "subgradient", "hessian"):
+        got = getattr(shared, method)(x)
+        assert got.tobytes() == getattr(separate, method)(x).tobytes(), method
+    assert shared.hessian(x[0]).shape == (6, 6)
