@@ -72,7 +72,10 @@ def _cmd_report(args, out, err):
         raise ConfigError(f"no records.tsv files under {root}")
     hashes = set()
     for path in files:
-        meta, fields, records = read_campaign(path)
+        try:
+            meta, fields, records = read_campaign(path)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ConfigError(f"{path}: {exc}") from exc
         hashes.add(meta.get("config-hash", "?"))
         if len(hashes) > 1:
             raise ConfigError(

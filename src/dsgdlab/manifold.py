@@ -190,16 +190,15 @@ def _match_to_previous(prev_modes, w, v):
     return w[perm], (v[:, perm] * signs).T
 
 
-def linearize(context, t, g_at_t=None, reference_modes=None):
-    """Spectral split of A(t) = -hess h(g(gamma_t)) - gamma_t Q.
+def linearize(context, t, g_at_t, reference_modes=None):
+    """Spectral split of A(t) = -hess h(g_at_t) - gamma_t Q, where g_at_t is
+    the path point g(gamma_t).
 
     Without a reference frame, eigenvalues are sorted descending (unstable
     block leads). Eigenvalues within PARTITION_TOL of zero cannot be assigned
     a side and raise PartitionError.
     """
     gamma_t = float(context.gamma(t))
-    if g_at_t is None:
-        g_at_t = _newton_stationary(context.loss, context.qmat, gamma_t, context.saddle)
     a = -context.loss.hessian(g_at_t) - gamma_t * context.qmat
     if reference_modes is None:
         w, v = _eigh_descending(a)
@@ -393,7 +392,8 @@ class PicardSolution:
 class ManifoldModel:
     """Precomputed manifold data for one saddle: reference eigenframe track,
     cached integral-equation frames, and the coordinate change
-    z = U(t) (x - g(gamma_t))."""
+    z = U(t) (x - g(gamma_t)). Every path point and eigenframe comes from one
+    tracker, `_track`."""
 
     def __init__(self, context, t_start, t_end, picard=PicardOptions(),
                  radius=0.3, ref_points=256):
@@ -405,64 +405,82 @@ class ManifoldModel:
         self.picard = picard
         self.radius = float(radius)
         self._frames = {}
+        self.fixed_frame = None
         self._build_reference(ref_points)
         self._detect_structure()
 
-    # -- reference track ---------------------------------------------------
+    # -- the tracked path ----------------------------------------------------
+
+    def _track(self, times, g, modes):
+        """(path points g(gamma_t), eigenvalues, eigenframes U(t), forcing
+        U g'(gamma_t) gammadot_t) at `times`, each time continued from the one
+        before: Newton warm-started at the previous point, eigenvectors
+        matched to the previous frame. g and modes are the point and frame
+        the first time continues from.
+
+        A fixed frame (g = saddle, constant U) needs no tracking: there the
+        eigenvalues are affine in gamma and the forcing is zero.
+        """
+        ctx = self.context
+        times = np.asarray(times, dtype=float)
+        n, m = len(times), ctx.dim
+        gammas = np.asarray(ctx.gamma(times), dtype=float)
+        if self.fixed_frame is not None:
+            u = self.fixed_frame.matrices
+            base = np.diag(u @ (-ctx.loss.hessian(ctx.saddle)) @ u.T)
+            qdiag = np.diag(u @ ctx.qmat @ u.T)
+            return (np.tile(ctx.saddle, (n, 1)),
+                    base[None, :] - gammas[:, None] * qdiag[None, :],
+                    np.broadcast_to(u, (n, m, m)), np.zeros((n, m)))
+        gdot = ctx.gamma.derivative(times)
+        points, lambdas, frames, forcing = (np.empty((n, m)), np.empty((n, m)),
+                                            np.empty((n, m, m)), np.empty((n, m)))
+        for i, t in enumerate(times):
+            g = _newton_stationary(ctx.loss, ctx.qmat, gammas[i], g)
+            split = linearize(ctx, t, g, reference_modes=modes)
+            modes = split.modes
+            points[i], lambdas[i], frames[i] = g, split.lambdas, modes
+            jac = ctx.loss.hessian(g) + gammas[i] * ctx.qmat
+            g_prime = -np.linalg.solve(jac, ctx.qmat @ g)
+            forcing[i] = modes @ (g_prime * float(gdot[i]))
+        return points, lambdas, frames, forcing
 
     def _build_reference(self, ref_points):
         ctx = self.context
         times = np.linspace(self.t_start, self.t_end, ref_points)
-        self.stationary = (np.linalg.norm(ctx.loss.subgradient(ctx.saddle)) <= 1e-12
-                           and np.linalg.norm(ctx.qmat @ ctx.saddle) <= 1e-12)
-        g_ref = np.empty((ref_points, ctx.dim))
-        if self.stationary:
-            g_ref[:] = ctx.saddle
-        else:
-            guess = ctx.saddle
-            for i in range(ref_points - 1, -1, -1):  # continuation from large gamma
-                guess = _newton_stationary(ctx.loss, ctx.qmat,
-                                           float(ctx.gamma(times[i])), guess)
-                g_ref[i] = guess
-        anchor = linearize(ctx, times[-1], g_ref[-1])
+        # continuation runs backward from the largest penalty, where the path
+        # is closest to the saddle
+        g_end = _newton_stationary(ctx.loss, ctx.qmat, float(ctx.gamma(times[-1])),
+                                   ctx.saddle)
+        anchor = linearize(ctx, times[-1], g_end)
         if anchor.n_u != ctx.n_u:
             raise PartitionError(
                 f"anchor split found {anchor.n_u} unstable directions, expected {ctx.n_u}")
-        lam_ref = np.empty((ref_points, ctx.dim))
-        modes_ref = np.empty((ref_points, ctx.dim, ctx.dim))
-        lam_ref[-1], modes_ref[-1] = anchor.lambdas, anchor.modes
-        for i in range(ref_points - 2, -1, -1):
-            split = linearize(ctx, times[i], g_ref[i], reference_modes=modes_ref[i + 1])
-            lam_ref[i], modes_ref[i] = split.lambdas, split.modes
-        if np.any(lam_ref[:, : ctx.n_u] <= 0) or np.any(lam_ref[:, ctx.n_u:] >= 0):
+        points, lambdas, modes, _ = self._track(times[::-1], g_end, anchor.modes)
+        if np.any(lambdas[:, : ctx.n_u] <= 0) or np.any(lambdas[:, ctx.n_u:] >= 0):
             raise PartitionError(
                 "sign pattern of the tracked split is not stable over the model span; "
                 "raise t_start")
         self.ref_times = times
-        self.ref_g = g_ref
-        self.ref_lambdas = lam_ref
-        self.ref_modes = modes_ref
+        self.ref_g = points[::-1]
+        self.ref_modes = modes[::-1]
 
     def _detect_structure(self):
         ctx = self.context
+        stationary = (np.linalg.norm(ctx.loss.subgradient(ctx.saddle)) <= 1e-12
+                      and np.linalg.norm(ctx.qmat @ ctx.saddle) <= 1e-12)
         const_modes = bool(
             np.max(np.abs(self.ref_modes[0] - self.ref_modes[-1])) < 1e-10
             and np.max(np.abs(self.ref_modes[len(self.ref_modes) // 2]
                               - self.ref_modes[-1])) < 1e-10)
-        self.fixed_frame = None
         self.psi_is_zero = False
-        if not (self.stationary and const_modes):
+        if not (stationary and const_modes):
             return
-        # a stationary path with a constant eigenframe needs no tracking: U is
-        # fixed, g = saddle, and the eigenvalues are affine in gamma
-        modes = self.ref_modes[-1]
-        hess = ctx.loss.hessian(ctx.saddle)
-        self.fixed_frame = Frame(modes)
-        self._fixed_base = np.diag(modes @ (-hess) @ modes.T)
-        self._fixed_qdiag = np.diag(modes @ ctx.qmat @ modes.T)
+        self.fixed_frame = Frame(self.ref_modes[-1])
         # remainder-free detection: along a stationary path the nonlinear
         # remainder reduces to the gradient's linearization error at the
         # saddle, which vanishes identically for quadratic objectives
+        hess = ctx.loss.hessian(ctx.saddle)
         rng = np.random.default_rng(0)
         offsets = self.radius * rng.standard_normal((16, ctx.dim))
         grad0 = ctx.loss.subgradient(ctx.saddle)
@@ -470,28 +488,21 @@ class ManifoldModel:
         scale = max(1.0, float(np.max(np.abs(hess))))
         self.psi_is_zero = float(np.max(np.abs(lin_err))) <= 1e-12 * scale
 
+    def _reference_start(self, t):
+        """Reference point and frame to continue the path from toward t: the
+        first reference time at or after t, clipped to the track."""
+        i = int(np.clip(np.searchsorted(self.ref_times, t), 1, len(self.ref_times) - 1))
+        return self.ref_g[i], self.ref_modes[i]
+
     # -- coordinate machinery ----------------------------------------------
-
-    def _ref_index(self, t):
-        return int(np.clip(np.searchsorted(self.ref_times, t), 1, len(self.ref_times) - 1))
-
-    def split_at(self, t):
-        """Tracked spectral split at an arbitrary time inside the span."""
-        ctx = self.context
-        i = self._ref_index(t)
-        if self.stationary:
-            g_t = ctx.saddle
-        else:
-            g_t = _newton_stationary(ctx.loss, ctx.qmat, float(ctx.gamma(t)),
-                                     self.ref_g[i])
-        return linearize(ctx, t, g_t, reference_modes=self.ref_modes[i]), g_t
 
     def _frame_at(self, t):
         """Eigenframe U(t) and path point g(gamma_t) at one time."""
+        # returns before any gamma evaluation: a drift campaign asks once per step
         if self.fixed_frame is not None:
             return self.fixed_frame, self.context.saddle
-        split, g_t = self.split_at(t)
-        return Frame(split.modes), g_t
+        g, _, modes, _ = self._track([t], *self._reference_start(t))
+        return Frame(modes[0]), g[0]
 
     def coordinate_change(self, x, t):
         """z = U(t) (x - g(gamma_t)); batched over leading axes of x."""
@@ -509,26 +520,15 @@ class ManifoldModel:
             * (x @ self.context.qmat)
 
     def local_linearization(self, t, fd_step=1e-4):
-        """(lambdas, modes, mode rate, forcing, path point) at a single time."""
-        ctx = self.context
-        if self.fixed_frame is not None:
-            lam = self._fixed_base - float(ctx.gamma(t)) * self._fixed_qdiag
-            zero = np.zeros((ctx.dim, ctx.dim))
-            return lam, self.fixed_frame.matrices, zero, np.zeros(ctx.dim), ctx.saddle
-        split, g_t = self.split_at(t)
-        if self.stationary:
-            g_p = g_m = ctx.saddle
-        else:
-            g_p = _newton_stationary(ctx.loss, ctx.qmat, float(ctx.gamma(t + fd_step)), g_t)
-            g_m = _newton_stationary(ctx.loss, ctx.qmat, float(ctx.gamma(t - fd_step)), g_t)
-        split_p = linearize(ctx, t + fd_step, g_p, reference_modes=split.modes)
-        split_m = linearize(ctx, t - fd_step, g_m, reference_modes=split.modes)
-        mode_rate = ((split_p.modes - split_m.modes) / (2.0 * fd_step)) @ split.modes.T
-        gamma_t = float(ctx.gamma(t))
-        jac = ctx.loss.hessian(g_t) + gamma_t * ctx.qmat
-        g_prime = -np.linalg.solve(jac, ctx.qmat @ g_t)
-        forcing = split.modes @ (g_prime * float(ctx.gamma.derivative(t)))
-        return split.lambdas, split.modes, mode_rate, forcing, g_t
+        """(lambdas, modes, mode rate, forcing, path point) at a single time.
+        The mode rate is a central difference of the frames at t +- fd_step,
+        both continued from the frame at t."""
+        g, lam, modes, forcing = (row[0] for row in
+                                  self._track([t], *self._reference_start(t)))
+        _, _, plus, _ = self._track([t + fd_step], g, modes)
+        _, _, minus, _ = self._track([t - fd_step], g, modes)
+        mode_rate = ((plus[0] - minus[0]) / (2.0 * fd_step)) @ modes.T
+        return lam, modes, mode_rate, forcing, g
 
     # -- frames --------------------------------------------------------------
 
@@ -547,46 +547,19 @@ class ManifoldModel:
         times = t0 + opts.dt * np.arange(n)
         if times[-1] > self.t_end + 1e-9:
             raise ValueError("frame grid exceeds the model span; extend t_end")
-        gamma_vals = np.asarray(ctx.gamma(times), dtype=float)
-        m = ctx.dim
-
-        if self.fixed_frame is not None:
-            lam = self._fixed_base[None, :] - gamma_vals[:, None] * self._fixed_qdiag[None, :]
-            rotation, mode_rate = self.fixed_frame, None
-            g_path = np.tile(ctx.saddle, (n, 1))
-            forcing = np.zeros((n, m))
-        else:
-            lam = np.empty((n, m))
-            modes = np.empty((n, m, m))
-            g_path = np.empty((n, m))
-            forcing = np.empty((n, m))
-            i0 = self._ref_index(t0)
-            prev_modes = self.ref_modes[i0]
-            guess = ctx.saddle if self.stationary else self.ref_g[i0]
-            gdot = ctx.gamma.derivative(times)
-            for i, t in enumerate(times):
-                if self.stationary:
-                    g_i = ctx.saddle
-                else:
-                    g_i = _newton_stationary(ctx.loss, ctx.qmat, gamma_vals[i], guess)
-                    guess = g_i
-                split = linearize(ctx, t, g_i, reference_modes=prev_modes)
-                lam[i], modes[i] = split.lambdas, split.modes
-                prev_modes = modes[i]
-                g_path[i] = g_i
-                jac = ctx.loss.hessian(g_i) + gamma_vals[i] * ctx.qmat
-                g_prime = -np.linalg.solve(jac, ctx.qmat @ g_i)
-                forcing[i] = modes[i] @ (g_prime * float(gdot[i]))
-            rate = np.gradient(modes, opts.dt, axis=0) @ modes.swapaxes(1, 2)
-            rotation, mode_rate = Frame(modes), Frame(rate) if np.any(rate) else None
-
+        g_path, lam, modes, forcing = self._track(times, *self._reference_start(t0))
         if np.any(lam[:, : ctx.n_u] <= 0) or np.any(lam[:, ctx.n_u:] >= 0):
             raise PartitionError(
                 f"split sign pattern unstable inside the frame starting at t0={t0:g}")
-        cumlam = np.zeros((n, m))
+        cumlam = np.zeros((n, ctx.dim))
         cumlam[1:] = np.cumsum(0.5 * (lam[1:] + lam[:-1]) * opts.dt, axis=0)
-        return PicardFrame(times, opts.dt, ctx.n_u, lam, rotation, cumlam, gamma_vals,
-                           g_path, forcing, mode_rate, ctx)
+        rotation, mode_rate = Frame(modes[0]), None
+        if np.any(modes != modes[0]):
+            rotation = Frame(modes)
+            mode_rate = Frame(np.gradient(modes, opts.dt, axis=0) @ modes.swapaxes(1, 2))
+        return PicardFrame(times, opts.dt, ctx.n_u, lam, rotation, cumlam,
+                           np.asarray(ctx.gamma(times), dtype=float), g_path, forcing,
+                           mode_rate, ctx)
 
     # -- the integral equation ----------------------------------------------
 

@@ -120,7 +120,7 @@ def read_campaign(path):
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != CAMPAIGN_MAGIC:
-            raise ValueError(f"{path} is not a campaign record file")
+            raise ValueError("not a campaign record file")
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("# columns:"):
@@ -130,6 +130,8 @@ def read_campaign(path):
                 meta[key.strip()] = val.strip()
             elif line:
                 rows.append(line.split("\t"))
+    if fields is None:
+        raise ValueError("campaign record file has no '# columns:' line")
     records = []
     for row in rows:
         rec = {}

@@ -173,9 +173,6 @@ def rectified_field(model, w, t, fd_step=1e-4, options=None):
     """Vector field governing Phi-coordinates: D_x Phi H + D_t Phi at Phi^-1(w)."""
     wb, single = _as_batch(w)
     n_u = model.context.n_u
-    if model.psi_is_zero:
-        out = moving_frame_field(model, wb, t)
-        return out[0] if single else out
     x = rectify_phi_inverse(model, wb, t, options)
     h_val = moving_frame_field(model, x, t)
     b = len(wb)

@@ -363,6 +363,21 @@ def test_report_empty_dir(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("content", [
+    b"# not-a-campaign v0\n# columns: seed\n0\n",
+    b"# dsgdlab-campaign v1\n# config-hash: abc\n0\t1\n",
+    b"# dsgdlab-campaign v1\n# columns: seed\n\xff\xfe\n",
+], ids=["bad-magic", "no-columns-line", "undecodable"])
+def test_report_malformed_records_is_config_error(tmp_path, content):
+    path = tmp_path / "r" / "records.tsv"
+    path.parent.mkdir()
+    path.write_bytes(content)
+    code, out, err = run_cli("report", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_kind_rejected(tmp_path):
     broken = GOOD_CONFIG.replace("kind = consensus", "kind = banana")
     path = write_config(tmp_path, broken)

@@ -51,6 +51,14 @@ def shifted_context(q2=2.0, b=0.2):
     return saddle_context(loss, q, PowerLawGamma(1.0, 0.8), np.zeros(3))
 
 
+def rotating_context():
+    # the shifted battery: the x2 x3 coupling turns the eigenframe with gamma
+    loss = monomial_loss(3, {(2, 0, 0): 0.5, (0, 2, 0): -0.5, (0, 0, 2): 0.5,
+                             (0, 0, 1): 0.2, (0, 1, 1): 0.3})
+    return saddle_context(loss, penalty_from_matrix(np.diag([0.0, 0.0, 2.0])),
+                          PowerLawGamma(0.5, 0.6), np.zeros(3))
+
+
 def test_context_counts_unstable_directions():
     ctx = quad_context()
     assert ctx.n_u == 1
@@ -341,12 +349,8 @@ def test_frame_rotations_match_einsum():
     assert np.max(np.abs(fixed.rotate(z) - np.einsum("ij,bnj->bni", fixed.matrices, z))) <= 1e-14
     assert np.max(np.abs(fixed.unrotate(z) - np.einsum("ji,bnj->bni", fixed.matrices, z))) <= 1e-14
 
-    # the shifted battery: the x2 x3 coupling turns the eigenframe with gamma
-    loss = monomial_loss(3, {(2, 0, 0): 0.5, (0, 2, 0): -0.5, (0, 0, 2): 0.5,
-                             (0, 0, 1): 0.2, (0, 1, 1): 0.3})
-    ctx = saddle_context(loss, penalty_from_matrix(np.diag([0.0, 0.0, 2.0])),
-                         PowerLawGamma(0.5, 0.6), np.zeros(3))
-    shifted = ManifoldModel(ctx, 4.0, 80.0, PicardOptions(horizon=8.0, dt=0.01, tail=8.0))
+    shifted = ManifoldModel(rotating_context(), 4.0, 80.0,
+                            PicardOptions(horizon=8.0, dt=0.01, tail=8.0))
     frame = shifted.frame(6.0)
     moving = frame.rotation
     assert moving.matrices.shape == (1601, 3, 3)
@@ -359,3 +363,47 @@ def test_frame_rotations_match_einsum():
     rate = frame.mode_rate.matrices
     assert np.max(np.abs(frame.mode_rate.rotate(z) - np.einsum("nij,bnj->bni", rate, z))) \
         <= 1e-14 * max(1.0, np.max(np.abs(rate)))
+
+
+@pytest.mark.parametrize("make_ctx", [cross_cubic_context, quad_context],
+                         ids=["cross-cubic", "quadratic-penalized"])
+def test_fixed_frame_closed_form_matches_linearize(make_ctx):
+    # a stationary saddle with a constant eigenframe is not tracked: its
+    # eigenvalues are affine in gamma; they must be what tracking would give
+    ctx = make_ctx()
+    model = ManifoldModel(ctx, 4.0, 40.0, PicardOptions(horizon=8.0, dt=0.01, tail=4.0))
+    assert model.fixed_frame is not None
+    frame = model.frame(5.0)
+    u = frame.rotation.matrices
+    assert u.ndim == 2 and frame.mode_rate is None
+    assert np.all(frame.g_path == ctx.saddle) and np.all(frame.forcing == 0.0)
+    for i in range(0, len(frame.times), 97):
+        split = linearize(ctx, frame.times[i], ctx.saddle, reference_modes=u)
+        assert np.max(np.abs(frame.lambdas[i] - split.lambdas)) <= 1e-12
+        assert np.max(np.abs(u - split.modes)) <= 1e-12
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: ManifoldModel(rotating_context(), 4.0, 80.0,
+                          PicardOptions(horizon=8.0, dt=0.01, tail=8.0)),
+    lambda: ManifoldModel(cross_cubic_context(), 1.0, 40.0,
+                          PicardOptions(horizon=10.0, dt=0.005, tail=5.0)),
+], ids=["shifted", "cross-cubic"])
+def test_local_linearization_matches_frame_row(make_model):
+    # one tracker serves both: the point continued from the reference track
+    # at a grid time is the frame's row there
+    model = make_model()
+    frame = model.frame(6.0)
+    last = len(frame.times) - 1
+    for i in (0, 1, 250, last // 2, last - 1, last):
+        lam, modes, mode_rate, forcing, g_t = model.local_linearization(frame.times[i])
+        modes_i = frame.rotation.matrices if frame.mode_rate is None \
+            else frame.rotation.matrices[i]
+        for got, want in ((lam, frame.lambdas[i]), (modes, modes_i),
+                          (forcing, frame.forcing[i]), (g_t, frame.g_path[i])):
+            assert np.max(np.abs(got - want)) <= 1e-9
+        rate_i = 0.0 if frame.mode_rate is None else frame.mode_rate.matrices[i]
+        # the frame's rate is a difference of step dt, second order inside
+        # the grid and first order at its ends; a fixed frame's is exactly 0
+        tol = 1e-5 if i in (0, last) else 1e-7
+        assert np.max(np.abs(mode_rate - rate_i)) <= (0.0 if frame.mode_rate is None else tol)
