@@ -482,15 +482,18 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
         inside = np.linalg.norm(z, axis=1) <= model.radius
         newly_out = (censor < 0) & ~inside & active
         censor[newly_out] = kk
+        # S is recorded only for active rows inside the ball and never after a
+        # row's censoring step, so that step records NaN whichever way psi is
+        # found
+        ok = inside & active
         if model.psi_is_zero:
-            s_val = np.linalg.norm(z[:, :n_u], axis=1)
+            s_val = np.where(ok, np.linalg.norm(z[:, :n_u], axis=1), np.nan)
         else:
-            ok = inside & active
             s_val = np.full(len(z), np.nan)
             if np.any(ok):
                 psi = model.psi(float(zeta), z[ok, n_u:])
                 s_val[ok] = np.linalg.norm(z[ok, :n_u] - psi, axis=1)
-        s_series[:, kk - k0] = np.where((censor < 0) | (kk <= censor), s_val, np.nan)
+        s_series[:, kk - k0] = np.where(censor < 0, s_val, np.nan)
 
     run_batch(np.tile(saddle, (n_seeds, 1)), steps, problem.assembled, problem.q,
               schedule, noise, seeds, k_start=k0, step_callback=callback,

@@ -16,10 +16,10 @@ a certified horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ContractionError,
@@ -36,6 +36,9 @@ GRAD_TOL = 1e-9
 MIN_RESTRICTED_EIG = 1e-6
 PARTITION_TOL = 1e-8
 MATCH_OVERLAP_FLOOR = 0.7
+# An orthogonal matrix's entry above 1/sqrt(2) in absolute value dominates its
+# row and its column; the margin absorbs the frames' rounding.
+UNIQUE_MATCH_OVERLAP = np.sqrt(0.5) + 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,17 +178,27 @@ def _eigh_descending(a):
 
 
 def _match_to_previous(prev_modes, w, v):
-    """Permute and sign-fix eigenvector columns to follow the previous frame."""
+    """Permute and sign-fix eigenvector columns to follow the previous frame.
+
+    The permutation maximizes the summed |overlap| of matched modes. When
+    every row's largest |overlap| is above 1/sqrt(2), the rows' argmaxes are
+    that assignment, and its only optimum; otherwise it is solved exactly.
+    """
     overlap = prev_modes @ v
-    rows, cols = linear_sum_assignment(-np.abs(overlap))
-    perm = np.empty_like(cols)
-    perm[rows] = cols
-    chosen = np.abs(overlap[np.arange(len(perm)), perm])
+    size = np.abs(overlap)
+    rows = np.arange(len(size))
+    perm = np.argmax(size, axis=1)
+    if np.min(size[rows, perm]) <= UNIQUE_MATCH_OVERLAP:
+        from scipy.optimize import linear_sum_assignment
+
+        assigned, cols = linear_sum_assignment(-size)
+        perm[assigned] = cols
+    chosen = size[rows, perm]
     if np.min(chosen) < MATCH_OVERLAP_FLOOR:
         raise EigvecContinuityError(
             f"eigenvector tracking overlap dropped to {np.min(chosen):.3f}; "
             "continuity of the eigenframe is ambiguous here")
-    signs = np.sign(overlap[np.arange(len(perm)), perm])
+    signs = np.sign(overlap[rows, perm])
     signs[signs == 0] = 1.0
     return w[perm], (v[:, perm] * signs).T
 
@@ -224,22 +237,27 @@ class Frame:
     rotate(v) = U v and unrotate(v) = U^T v act on the last axis of v. A
     constant frame is one GEMM over all leading axes; a time-varying frame
     takes v of shape (batch, n, M) and is one batched matmul over the grid.
+    Both write into `out` when given, a C-contiguous array of v's shape.
     """
 
     matrices: np.ndarray
 
-    def rotate(self, v):
-        return self._right_multiply(v, self.matrices.swapaxes(-1, -2))
+    def rotate(self, v, out=None):
+        return self._right_multiply(v, self.matrices.swapaxes(-1, -2), out)
 
-    def unrotate(self, v):
-        return self._right_multiply(v, self.matrices)
+    def unrotate(self, v, out=None):
+        return self._right_multiply(v, self.matrices, out)
 
     @staticmethod
-    def _right_multiply(v, mats):
+    def _right_multiply(v, mats, out):
         v = np.asarray(v, dtype=float)
+        if out is None:
+            out = np.empty(v.shape)
         if mats.ndim == 2:
-            return (v.reshape(-1, v.shape[-1]) @ mats).reshape(v.shape)
-        return (v.swapaxes(0, 1) @ mats).swapaxes(0, 1)
+            np.matmul(v.reshape(-1, v.shape[-1]), mats, out=out.reshape(-1, v.shape[-1]))
+        else:
+            np.matmul(v.swapaxes(0, 1), mats, out=out.swapaxes(0, 1))
+        return out
 
 
 @dataclass
@@ -321,35 +339,108 @@ def _phi_tilde(a):
 SCAN_SPAN = 1.0   # largest cumulative exponent inside one block of the scan
 
 
-def _decay_scan(log_decay, inc, reverse=False):
+def _view(flat, shape):
+    """C-contiguous view of the leading elements of a flat buffer."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+class _BlockScan:
     """x_0 = 0, x_{i+1} = e^{log_decay_i} x_i + inc_i for every i at once; with
     reverse, x_{n-1} = 0, x_i = e^{log_decay_i} x_{i+1} + inc_i instead.
 
-    log_decay is (n-1, m), inc is (batch, n-1, m); returns x, (batch, n, m).
-    Blocked scan: from a block start s, x_{s+k} = e^{c_k} (x_s + sum_{i<k}
-    e^{-c_{i+1}} inc_{s+i}), where c is the cumulative exponent from s. Blocks
-    are short enough that |c| <= SCAN_SPAN, so the rescaled terms stay within
-    a factor e^SCAN_SPAN of each other; block starts are carried in a loop.
+    log_decay is (n-1, m). Blocked scan: from a block start s, x_{s+k} =
+    e^{c_k} (x_s + sum_{i<k} e^{-c_{i+1}} inc_{s+i}), where c is the cumulative
+    exponent from s. Blocks are short enough that |c| <= SCAN_SPAN, so the
+    rescaled terms stay within a factor e^SCAN_SPAN of each other; block starts
+    are carried in a loop. The block exponentials e^c depend on log_decay
+    alone and are computed here, once.
+
+    The scan runs in place in a padded buffer x of shape
+    (batch, 1 + blocks * block length, m), in the forward time order: x[:, 0]
+    is the zero start and row i + 1 takes the increment of step i.
     """
-    if reverse:
-        return _decay_scan(log_decay[::-1], inc[:, ::-1])[:, ::-1]
-    steps, m = log_decay.shape
-    peak = float(np.max(np.abs(log_decay), initial=0.0))
-    block = max(1, min(steps, int(SCAN_SPAN / peak) if peak > 0.0 else steps))
-    n_blocks = -(-steps // block)
-    padded = np.zeros((n_blocks * block, m))
-    padded[:steps] = log_decay
-    grow = np.exp(np.cumsum(padded.reshape(n_blocks, block, m), axis=1))
-    batch = inc.shape[0]
-    blocks = np.zeros((batch, n_blocks * block, m))
-    blocks[:, :steps] = inc
-    blocks = blocks.reshape(batch, n_blocks, block, m) / grow
-    blocks = grow * np.cumsum(blocks, axis=2)
-    for k in range(1, n_blocks):
-        blocks[:, k] += grow[k] * blocks[:, k - 1, -1:]
-    x = np.zeros((batch, steps + 1, m))
-    x[:, 1:] = blocks.reshape(batch, -1, m)[:, :steps]
-    return x
+
+    def __init__(self, log_decay, reverse=False):
+        if reverse:
+            log_decay = log_decay[::-1]
+        steps, m = log_decay.shape
+        peak = float(np.max(np.abs(log_decay), initial=0.0))
+        block = max(1, min(steps, int(SCAN_SPAN / peak) if peak > 0.0 else steps))
+        n_blocks = -(-steps // block)
+        padded = np.zeros((n_blocks * block, m))
+        padded[:steps] = log_decay
+        self.grow = np.exp(np.cumsum(padded.reshape(n_blocks, block, m), axis=1))
+        self.steps = steps
+        self.reverse = reverse
+
+    def buffer_shape(self, batch):
+        n_blocks, block, m = self.grow.shape
+        return batch, 1 + n_blocks * block, m
+
+    def increments(self, x):
+        """The (batch, n-1, m) view of x that takes inc, in the caller's order."""
+        inc = x[:, 1 : self.steps + 1]
+        return inc[:, ::-1] if self.reverse else inc
+
+    def run(self, x, carry):
+        """Scan the increments in x in place and return x's (batch, n, m) view
+        that holds the solution, in the caller's order. carry is a flat
+        scratch buffer of at least batch * block length * m elements."""
+        n_blocks, block, m = self.grow.shape
+        batch = x.shape[0]
+        x[:, 0] = 0.0
+        x[:, self.steps + 1 :] = 0.0
+        blocks = x[:, 1:].reshape(batch, n_blocks, block, m)
+        np.divide(blocks, self.grow, out=blocks)
+        np.cumsum(blocks, axis=2, out=blocks)
+        np.multiply(self.grow, blocks, out=blocks)
+        carry = _view(carry, (batch, block, m))
+        for k in range(1, n_blocks):
+            np.multiply(self.grow[k], blocks[:, k - 1, -1:], out=carry)
+            np.add(blocks[:, k], carry, out=blocks[:, k])
+        x = x[:, : self.steps + 1]
+        return x[:, ::-1] if self.reverse else x
+
+
+def _decay_scan(log_decay, inc, reverse=False):
+    """The blocked scan of `_BlockScan` on inc of shape (batch, n-1, m);
+    returns x, (batch, n, m)."""
+    scan = _BlockScan(log_decay, reverse)
+    x = np.empty(scan.buffer_shape(inc.shape[0]))
+    scan.increments(x)[...] = inc
+    return scan.run(x, np.empty(x.size))
+
+
+class _PicardWork:
+    """One Picard solve's buffers and the operator's frame-only coefficients,
+    allocated once per solve and reused by every substitution.
+
+    Each substitution writes the remainder field into `g` (with `w` and `q`
+    as its scratch) and the new iterate into one of `iterates`. The stable and
+    unstable blocks share the padded scan buffer `scan` and the difference
+    buffer `diff`, which is also the scan's carry scratch.
+    """
+
+    def __init__(self, frame, batch):
+        n, m = frame.lambdas.shape
+        n_u = frame.n_u
+        a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
+        a_st, a_un = a_coef[:, n_u:], a_coef[:, :n_u]
+        self.prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
+        self.phi_s = _phi1(a_st), _phi_tilde(a_st)
+        self.phi_u = _phi1(-a_un), _phi_tilde(-a_un)
+        self.stable = _BlockScan(a_st)
+        self.unstable = _BlockScan(-a_un, reverse=True)
+        self.iterates = np.zeros((batch, n, m)), np.zeros((batch, n, m))
+        self.g, self.w, self.q = np.empty((3, batch, n, m))
+        self.scan = np.empty(max(math.prod(s.buffer_shape(batch))
+                                 for s in (self.stable, self.unstable)))
+        self.diff = np.empty(batch * (n - 1) * max(n_u, m - n_u))
+
+    def sup_change(self, new, old):
+        """max |new - old|, computed in the scratch buffer w."""
+        change = np.subtract(new, old, out=self.w)
+        return float(np.max(np.abs(change, out=change)))
 
 
 @dataclass(frozen=True)
@@ -563,47 +654,62 @@ class ManifoldModel:
 
     # -- the integral equation ----------------------------------------------
 
-    def remainder_field(self, z, frame):
-        """Nonlinear remainder in rotated coordinates at every grid time.
+    def remainder_field(self, z, frame, work):
+        """Nonlinear remainder in rotated coordinates at every grid time,
+        written into work.g and returned.
 
         z has shape (batch, n, M): F-rotated(z, t) = U F(U^T z, t) + Udot U^T z
         with F(y, t) = -grad h(y + g) - gamma Q (y + g) - A(t) y.
         """
         ctx = frame.context
-        w = frame.rotation.unrotate(z) + frame.g_path[None, :, :]
-        drive = -ctx.loss.subgradient(w) - frame.gamma_vals[None, :, None] * (w @ ctx.qmat)
+        w = frame.rotation.unrotate(z, out=work.w)
+        np.add(w, frame.g_path, out=w)
+        grad = ctx.loss.subgradient(w)
+        penalty = np.matmul(w, ctx.qmat, out=work.q)
+        np.multiply(frame.gamma_vals[:, None], penalty, out=penalty)
+        drive = np.negative(grad, out=w)
+        np.subtract(drive, penalty, out=drive)
+        f_rot = frame.rotation.rotate(drive, out=work.g)
         # U A U^T z is diagonal in the rotated frame: just lambda * z
-        f_rot = frame.rotation.rotate(drive) - frame.lambdas[None, :, :] * z
+        np.subtract(f_rot, np.multiply(frame.lambdas, z, out=work.q), out=f_rot)
         if frame.mode_rate is not None:
-            f_rot = f_rot + frame.mode_rate.rotate(z)
+            np.add(f_rot, frame.mode_rate.rotate(z, out=work.q), out=f_rot)
         return f_rot
 
-    def _apply_integral_operator(self, u, a_s, frame):
-        """One substitution into the right-hand side of the integral equation."""
+    def _apply_integral_operator(self, u, a_s, frame, work, out):
+        """One substitution into the right-hand side of the integral equation,
+        written into out; returns the remainder field minus the forcing."""
         n_u = frame.n_u
         h = frame.dt
-        g_all = self.remainder_field(u, frame) - frame.forcing[None, :, :]
-        a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
+        g_all = self.remainder_field(u, frame, work)
+        np.subtract(g_all, frame.forcing, out=g_all)
 
-        new = np.empty_like(u)
         # stable block: forward propagation of the initial condition plus the
         # exponential-trapezoid integral recursion j_{i+1} = e^{a_i} j_i + inc_i
-        a_st = a_coef[:, n_u:]
         gs = g_all[:, :, n_u:]
-        dg = gs[:, 1:, :] - gs[:, :-1, :]
-        inc = h * (gs[:, 1:, :] * _phi1(a_st)[None] - dg * _phi_tilde(a_st)[None])
-        prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
-        new[:, :, n_u:] = prop[None] * a_s[:, None, :] + _decay_scan(a_st, inc)
+        phi1, phi_tilde = work.phi_s
+        x = _view(work.scan, work.stable.buffer_shape(len(u)))
+        inc = work.stable.increments(x)
+        dg = np.subtract(gs[:, 1:, :], gs[:, :-1, :], out=_view(work.diff, inc.shape))
+        np.multiply(gs[:, 1:, :], phi1, out=inc)
+        np.subtract(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
+        np.multiply(h, inc, out=inc)
+        new_s = np.multiply(work.prop, a_s[:, None, :], out=out[:, :, n_u:])
+        np.add(new_s, work.stable.run(x, work.diff), out=new_s)
 
         # unstable block: backward tail recursion k_i = inc_i + e^{-a_i} k_{i+1},
         # truncated at the grid end
         if n_u:
-            a_un = a_coef[:, :n_u]
             gu = g_all[:, :, :n_u]
-            dgu = gu[:, 1:, :] - gu[:, :-1, :]
-            inc_u = h * (gu[:, :-1, :] * _phi1(-a_un)[None] + dgu * _phi_tilde(-a_un)[None])
-            new[:, :, :n_u] = -_decay_scan(-a_un, inc_u, reverse=True)
-        return new, g_all
+            phi1, phi_tilde = work.phi_u
+            x = _view(work.scan, work.unstable.buffer_shape(len(u)))
+            inc = work.unstable.increments(x)
+            dg = np.subtract(gu[:, 1:, :], gu[:, :-1, :], out=_view(work.diff, inc.shape))
+            np.multiply(gu[:, :-1, :], phi1, out=inc)
+            np.add(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
+            np.multiply(h, inc, out=inc)
+            np.negative(work.unstable.run(x, work.diff), out=out[:, :, :n_u])
+        return g_all
 
     def picard_solve(self, t0, a_s, options=None):
         """Fixed-point iteration of the manifold integral equation.
@@ -611,6 +717,7 @@ class ManifoldModel:
         a_s is one stable-block initial condition per row, each within a third
         of the validity radius. Raises ContractionError when iterates diverge
         and HorizonError when the certified truncation error exceeds tol.
+        Every iteration runs in one workspace allocated here.
         """
         opts = options or self.picard
         ctx = self.context
@@ -621,22 +728,17 @@ class ManifoldModel:
             raise ContractionError(
                 "stable initial condition outside the contraction radius (r/3)")
         frame = self.frame(t0, opts)
-        n = len(frame.times)
-        b = a_s.shape[0]
-        m = ctx.dim
-
-        u = np.zeros((b, n, m))
-        prop = np.exp(frame.cumlam[:, frame.n_u:] - frame.cumlam[0, frame.n_u:])
-        u[:, :, frame.n_u:] = prop[None, :, :] * a_s[:, None, :]
+        work = _PicardWork(frame, a_s.shape[0])
+        u, new = work.iterates
+        np.multiply(work.prop, a_s[:, None, :], out=u[:, :, frame.n_u:])
 
         deltas = []
         grow = 0
-        g_all = None
         for _ in range(opts.max_iters):
-            new, g_all = self._apply_integral_operator(u, a_s, frame)
-            delta = float(np.max(np.abs(new - u)))
+            g_all = self._apply_integral_operator(u, a_s, frame, work, new)
+            delta = work.sup_change(new, u)
             deltas.append(delta)
-            u = new
+            u, new = new, u
             if delta < opts.tol:
                 break
             if len(deltas) > 1 and delta > deltas[-2]:
@@ -651,13 +753,15 @@ class ManifoldModel:
             raise ContractionError(
                 f"no convergence to {opts.tol:g} within {opts.max_iters} iterations")
 
-        resub, _ = self._apply_integral_operator(u, a_s, frame)
-        residual = float(np.max(np.abs(resub - u)))
-
+        # the tail bound uses the last iteration's field, which the
+        # resubstitution below overwrites
         tail_start = frame.index_of(round(frame.t0 + opts.horizon, 9))
         sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u])) if frame.n_u else np.inf
         g_tail_max = float(np.max(np.abs(g_all[:, tail_start:, : frame.n_u]))) \
             if frame.n_u else 0.0
+        self._apply_integral_operator(u, a_s, frame, work, new)
+        residual = work.sup_change(new, u)
+
         tail_est = g_tail_max / sigma_floor * float(np.exp(-sigma_floor * opts.tail)) \
             if frame.n_u else 0.0
         if tail_est > opts.tail_tol:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError, ScheduleError
 
@@ -144,6 +143,8 @@ def gamma_condition_check(schedule, t0, alpha_decay, horizon, grid_points=24):
     The integrand concentrates near tau = t because the inner integral of the
     growing weight dominates; adaptive quadrature handles the boundary layer.
     """
+    from scipy import integrate
+
     if alpha_decay <= 0:
         raise ValueError("alpha_decay must be positive")
     if horizon <= t0:

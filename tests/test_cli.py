@@ -1,5 +1,8 @@
 import configparser
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -472,3 +475,12 @@ def test_solution_record_tagged_continuous(tmp_path):
     assert kind == "continuous"
     assert np.allclose(arr[:, 1], sol.times)
     assert np.allclose(arr[:, 5:], sol.states)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported only by the calls that use it
+    code = "import sys, dsgdlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,13 @@ from dsgdlab.experiments import (
     run_experiment,
 )
 from dsgdlab.records import read_campaign, write_campaign
+
+DATA = Path(__file__).parent / "data"
+
+
+def _plain(value):
+    """JSON form of the numpy scalars and arrays in a report."""
+    return value.tolist() if hasattr(value, "tolist") else str(value)
 
 
 def make_config(kind, **sections):
@@ -230,6 +240,37 @@ def test_drift_stats_zero_noise_on_manifold_is_identically_zero():
     assert all(r["sup_s"] == 0.0 for r in result.records)
 
 
+def test_drift_censoring_step_records_nan(monkeypatch):
+    # noise that throws every row out of a small validity ball: the step at
+    # which a row leaves records NaN, and the series is the same whether the
+    # model knows psi vanishes or the general branch asks for it. The solver
+    # certifies psi only for |z_s| <= r/3, which rows inside this ball exceed,
+    # so the general branch is given the quadratic problem's psi = 0
+    cfg = drift_config(seeds="0:40")
+    cfg.sections["noise"]["scale"] = "2.0"
+    cfg.sections["drift"].update(validity_radius="0.02", k0_grid="250 500")
+    series = {}
+    restart_series = experiments._restart_series
+
+    def both_branches(problem, schedule, noise, model, seeds, k0, factor):
+        assert model.psi_is_zero
+        monkeypatch.setattr(model, "psi", lambda t, z_s: np.zeros((len(z_s), 1)))
+        for zero in (False, True):
+            model.psi_is_zero = zero
+            series[zero, k0] = restart_series(problem, schedule, noise, model, seeds, k0,
+                                              factor)
+        return series[True, k0]
+
+    monkeypatch.setattr(experiments, "_restart_series", both_branches)
+    run_experiment(cfg)
+    for k0 in (250, 500):
+        (s_zero, censor), (s_solved, censor_solved) = series[True, k0], series[False, k0]
+        np.testing.assert_array_equal(censor, censor_solved)
+        assert np.all(censor >= k0)
+        assert np.all(np.isnan(s_zero[np.arange(len(censor)), censor - k0]))
+        np.testing.assert_array_equal(s_zero, s_solved)
+
+
 def test_manifold_verification_quadratic_battery():
     cfg = make_config("manifold-verify", problem={"battery": "quadratic"},
                       schedule=SCHED, manifold={"n_samples": 200})
@@ -247,6 +288,31 @@ def test_manifold_verification_cross_cubic_battery():
     assert report["overall"]["passed"]
     assert report["repulsion"]["c2_hat"] > 0
     assert report["picard"]["tangency_slope"] == pytest.approx(2.0, abs=0.2)
+
+
+def _pinned(got, want, where):
+    """got matches want: numbers (also inside space-separated strings) within
+    1e-12 relative, everything else exactly."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _pinned(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, str) and isinstance(got, str) and want != got:
+        assert [float(v) for v in got.split()] == pytest.approx(
+            [float(v) for v in want.split()], rel=1e-12), where
+    elif isinstance(want, (bool, str)):
+        assert got == want, where
+    else:
+        assert got == pytest.approx(want, rel=1e-12), where
+
+
+@pytest.mark.parametrize("battery", ["cross-cubic", "quadratic"])
+def test_manifold_battery_report_is_pinned(battery):
+    # every field of the 20-sample reports, as committed in the data file
+    pinned = json.loads((DATA / "manifold_reports_n20.json").read_text())[battery]
+    cfg = make_config("manifold-verify", problem={"battery": battery},
+                      schedule=SCHED, manifold={"n_samples": 20})
+    _pinned(json.loads(json.dumps(run_experiment(cfg), default=_plain)), pinned, battery)
 
 
 def test_manifold_verification_shifted_battery_picard(monkeypatch):

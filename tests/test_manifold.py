@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsgdlab.errors import ContractionError, PartitionError, RegularityError
+from dsgdlab.errors import (
+    ContractionError,
+    EigvecContinuityError,
+    PartitionError,
+    RegularityError,
+)
 from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
 from dsgdlab.manifold import (
+    MATCH_OVERLAP_FLOOR,
     SCAN_SPAN,
     ManifoldModel,
     PicardOptions,
     _decay_scan,
+    _match_to_previous,
     default_gamma0,
     evolution_operator,
     linearize,
@@ -116,6 +123,53 @@ def test_perturbed_path_closed_form():
     assert path.arc_length_estimate == pytest.approx(analytic, rel=0.01)
     fine = solve_perturbed_saddle(ctx, np.linspace(2.0, 400.0, 400))
     assert fine.arc_length_estimate == pytest.approx(path.arc_length_estimate, rel=0.01)
+
+
+def _assignment_match(prev_modes, w, v):
+    # reference: the exact optimal assignment of modes to the previous frame
+    from scipy.optimize import linear_sum_assignment
+
+    overlap = prev_modes @ v
+    rows, cols = linear_sum_assignment(-np.abs(overlap))
+    perm = np.empty_like(cols)
+    perm[rows] = cols
+    chosen = overlap[np.arange(len(perm)), perm]
+    if np.min(np.abs(chosen)) < MATCH_OVERLAP_FLOOR:
+        raise EigvecContinuityError("overlap below the floor")
+    signs = np.sign(chosen)
+    signs[signs == 0] = 1.0
+    return w[perm], (v[:, perm] * signs).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       angle=st.one_of(st.floats(0.0, 0.6), st.floats(0.77, 0.8)),
+       eps=st.floats(0.0, 0.08))
+# rows whose largest |overlap| lies in [0.7, 1/sqrt 2]; in the second, two
+# rows have theirs in one column
+@example(m=3, seed=4, angle=0.78, eps=0.05)
+@example(m=3, seed=5, angle=0.79, eps=0.05)
+def test_match_to_previous_is_the_exact_assignment(m, seed, angle, eps):
+    # the new eigenvectors are the previous frame times a signed permutation,
+    # one plane turned by angle (near 45 degrees, two modes nearly tie) and a
+    # small random rotation
+    rng = np.random.default_rng(seed)
+    prev = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    q, r = np.linalg.qr(np.eye(m) + eps * rng.standard_normal((m, m)))
+    turn = np.eye(m)
+    i, j = rng.choice(m, 2, replace=False)
+    turn[[i, i, j, j], [i, j, i, j]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+    signed = np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
+    v = prev.T @ (signed @ turn @ (q * np.sign(np.diag(r))))
+    w = np.arange(m, dtype=float)
+    try:
+        want = _assignment_match(prev, w, v)
+    except EigvecContinuityError:
+        with pytest.raises(EigvecContinuityError):
+            _match_to_previous(prev, w, v)
+        return
+    got = _match_to_previous(prev, w, v)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_linearize_quadratic_q0():
@@ -337,6 +391,29 @@ def test_decay_scan_without_decay_is_a_cumulative_sum():
     out = _decay_scan(np.zeros((3, 2)), inc)
     assert np.array_equal(out[:, 1:], np.cumsum(inc, axis=1))
     assert np.array_equal(out[:, 0], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: ManifoldModel(cross_cubic_context(), 1.0, 40.0,
+                          PicardOptions(horizon=10.0, dt=0.005, tail=5.0)),
+    lambda: ManifoldModel(rotating_context(), 4.0, 80.0,
+                          PicardOptions(horizon=8.0, dt=0.01, tail=8.0)),
+], ids=["cross-cubic", "shifted"])
+def test_picard_solution_survives_later_solves(make_model):
+    # every solve iterates in its own workspace: later solves of other batch
+    # sizes and start times leave an earlier solution's arrays as they were,
+    # and solving the first problem again gives the same bits
+    model = make_model()
+    rng = np.random.default_rng(5)
+    a_s = 0.05 * rng.uniform(-1.0, 1.0, (3, model.context.n_s))
+    first = model.picard_solve(6.0, a_s)
+    u, deltas = first.u.copy(), first.deltas.copy()
+    for t0, batch in ((7.0, 1), (6.5, 5), (7.0, 3)):
+        model.picard_solve(t0, 0.05 * rng.uniform(-1.0, 1.0, (batch, model.context.n_s)))
+    assert np.array_equal(first.u, u) and np.array_equal(first.deltas, deltas)
+    again = model.picard_solve(6.0, a_s)
+    assert np.array_equal(again.u, u) and np.array_equal(again.deltas, deltas)
+    assert again.residual == first.residual and again.tail_estimate == first.tail_estimate
 
 
 def test_frame_rotations_match_einsum():
