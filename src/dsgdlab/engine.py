@@ -47,6 +47,8 @@ class NoiseModel:
             raise ValueError("gaussian and uniform-sphere noise need a positive scale")
 
     def start(self, n_agents, agent_dim, rotation=None, seed=None):
+        """A stream for `seed` (default: the model's seed), or for each seed
+        of a sequence of row seeds."""
         projector = None
         if self.restrict_to_constraint:
             if rotation is None:
@@ -59,51 +61,65 @@ class NoiseModel:
 
 
 class NoiseStream:
-    """Stateful per-run noise source with one spawned generator per agent."""
+    """Stateful noise source with one spawned generator per (seed, agent).
 
-    def __init__(self, kind, scale, seed, n_agents, agent_dim, projector=None):
+    `seeds` is one seed, whose events have shape (n_agents, agent_dim), or a
+    sequence of row seeds, whose events have shape (rows, n_agents,
+    agent_dim); row r draws exactly what a stream of seeds[r] alone draws.
+    """
+
+    def __init__(self, kind, scale, seeds, n_agents, agent_dim, projector=None):
         self.kind = kind
         self.scale = scale
+        self.rows = None if np.ndim(seeds) == 0 else len(seeds)
         self.n_agents = n_agents
         self.agent_dim = agent_dim
         self.projector = projector
         if kind == "none":
             self._gens = None
         else:
-            children = np.random.SeedSequence(seed).spawn(n_agents)
-            self._gens = [np.random.default_rng(c) for c in children]
+            self._gens = [np.random.default_rng(child)
+                          for seed in np.atleast_1d(seeds)
+                          for child in np.random.SeedSequence(int(seed)).spawn(n_agents)]
 
     def draw(self):
-        """One noise event, shape (n_agents, agent_dim)."""
+        """One noise event."""
         return self.draw_chunk(1)[0]
 
     def draw_chunk(self, count):
-        """count consecutive events, shape (count, n_agents, agent_dim).
+        """count consecutive events, shape (count,) + the event shape.
 
-        Each agent fills its (count, agent_dim) block of one contiguous
-        (n_agents, count, agent_dim) array, which is scaled once and returned
-        as a view. Chunked draws consume each agent generator exactly as
-        repeated single draws do, so chunking never changes realizations.
+        Each (seed, agent) generator fills its (count, agent_dim) block of one
+        contiguous (rows, n_agents, count, agent_dim) buffer, which is scaled
+        once and returned as a strided view. Chunked draws consume each
+        generator exactly as repeated single draws do, so chunking never
+        changes realizations.
         """
+        rows = self.rows or 1
         if self.kind == "none":
-            return np.zeros((count, self.n_agents, self.agent_dim))
-        out = np.empty((self.n_agents, count, self.agent_dim))
-        for gen, block in zip(self._gens, out):
+            out = np.zeros((count, rows, self.n_agents, self.agent_dim))
+            return out if self.rows else out[:, 0]
+        out = np.empty((rows, self.n_agents, count, self.agent_dim))
+        for gen, block in zip(self._gens, out.reshape(-1, count, self.agent_dim)):
             gen.standard_normal(out=block)
         if self.kind == "uniform-sphere":
             norms = np.linalg.norm(out, axis=-1, keepdims=True)
             norms[norms == 0.0] = 1.0
-            out = self.scale * out / norms
+            out *= self.scale
+            out /= norms
         else:
             out *= self.scale
-        out = out.transpose(1, 0, 2)
-        if self.projector is not None:
+        if self.projector is None:
+            out = out.transpose(2, 0, 1, 3)
+        else:
             # a product summed row by row, so a draw's projection does not
             # depend on the chunk size (a BLAS product's summation order can)
-            flat = out.reshape(count, -1)
-            flat = (flat[:, :, None] * self.projector.T).sum(axis=1)
-            out = flat.reshape(count, self.n_agents, self.agent_dim)
-        return out
+            flat = out.transpose(0, 2, 1, 3).reshape(rows, count, -1)
+            for block in flat:
+                block[...] = (block[:, :, None] * self.projector.T).sum(axis=1)
+            out = flat.reshape(rows, count, self.n_agents,
+                               self.agent_dim).transpose(1, 0, 2, 3)
+        return out if self.rows else out[:, 0]
 
 
 def general_step(x, k, loss, q, schedule, noise):
@@ -359,8 +375,9 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
 
     This is the one loop that iterates the recursion; `run` and
     `run_agentwise` are its one-row views. Each seed draws from its own
-    spawned stream, so row s reproduces `run` with that seed up to the BLAS
-    summation order of the wider batch. Diverged rows are frozen at their last
+    spawned streams, so row s reproduces `run` with that seed up to the BLAS
+    summation order of the wider batch; one `draw_chunk` call draws every
+    row's noise for a chunk of steps. Diverged rows are frozen at their last
     finite state and recorded, not fatal; once every row has diverged the loop
     stops, and the remaining checkpoints repeat the frozen rows' metrics.
     step_callback(k, zeta_k, x, active) runs after each step it takes; x is
@@ -387,7 +404,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     if rotation is None:
         rotation = constraint_rotation(q)
     qm = q.matrix
-    streams = [noise.start(n_agents, m // n_agents, rotation, seed=int(s)) for s in seeds]
+    stream = noise.start(n_agents, m // n_agents, rotation, seed=seeds)
 
     points = _record_points(steps, record)
     zeta0 = float(np.sum(schedule.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
@@ -417,10 +434,14 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     rec_idx = 1
 
     def step(x, count, xi, out=None):
-        """The update of every row at step `count` of this run (1-based)."""
-        drive = loss.subgradient(x) + gammas[count - 1] * (x @ qm)
+        """The update of every row at step `count` of this run (1-based);
+        xi is the step's (rows, n_agents, agent_dim) noise, or None."""
+        drive = x @ qm
+        drive *= gammas[count - 1]
+        drive += loss.subgradient(x)
         if xi is not None:
-            drive += xi
+            blocks = drive.reshape(xi.shape)  # a view: matmul returns a C-ordered array
+            blocks += xi
         return np.subtract(x, alphas[count - 1] * drive, out=out)
 
     def serve(count, xs):
@@ -436,8 +457,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     k = 1
     while k <= steps and active.any():
         span = min(chunk, steps - k + 1)
-        xi = [None] * span if noise.kind == "none" else np.stack(
-            [st.draw_chunk(span).reshape(span, m) for st in streams], axis=1)
+        xi = [None] * span if noise.kind == "none" else stream.draw_chunk(span)
         start = x.copy()
         frozen = None if active.all() else ~active
         for j in range(span):

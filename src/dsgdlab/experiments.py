@@ -5,17 +5,15 @@ consolidated manifold verification. `RUNNERS` maps every kind to its setup,
 which reads and checks every key the kind uses and returns the experiment.
 
 Configs are flat INI files (one section per concern); identical configs
-produce byte-identical result records. Seeds run vectorized in chunks
-dispatched to a bounded worker pool (DSGDLAB_WORKERS), and records are
-assembled sorted by seed, so scheduling never changes output.
+produce byte-identical result records. A seed campaign runs its seeds as
+one vectorized batch (split only past DEFAULT_SEED_CHUNK rows), and records
+are assembled sorted by seed.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -54,17 +52,14 @@ from .rectify import (
     rectified_field_spectrum,
     repulsion_check,
 )
-from .schedules import ConstantGamma, Schedule, interpolate_gamma, validate
+from .schedules import ConstantGamma, Schedule, elapsed_times, interpolate_gamma, validate
 
-DEFAULT_SEED_CHUNK = 64
+DEFAULT_SEED_CHUNK = 1024  # rows per batch: a memory cap, not a unit of parallel work
 
 
+# Campaigns run in this process; the benchmark harness still imports this.
 def worker_count():
-    raw = os.environ.get("DSGDLAB_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return min(2, os.cpu_count() or 1)
+    return 1
 
 
 # -- config ------------------------------------------------------------------
@@ -311,16 +306,14 @@ class CampaignResult:
 
 
 def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
-    """Dispatch seed chunks to the bounded pool; reassemble sorted by seed."""
+    """Records of `fn` over the sorted seeds, in seed order. The seeds run in
+    the fewest chunks of at most `chunk` rows, in order; the chunks differ in
+    size by at most one, so with chunk >= 3 no campaign of two or more seeds
+    runs a one-row batch (whose BLAS path, and so whose last bits, differ)."""
     ordered = sorted(seeds)
-    chunks = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
-    if len(chunks) == 1 or worker_count() == 1:
-        parts = [fn(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            parts = list(pool.map(fn, chunks))
-    records = [rec for part in parts for rec in part]
-    return sorted(records, key=lambda r: r["seed"])
+    n_chunks = -(-len(ordered) // chunk)
+    ends = [len(ordered) * i // n_chunks for i in range(n_chunks + 1)]
+    return [rec for lo, hi in zip(ends, ends[1:]) for rec in fn(ordered[lo:hi])]
 
 
 def aggregate(kind, records):
@@ -600,6 +593,21 @@ def setup_drift_stats(config):
     t_end = config.get("drift", "t_end", 10.0, ranged(float, t_start, strict=True))
     model = ManifoldModel(ctx, t_start, t_end,
                           radius=config.get("drift", "validity_radius", 0.3, positive))
+    if not model.psi_is_zero:
+        # psi is solved on a frame starting at each step's time of each window
+        reach = model.picard.horizon + model.picard.tail
+        ends = {k0: k0 + int((factor - 1) * k0) - 1 for k0 in k0_grid}
+        zeta = elapsed_times(schedule, max(ends.values()))
+        for k0, end in ends.items():
+            if zeta[k0] < t_start:
+                raise ConfigError(
+                    f"[drift] k0_grid: the restart at k0 = {k0} is at time "
+                    f"{zeta[k0]:g}, before t_start = {t_start:g}")
+            if zeta[end] + reach > t_end:
+                raise ConfigError(
+                    f"[drift] k0_grid: the window of k0 = {k0} ends at time "
+                    f"{zeta[end]:g}, and its manifold frames reach {reach:g} further, "
+                    f"past t_end = {t_end:g}")
     tau_alpha = schedule.tau_alpha
 
     def experiment():

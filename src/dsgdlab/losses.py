@@ -190,8 +190,9 @@ def _derivative_terms(exponents, coefficients, order):
     return powers, terms
 
 
-def _evaluate(plan, x, *, tail):
-    """Sum a plan's terms at x of shape (..., d) into shape (...) + tail.
+def _evaluate(plan, x, *, tail, width):
+    """Sum a plan's terms at x of shape (..., d) into shape (...) + tail,
+    whose product is width.
 
     Each slot sums from zero in term order and each monomial multiplies its
     factors in coordinate order, as a term-by-term loop does. Powers come from
@@ -203,7 +204,7 @@ def _evaluate(plan, x, *, tail):
     powers = {}
     for i, p in needed:
         powers[i, p] = x[..., i] if p == 1 else powers[i, p - 1] * x[..., i]
-    out = np.zeros(x.shape[:-1] + (int(np.prod(tail)),))
+    out = np.zeros(x.shape[:-1] + (width,))
     term = np.empty(x.shape[:-1])
     for slot, c, factors in terms:
         mono = powers[factors[0]] if factors else 1.0
@@ -227,7 +228,7 @@ def polynomial(exponents, coefficients):
     dim = exponents.shape[1]
     value, subgradient, hessian = (
         partial(_evaluate, _derivative_terms(exponents, coefficients, order),
-                tail=(dim,) * order) for order in range(3))
+                tail=(dim,) * order, width=dim ** order) for order in range(3))
 
     def zero_in(x, tol=1e-9):
         return bool(np.linalg.norm(subgradient(x)) <= tol)

@@ -185,6 +185,11 @@ PROBES = {
     "stacked-init-size": ("saddle_avoidance", [("init", "mode", "stacked"),
                                                ("init", "value", "1 2")]),
     "graph-empty": ("consensus", [("problem", "graph", "path:0")]),
+    # a loss whose psi is solved: every frame must lie in [t_start, t_end]
+    "drift-restart-before-t-start": ("drift_stats", [("problem", "loss", "saddle_quartic"),
+                                                     ("drift", "k0_grid", "250")]),
+    "drift-window-past-t-end": ("drift_stats", [("problem", "loss", "saddle_quartic"),
+                                                ("drift", "k0_grid", "2000")]),
 }
 
 
@@ -430,14 +435,21 @@ def test_shipped_configs_validate():
         assert code == 0, f"{cfg}: {err}"
 
 
-def test_worker_count_env(monkeypatch):
-    from dsgdlab.experiments import worker_count
-    monkeypatch.setenv("DSGDLAB_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DSGDLAB_WORKERS", "bogus")
-    assert worker_count() >= 1
-    monkeypatch.delenv("DSGDLAB_WORKERS")
-    assert worker_count() >= 1
+def test_worker_count_env(monkeypatch, tmp_path):
+    # campaigns run in one process: the old pool-size variable changes nothing
+    outputs = []
+    for value in (None, "3", "bogus"):
+        if value is None:
+            monkeypatch.delenv("DSGDLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("DSGDLAB_WORKERS", value)
+        assert experiments.worker_count() == 1
+        path = write_config(tmp_path, name=f"{value}.ini", out_name=f"out-{value}")
+        code, out, err = run_cli("run", str(path))
+        assert code == 0, err
+        outputs.append([(tmp_path / f"out-{value}" / f).read_bytes()
+                        for f in ("records.tsv", "summary.txt")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_trajectory_record_roundtrip(tmp_path):

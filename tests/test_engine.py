@@ -6,6 +6,7 @@ import pytest
 from dsgdlab.engine import (
     BatchRun,
     NoiseModel,
+    NoiseStream,
     agentwise_step,
     boundedness_probe,
     general_step,
@@ -526,3 +527,54 @@ def test_run_batch_is_the_same_for_every_chunk_size(case):
 def test_run_batch_rejects_an_empty_chunk():
     with pytest.raises(ValueError, match="chunk"):
         _anti_quadratic_batch([1.0], 10, 0, 1e6, NoiseModel())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+@pytest.mark.parametrize("kind, restrict", [("gaussian", False), ("uniform-sphere", False),
+                                            ("gaussian", True)])
+def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk):
+    # x(k+1) = x(k) - alpha_k xi(k+1) exactly: a zero loss and a zero penalty,
+    # with the path graph's rotation so that restricted noise is projected
+    n, d, steps, ceiling = 2, 2, 300, 1.0
+    rotation = constraint_rotation(consensus_penalty(laplacian(path_graph(n)), d))
+    model = NoiseModel(kind, 0.3, 0, restrict)
+    seeds = [3, 11, 0, 7, 5]
+    # rows that start near the ceiling cross it within the run
+    x0 = np.array([0.0, 0.99, 0.2, 0.995, 0.0])[:, None] * np.array([0.5, 0.5, 0.5, 0.5])
+    draws, calls = [], []
+    draw_chunk = NoiseStream.draw_chunk
+
+    def spy(stream, count):
+        out = draw_chunk(stream, count)
+        draws.append(out.copy())
+        return out
+
+    monkeypatch.setattr(NoiseStream, "draw_chunk", spy)
+    batch = run_batch(x0, steps, zero_loss(n * d), penalty_from_matrix(np.zeros((4, 4))),
+                      SCHED, model, seeds, rotation=rotation, ceiling=ceiling, chunk=chunk,
+                      n_agents=n, step_callback=lambda k, zeta, x, active:
+                      calls.append(x.copy()))
+    monkeypatch.undo()
+    assert len(draws) == -(-steps // chunk)
+    drawn = np.concatenate(draws)
+    assert drawn.shape == (steps, len(seeds), n, d)
+    diverged = batch.diverged_at
+    assert np.any(diverged > 0) and np.any(diverged == -1)
+    for row, seed in enumerate(seeds):
+        stream = model.start(n, d, rotation, seed=seed)
+        own = np.concatenate([stream.draw_chunk(len(part)) for part in draws])
+        assert own.tobytes() == drawn[:, row].tobytes()
+        x = x0[row].copy()
+        for k in range(1, steps + 1):
+            new = x - SCHED.alpha(k) * own[k - 1].ravel()
+            if not np.linalg.norm(new) <= ceiling:
+                assert diverged[row] == k
+                break
+            x = new
+            assert calls[k - 1][row].tobytes() == x.tobytes()
+        else:
+            assert diverged[row] == -1
+        # a diverged row stays at its last finite state
+        frozen = calls[diverged[row] - 1:] if diverged[row] > 0 else []
+        assert all(c[row].tobytes() == x.tobytes() for c in frozen)
+        assert batch.final_states[row].tobytes() == x.tobytes()

@@ -119,6 +119,27 @@ def test_seed_order_does_not_change_rows(tmp_path, monkeypatch):
     assert rows[0] == rows[1]
 
 
+def test_seed_record_does_not_depend_on_the_other_seeds():
+    # no seed of either list runs alone in a one-row batch, whose BLAS path differs
+    short = run_experiment(consensus_config(steps=3000, seeds="0:65")).records
+    long = run_experiment(consensus_config(steps=3000, seeds="0:66")).records
+    assert short == long[:65]
+
+
+def test_seed_chunks_are_near_equal(monkeypatch):
+    chunks = experiments._run_seed_chunks
+    sizes = []
+
+    def split_by_four(fn, seeds):
+        return chunks(lambda part: sizes.append(len(part)) or fn(part), seeds, 4)
+
+    whole = run_experiment(consensus_config(steps=3000, seeds="0:5")).records
+    monkeypatch.setattr(experiments, "_run_seed_chunks", split_by_four)
+    split = run_experiment(consensus_config(steps=3000, seeds="0:5")).records
+    assert split == whole
+    assert sorted(sizes) == [2, 3]
+
+
 def critical_config(loss="quadratic_wells", steps=50000, weight=0.3):
     problem = {"loss": loss, "graph": "path:3",
                "anchors": "1.0 0.5; -0.2 0.3; 0.4 -0.1"}
