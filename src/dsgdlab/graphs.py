@@ -124,13 +124,6 @@ class PenaltyMatrix:
     matrix: np.ndarray
     constraint_dim: int
 
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
-    def __matmul__(self, x):
-        return self.matrix @ x
-
 
 def _zero_eig_split(eigvals):
     """Indices of zero eigenvalues under the relative tolerance rule."""
@@ -178,10 +171,6 @@ class ConstraintRotation:
 
     rotation: np.ndarray
     constraint_dim: int
-
-    @property
-    def dimension(self):
-        return self.rotation.shape[0]
 
     @property
     def constraint_basis(self):

@@ -623,15 +623,15 @@ class ManifoldModel:
 
     # -- frames --------------------------------------------------------------
 
-    def frame(self, t0, options=None):
-        opts = options or self.picard
-        key = (round(float(t0), 9), opts.horizon, opts.dt, opts.tail)
+    def frame(self, t0):
+        key = round(float(t0), 9)
         if key not in self._frames:
-            self._frames[key] = self._build_frame(float(t0), opts)
+            self._frames[key] = self._build_frame(float(t0))
         return self._frames[key]
 
-    def _build_frame(self, t0, opts):
+    def _build_frame(self, t0):
         ctx = self.context
+        opts = self.picard
         if t0 < self.t_start - 1e-9:
             raise ValueError(f"t0={t0:g} is before the model span")
         n = int(round((opts.horizon + opts.tail) / opts.dt)) + 1
@@ -711,7 +711,7 @@ class ManifoldModel:
             np.negative(work.unstable.run(x, work.diff), out=out[:, :, :n_u])
         return g_all
 
-    def picard_solve(self, t0, a_s, options=None):
+    def picard_solve(self, t0, a_s):
         """Fixed-point iteration of the manifold integral equation.
 
         a_s is one stable-block initial condition per row, each within a third
@@ -719,7 +719,7 @@ class ManifoldModel:
         and HorizonError when the certified truncation error exceeds tol.
         Every iteration runs in one workspace allocated here.
         """
-        opts = options or self.picard
+        opts = self.picard
         ctx = self.context
         a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
         if a_s.shape[1] != ctx.n_s:
@@ -727,7 +727,7 @@ class ManifoldModel:
         if np.max(np.linalg.norm(a_s, axis=1)) > self.radius / 3.0 + 1e-12:
             raise ContractionError(
                 "stable initial condition outside the contraction radius (r/3)")
-        frame = self.frame(t0, opts)
+        frame = self.frame(t0)
         work = _PicardWork(frame, a_s.shape[0])
         u, new = work.iterates
         np.multiply(work.prop, a_s[:, None, :], out=u[:, :, frame.n_u:])
@@ -772,9 +772,32 @@ class ManifoldModel:
                               a_s, frame.n_u, np.array(deltas), residual, tail_est,
                               tail_start)
 
-    def psi(self, t0, z_s, options=None):
+    def psi(self, t0, z_s):
         """Graph map of the manifold: unstable components over the stable block."""
         z_s = np.atleast_2d(np.asarray(z_s, dtype=float))
         if self.psi_is_zero:
             return np.zeros((z_s.shape[0], self.context.n_u))
-        return self.picard_solve(t0, z_s, options).psi
+        return self.picard_solve(t0, z_s).psi
+
+    # -- the certified region -------------------------------------------------
+
+    def certified(self, z):
+        """Per row of z (rotated coordinates): True where psi is certified,
+        inside the validity ball |z| <= r with the stable block inside the
+        contraction radius |z_s| <= r/3 that picard_solve requires."""
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        norm = np.linalg.norm(z, axis=1)
+        ok = norm <= self.radius
+        # |z_s| <= |z|, so only rows with r/3 < |z| <= r need the second norm
+        check = ok & (norm > self.radius / 3.0)
+        if np.any(check):
+            ok[check] = np.linalg.norm(z[check, self.context.n_u:], axis=1) \
+                <= self.radius / 3.0
+        return ok
+
+    def distance(self, z, t):
+        """Per row of z (rotated coordinates): the distance to the manifold,
+        |z_u - psi(t, z_s)|."""
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        n_u = self.context.n_u
+        return np.linalg.norm(z[:, :n_u] - self.psi(t, z[:, n_u:]), axis=1)

@@ -23,6 +23,10 @@ from .losses import LossOracle
 from .manifold import ManifoldModel, PicardOptions, saddle_context
 from .schedules import ConstantGamma
 
+# eta_before quantile below which points count as on the manifold when fitting
+# the repulsion rate c2
+RATE_FLOOR_QUANTILE = 0.05
+
 
 def _as_batch(z):
     z = np.asarray(z, dtype=float)
@@ -30,7 +34,7 @@ def _as_batch(z):
     return (z[None, :] if single else z), single
 
 
-def rectify_phi(model, z, t, options=None):
+def rectify_phi(model, z, t):
     """Flattening map in rotated coordinates: (z_u - psi(t, z_s); z_s).
 
     Input points must lie inside the validity ball (rotated-frame norm).
@@ -40,11 +44,11 @@ def rectify_phi(model, z, t, options=None):
         raise OutOfBallError("point outside the manifold validity ball")
     out = zb.copy()
     n_u = model.context.n_u
-    out[:, :n_u] -= model.psi(t, zb[:, n_u:], options)
+    out[:, :n_u] -= model.psi(t, zb[:, n_u:])
     return out[0] if single else out
 
 
-def rectify_phi_inverse(model, w, t, options=None, tol=1e-11, max_iter=30):
+def rectify_phi_inverse(model, w, t, tol=1e-11, max_iter=30):
     """Invert the flattening map by fixed-point iteration.
 
     The Jacobian is identity plus the O(|z|) graph slope, so x <- x - (Phi(x)-w)
@@ -53,21 +57,21 @@ def rectify_phi_inverse(model, w, t, options=None, tol=1e-11, max_iter=30):
     wb, single = _as_batch(w)
     x = wb.copy()
     for _ in range(max_iter):
-        r = rectify_phi(model, x, t, options) - wb
+        r = rectify_phi(model, x, t) - wb
         x = x - r
         if np.max(np.abs(r)) < tol:
             return x[0] if single else x
     raise NewtonError("flattening-map inversion did not converge")
 
 
-def eta(model, x, t, options=None):
+def eta(model, x, t):
     """Distance-to-manifold functional in original coordinates.
 
     eta(x, t) = || unstable components of Phi(U(t)(x - g(gamma_t)), t) ||.
     """
     xb, single = _as_batch(x)
     z = model.coordinate_change(xb, t)
-    phi = rectify_phi(model, z, t, options)
+    phi = rectify_phi(model, z, t)
     val = np.linalg.norm(phi[:, : model.context.n_u], axis=1)
     return float(val[0]) if single else val
 
@@ -94,19 +98,18 @@ class RepulsionReport:
                     and len(self.violations) == 0)
 
 
-def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500,
-                    seed=0, options=None, rate_floor_quantile=0.05):
+def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500, seed=0):
     """Sweep one Euler step of the flow and fit the repulsion constants.
 
     For every sampled point, time, and step size, compares eta after the step
     x + eps J(x, t) (evaluated at time t + eps) against eta before. c2_hat is
     the worst relative growth rate on points meaningfully off the manifold;
     c3_hat is the smallest curvature allowance making the inequality hold on
-    every pair. Points leaving the validity ball are censored and counted.
+    every pair. Points outside the model's certified region are censored and
+    counted.
     """
     ctx = model.context
     rng = np.random.default_rng(seed)
-    n_u = ctx.n_u
     before_all, after_all, eps_all = [], [], []
     censored = 0
     for t in np.asarray(t_grid, dtype=float):
@@ -115,24 +118,17 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500,
                     / np.linalg.norm(offsets, axis=1))[:, None]
         xs = ctx.saddle + offsets
         z_before = model.coordinate_change(xs, t)
-        ok_before = (np.linalg.norm(z_before, axis=1) <= model.radius) \
-            & (np.linalg.norm(z_before[:, n_u:], axis=1) <= model.radius / 3.0)
+        ok_before = model.certified(z_before)
         censored += int(np.sum(~ok_before))
-        zb = z_before[ok_before]
-        eta_before = np.linalg.norm(
-            zb[:, :n_u] - model.psi(t, zb[:, n_u:], options), axis=1)
+        eta_before = model.distance(z_before[ok_before], t)
         x_ok = xs[ok_before]
         for eps in np.asarray(epsilon_grid, dtype=float):
             stepped = x_ok + eps * model.drive_field(x_ok, t)
             z_after = model.coordinate_change(stepped, t + eps)
-            ok = (np.linalg.norm(z_after, axis=1) <= model.radius) \
-                & (np.linalg.norm(z_after[:, n_u:], axis=1) <= model.radius / 3.0)
+            ok = model.certified(z_after)
             censored += int(np.sum(~ok))
-            za = z_after[ok]
-            eta_after = np.linalg.norm(
-                za[:, :n_u] - model.psi(t + eps, za[:, n_u:], options), axis=1)
             before_all.append(eta_before[ok])
-            after_all.append(eta_after)
+            after_all.append(model.distance(z_after[ok], t + eps))
             eps_all.append(np.full(int(np.sum(ok)), eps))
 
     before = np.concatenate(before_all)
@@ -140,7 +136,7 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500,
     eps = np.concatenate(eps_all)
     n_pairs = len(before)
 
-    floor = max(1e-9, float(np.quantile(before, rate_floor_quantile)))
+    floor = max(1e-9, float(np.quantile(before, RATE_FLOOR_QUANTILE)))
     mask = before > floor
     rates = (after[mask] - before[mask]) / (eps[mask] * before[mask])
     c2_hat = float(np.min(rates)) if np.any(mask) else np.nan
@@ -149,14 +145,8 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500,
     c3_hat = max(0.0, float(np.max(slack / eps ** 2)))
     bad = after < (1.0 + c2_pos * eps) * before - c3_hat * eps ** 2 - 1e-12
     if c2_hat <= 0:
-        bad |= mask_to_full(mask, rates <= 0)
+        bad[np.flatnonzero(mask)[rates <= 0]] = True
     return RepulsionReport(c2_hat, c3_hat, np.flatnonzero(bad), n_pairs, censored)
-
-
-def mask_to_full(outer_mask, inner_mask):
-    out = np.zeros(len(outer_mask), dtype=bool)
-    out[np.flatnonzero(outer_mask)[inner_mask]] = True
-    return out
 
 
 def moving_frame_field(model, z, t):
@@ -169,11 +159,11 @@ def moving_frame_field(model, z, t):
     return out[0] if single else out
 
 
-def rectified_field(model, w, t, fd_step=1e-4, options=None):
+def rectified_field(model, w, t, fd_step=1e-4):
     """Vector field governing Phi-coordinates: D_x Phi H + D_t Phi at Phi^-1(w)."""
     wb, single = _as_batch(w)
     n_u = model.context.n_u
-    x = rectify_phi_inverse(model, wb, t, options)
+    x = rectify_phi_inverse(model, wb, t)
     h_val = moving_frame_field(model, x, t)
     b = len(wb)
     n_s = model.context.n_s
@@ -184,7 +174,7 @@ def rectified_field(model, w, t, fd_step=1e-4, options=None):
         e[j] = fd_step
         stencil.append(x[:, n_u:] + e)
         stencil.append(x[:, n_u:] - e)
-    psis = model.psi(t, np.concatenate(stencil, axis=0), options)
+    psis = model.psi(t, np.concatenate(stencil, axis=0))
     dpsi = np.empty((b, n_u, n_s))
     for j in range(n_s):
         plus = psis[2 * j * b:(2 * j + 1) * b]
@@ -192,8 +182,8 @@ def rectified_field(model, w, t, fd_step=1e-4, options=None):
         dpsi[:, :, j] = (plus - minus) / (2.0 * fd_step)
     # time slope of the graph at the stable components
     dt_loc = fd_step
-    psi_p = model.psi(t + dt_loc, x[:, n_u:], options)
-    psi_m = model.psi(t - dt_loc, x[:, n_u:], options)
+    psi_p = model.psi(t + dt_loc, x[:, n_u:])
+    psi_m = model.psi(t - dt_loc, x[:, n_u:])
     dpsi_dt = (psi_p - psi_m) / (2.0 * dt_loc)
     out = h_val.copy()
     out[:, :n_u] -= np.einsum("bus,bs->bu", dpsi, h_val[:, n_u:]) + dpsi_dt
@@ -209,7 +199,7 @@ class SpectrumReport:
     max_imag: float
 
 
-def rectified_field_spectrum(model, t_grid, fd_step=1e-4, options=None):
+def rectified_field_spectrum(model, t_grid, fd_step=1e-4):
     """Finite-difference Jacobian spectrum of the rectified field at the origin.
 
     For large t the Jacobian has exactly n_u positive eigenvalues, the rest
@@ -222,10 +212,9 @@ def rectified_field_spectrum(model, t_grid, fd_step=1e-4, options=None):
     n_pos = np.empty(len(t_grid), dtype=int)
     max_imag = 0.0
     for i, t in enumerate(t_grid):
-        cols = []
         basis = fd_step * np.eye(m)
-        plus = rectified_field(model, basis, t, fd_step, options)
-        minus = rectified_field(model, -basis, t, fd_step, options)
+        plus = rectified_field(model, basis, t, fd_step)
+        minus = rectified_field(model, -basis, t, fd_step)
         w_t = (plus - minus).T / (2.0 * fd_step)
         vals = np.linalg.eigvals(w_t)
         max_imag = max(max_imag, float(np.max(np.abs(vals.imag))))
@@ -287,7 +276,7 @@ class FlatteningComparison:
 
 
 def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
-                             sample_ball=0.05, options=None):
+                             sample_ball=0.05):
     """Gap between constraint components of the time-varying flattening and the
     autonomous one, on shared samples; shrinks as t0 grows."""
     ctx = model.context
@@ -300,9 +289,9 @@ def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
     gaps = []
     for t0 in np.asarray(t0_grid, dtype=float):
         z = model.coordinate_change(xs, t0)
-        phi_full = rectify_phi(model, z, t0, options)[:, :d]
+        phi_full = rectify_phi(model, z, t0)[:, :d]
         z_c = auto_model.coordinate_change(xs @ ctx.rotation.constraint_basis, 0.0)
-        phi_star = rectify_phi(auto_model, z_c, 0.0, options)
+        phi_star = rectify_phi(auto_model, z_c, 0.0)
         gaps.append(float(np.max(np.linalg.norm(phi_full - phi_star, axis=1))))
     return FlatteningComparison(np.asarray(t0_grid, dtype=float), np.array(gaps))
 
@@ -314,7 +303,7 @@ class FlatteningDriftProbe:
     dx_phi_gap: np.ndarray       # ||D_x Phi(0, t) - I||
 
 
-def dt_phi_decay_probe(model, t_grid, fd_step=1e-3, options=None):
+def dt_phi_decay_probe(model, t_grid, fd_step=1e-3):
     """Finite-difference time and space derivatives of the flattening at the
     origin; both drift terms decay as the penalty grows."""
     ctx = model.context
@@ -324,11 +313,11 @@ def dt_phi_decay_probe(model, t_grid, fd_step=1e-3, options=None):
     dx_gap = np.empty(len(t_grid))
     zero_s = np.zeros((1, n_s))
     for i, t in enumerate(t_grid):
-        p_plus = model.psi(t + fd_step, zero_s, options)
-        p_minus = model.psi(t - fd_step, zero_s, options)
+        p_plus = model.psi(t + fd_step, zero_s)
+        p_minus = model.psi(t - fd_step, zero_s)
         dt_norm[i] = float(np.linalg.norm((p_plus - p_minus) / (2.0 * fd_step)))
         stencil = np.concatenate([fd_step * np.eye(n_s), -fd_step * np.eye(n_s)])
-        psis = model.psi(t, stencil, options)
+        psis = model.psi(t, stencil)
         dpsi = (psis[:n_s] - psis[n_s:]).T / (2.0 * fd_step)
         dx_gap[i] = float(np.linalg.norm(dpsi))
     return FlatteningDriftProbe(t_grid, dt_norm, dx_gap)

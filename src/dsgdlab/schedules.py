@@ -95,10 +95,6 @@ class PowerLawGamma:
     def derivative(self, t):
         return self.scale * self.exponent * np.asarray(t, dtype=float) ** (self.exponent - 1.0)
 
-    def second_derivative(self, t):
-        r = self.exponent
-        return self.scale * r * (r - 1.0) * np.asarray(t, dtype=float) ** (r - 2.0)
-
     def antiderivative(self, t):
         r1 = self.exponent + 1.0
         return self.scale * np.asarray(t, dtype=float) ** r1 / r1
@@ -112,9 +108,6 @@ class ConstantGamma:
         return self.level * np.ones_like(np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def second_derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def antiderivative(self, t):

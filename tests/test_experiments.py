@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsgdlab import experiments
-from dsgdlab.errors import ConfigError, DsgdLabError
+from dsgdlab.errors import ConfigError, ContractionError, DsgdLabError
 from dsgdlab.experiments import (
     ExperimentConfig,
     build_problem,
@@ -290,6 +290,52 @@ def test_drift_censoring_step_records_nan(monkeypatch):
         assert np.all(censor >= k0)
         assert np.all(np.isnan(s_zero[np.arange(len(censor)), censor - k0]))
         np.testing.assert_array_equal(s_zero, s_solved)
+
+
+def test_drift_solved_psi_censors_rows_past_contraction_radius(monkeypatch):
+    # the quartic's psi is solved, and certified only for |z_s| <= r/3. With
+    # noise that throws rows out of a small ball, rows reach that radius while
+    # still inside the ball: each is censored there with NaN, not handed to
+    # the solver, which refuses it
+    cfg = drift_config(seeds="0:8")
+    cfg.sections["problem"]["loss"] = "saddle_quartic"
+    cfg.sections["noise"]["scale"] = "8.0"
+    cfg.sections["drift"].update(validity_radius="0.02", k0_grid="2000",
+                                 window_factor="1.01", t_end="25")
+    seen = {}
+    restart_series = experiments._restart_series
+
+    def recording(problem, schedule, noise, model, seeds, k0, factor):
+        change, states = model.coordinate_change, []
+
+        def coordinate_change(x, t):
+            states.append((t, change(x, t)))
+            return states[-1][1]
+
+        monkeypatch.setattr(model, "coordinate_change", coordinate_change)
+        seen.update(model=model, states=states)
+        seen["series"] = restart_series(problem, schedule, noise, model, seeds, k0,
+                                        factor)
+        return seen["series"]
+
+    monkeypatch.setattr(experiments, "_restart_series", recording)
+    run_experiment(cfg)
+    model, (series, censor) = seen["model"], seen["series"]
+    assert not model.psi_is_zero
+    r, n_u = model.radius, model.context.n_u
+    refused = 0
+    for row in np.flatnonzero(censor >= 0):
+        step = censor[row] - 2000
+        t, z = seen["states"][step]
+        z = z[row]
+        assert np.isnan(series[row, step])
+        assert np.all(np.isfinite(series[row, :step]))
+        if np.linalg.norm(z) <= r and np.linalg.norm(z[n_u:]) > r / 3.0:
+            refused += 1
+            assert not model.certified(z)[0]
+            with pytest.raises(ContractionError):
+                model.psi(t, z[n_u:])
+    assert refused > 0
 
 
 def test_manifold_verification_quadratic_battery():

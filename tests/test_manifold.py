@@ -332,6 +332,33 @@ def test_picard_rejects_large_initial_condition():
         model.picard_solve(2.0, np.array([[0.5]]))
 
 
+@pytest.mark.parametrize("make_context, psi_is_zero",
+                         [(quad_context, True), (cross_cubic_context, False)])
+def test_certified_region_is_ball_and_contraction_radius(make_context, psi_is_zero):
+    # certified(z) is |z| <= r and |z_s| <= r/3 row by row, whether psi is
+    # known to vanish or is solved; rows on the sphere |z| = r, on |z| = r/3
+    # and on the cylinder |z_s| = r/3 sit on the rule's edges
+    ctx = make_context()
+    model = ManifoldModel(ctx, 4.0, 40.0, PicardOptions(horizon=8.0, dt=0.01, tail=4.0))
+    assert model.psi_is_zero == psi_is_zero
+    r, n_u = model.radius, ctx.n_u
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((500, ctx.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    z = dirs * rng.uniform(0.0, 1.5 * r, 500)[:, None]
+    z[:100] = r * dirs[:100]
+    z[100:200] = r / 3.0 * dirs[100:200]
+    z[200:300, n_u:] *= r / 3.0 / np.linalg.norm(z[200:300, n_u:], axis=1, keepdims=True)
+    expected = (np.linalg.norm(z, axis=1) <= r) \
+        & (np.linalg.norm(z[:, n_u:], axis=1) <= r / 3.0)
+    assert 0 < expected.sum() < len(z)
+    np.testing.assert_array_equal(model.certified(z), expected)
+    # one cached frame per start time, built with the model's Picard options
+    frame = model.frame(5.0)
+    assert model.frame(5.0) is frame
+    assert len(frame.times) == round(12.0 / 0.01) + 1
+
+
 def test_picard_forced_path_runs_and_decays():
     # nonzero stationary path: the forcing term feeds the equation
     ctx = shifted_context()
