@@ -113,46 +113,51 @@ class PerturbedSaddlePath:
     arc_length_estimate: float
 
     def residuals(self, loss, qmat):
-        vals = []
-        for g, pt in zip(self.gamma_grid, self.points):
-            vals.append(np.linalg.norm(loss.subgradient(pt) + g * (qmat @ pt)))
-        return np.array(vals)
+        return np.linalg.norm(_stationarity(loss, qmat, self.gamma_grid, self.points), axis=1)
 
 
-def _newton_stationary(loss, qmat, gamma, start, tol=GRAD_TOL, max_iter=50):
-    x = np.asarray(start, dtype=float).copy()
+def _row_products(mats, v):
+    """mats[i] @ v[i] for every row i as a fixed-order sum of elementwise
+    products, so a row's bits do not depend on how many rows there are.
+    mats is one (M, M) matrix or one per row, (n, M, M); v is (n, M)."""
+    return np.sum(mats * v[:, None, :], axis=-1)
+
+
+def _stationarity(loss, qmat, gammas, x):
+    """grad h(x) + gamma Q x, one penalty level gammas[i] per row of x."""
+    return loss.subgradient(x) + gammas[:, None] * _row_products(qmat, x)
+
+
+def _newton_stationary(loss, qmat, gammas, starts, tol=GRAD_TOL, max_iter=50):
+    """Row-wise Newton solve of grad h(x) + gamma Q x = 0, one penalty level
+    and start per row. Each row stops at its own residual <= tol, so its
+    bits do not depend on the other rows."""
+    x = np.array(starts, dtype=float)
     for _ in range(max_iter):
-        r = loss.subgradient(x) + gamma * (qmat @ x)
-        if np.linalg.norm(r) <= tol:
+        r = _stationarity(loss, qmat, gammas, x)
+        moving = np.linalg.norm(r, axis=1) > tol
+        if not np.any(moving):
             return x
-        jac = loss.hessian(x) + gamma * qmat
+        jac = loss.hessian(x[moving]) + gammas[moving, None, None] * qmat
         try:
-            step = np.linalg.solve(jac, r)
+            step = np.linalg.solve(jac, r[moving, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise DegenerateJacobianError(
-                f"singular penalized Hessian at gamma={gamma:g}") from exc
+            raise DegenerateJacobianError("singular penalized Hessian in a Newton step") from exc
         if not np.all(np.isfinite(step)):
-            raise NewtonError(f"Newton step not finite at gamma={gamma:g}")
-        x = x - step
-    raise NewtonError(f"Newton did not reach residual {tol:g} at gamma={gamma:g}")
+            raise NewtonError("Newton step not finite")
+        x[moving] -= step
+    raise NewtonError(f"Newton did not reach residual {tol:g} at every penalty level")
 
 
 def solve_perturbed_saddle(context, gamma_grid):
-    """Continuation Newton solve of the penalized stationarity condition.
-
-    Warm-starts each penalty level from the previous solution; residuals are
-    driven below 1e-9. The arc length estimate is the polygonal length of the
-    computed path.
-    """
+    """Newton solve of the penalized stationarity condition at every penalty
+    level at once, each from the saddle, to residuals below GRAD_TOL. The arc
+    length estimate is the polygonal length of the computed path."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     if np.any(np.diff(gamma_grid) <= 0):
         raise ValueError("gamma_grid must be increasing")
-    pts = []
-    guess = context.saddle
-    for gamma in gamma_grid:
-        guess = _newton_stationary(context.loss, context.qmat, float(gamma), guess)
-        pts.append(guess.copy())
-    pts = np.array(pts)
+    pts = _newton_stationary(context.loss, context.qmat, gamma_grid,
+                             np.broadcast_to(context.saddle, (len(gamma_grid), context.dim)))
     arc = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
     return PerturbedSaddlePath(gamma_grid, pts, arc)
 
@@ -171,14 +176,10 @@ class SpectralSplit:
     n_u: int
 
 
-def _eigh_descending(a):
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
 def _match_to_previous(prev_modes, w, v):
-    """Permute and sign-fix eigenvector columns to follow the previous frame.
+    """Permute and sign-fix eigenvector columns to follow the previous frames,
+    stacked: prev_modes and v are (n, M, M), w is (n, M), and frame k depends
+    on its own inputs alone. Returns eigenvalues and eigenframes (rows).
 
     The permutation maximizes the summed |overlap| of matched modes. When
     every row's largest |overlap| is above 1/sqrt(2), the rows' argmaxes are
@@ -186,46 +187,60 @@ def _match_to_previous(prev_modes, w, v):
     """
     overlap = prev_modes @ v
     size = np.abs(overlap)
-    rows = np.arange(len(size))
-    perm = np.argmax(size, axis=1)
-    if np.min(size[rows, perm]) <= UNIQUE_MATCH_OVERLAP:
+    frames, rows = np.arange(len(size))[:, None], np.arange(size.shape[1])
+    perm = np.argmax(size, axis=2)
+    chosen = size[frames, rows, perm]
+    for k in np.flatnonzero(np.min(chosen, axis=1) <= UNIQUE_MATCH_OVERLAP):
         from scipy.optimize import linear_sum_assignment
 
-        assigned, cols = linear_sum_assignment(-size)
-        perm[assigned] = cols
-    chosen = size[rows, perm]
+        assigned, cols = linear_sum_assignment(-size[k])
+        perm[k, assigned] = cols
+        chosen[k] = size[k, assigned, cols]
     if np.min(chosen) < MATCH_OVERLAP_FLOOR:
         raise EigvecContinuityError(
             f"eigenvector tracking overlap dropped to {np.min(chosen):.3f}; "
             "continuity of the eigenframe is ambiguous here")
-    signs = np.sign(overlap[rows, perm])
+    signs = np.sign(overlap[frames, rows, perm])
     signs[signs == 0] = 1.0
-    return w[perm], (v[:, perm] * signs).T
+    return w[frames, perm], v.swapaxes(1, 2)[frames, perm] * signs[:, :, None]
+
+
+def _splits(context, times, points, reference_modes):
+    """Penalized Hessians hess h(g) + gamma_t Q at path points g (n, M), and
+    the eigenvalues and eigenframes (rows are eigenvectors) of the flow
+    linearizations A(t) = -(hess h(g) + gamma_t Q), one stacked eigh for all.
+
+    Row k is matched to reference_modes[k]. Without reference frames, the
+    first row is sorted descending (unstable block first) with sign-fixed
+    eigenvectors and each later row is matched to the row before it.
+    Eigenvalues within PARTITION_TOL of zero cannot be assigned a side and
+    raise PartitionError.
+    """
+    times = np.asarray(times, dtype=float)
+    gammas = np.asarray(context.gamma(times), dtype=float)
+    jac = context.loss.hessian(points) + gammas[:, None, None] * context.qmat
+    w, v = np.linalg.eigh(-jac)
+    rows, cols = np.nonzero(np.abs(w) < PARTITION_TOL)
+    if len(rows):
+        raise PartitionError(f"eigenvalue {w[rows[0], cols[0]]:.2e} at "
+                             f"t={times[rows[0]]:g} is too close to zero")
+    if reference_modes is not None:
+        return (jac, *_match_to_previous(reference_modes, w, v))
+    lambdas, modes = np.empty_like(w), np.empty_like(v)
+    order = np.argsort(w[0])[::-1]
+    lambdas[0], modes[0] = w[0, order], _fix_eigvec_signs(v[0][:, order]).T
+    for k in range(1, len(w)):
+        lambdas[k:k + 1], modes[k:k + 1] = _match_to_previous(
+            modes[k - 1:k], w[k:k + 1], v[k:k + 1])
+    return jac, lambdas, modes
 
 
 def linearize(context, t, g_at_t, reference_modes=None):
     """Spectral split of A(t) = -hess h(g_at_t) - gamma_t Q, where g_at_t is
-    the path point g(gamma_t).
-
-    Without a reference frame, eigenvalues are sorted descending (unstable
-    block leads). Eigenvalues within PARTITION_TOL of zero cannot be assigned
-    a side and raise PartitionError.
-    """
-    gamma_t = float(context.gamma(t))
-    a = -context.loss.hessian(g_at_t) - gamma_t * context.qmat
-    if reference_modes is None:
-        w, v = _eigh_descending(a)
-        modes = _fix_eigvec_signs(v).T
-    else:
-        w_raw, v_raw = np.linalg.eigh(a)
-        w, modes = _match_to_previous(reference_modes, w_raw, v_raw)
-    if np.min(np.abs(w)) < PARTITION_TOL:
-        raise PartitionError(
-            f"eigenvalue {w[np.argmin(np.abs(w))]:.2e} at t={t:g} is too close to zero")
-    n_u = int(np.sum(w > 0))
-    if reference_modes is None and not np.all(np.diff(w) <= 0):
-        raise PartitionError("descending eigenvalue ordering failed")
-    return SpectralSplit(float(t), a, modes, w, n_u)
+    the path point g(gamma_t); a one-row view of `_splits`."""
+    jac, w, modes = _splits(context, [t], np.asarray(g_at_t, dtype=float)[None],
+                            None if reference_modes is None else reference_modes[None])
+    return SpectralSplit(float(t), -jac[0], modes[0], w[0], int(np.sum(w[0] > 0)))
 
 
 @dataclass(frozen=True)
@@ -286,11 +301,6 @@ class PicardFrame:
             raise ValueError(f"t={t:g} is not on the frame grid")
         return i
 
-    def cumlam_at(self, t):
-        cols = [np.interp(t, self.times, self.cumlam[:, j])
-                for j in range(self.cumlam.shape[1])]
-        return np.array(cols)
-
 
 def evolution_operator(frame, t1, t2, which):
     """Block-diagonal evolution operator exp(int_{t1}^{t2} Lambda_block).
@@ -310,12 +320,10 @@ def evolution_operator(frame, t1, t2, which):
         idx = slice(0, n_u)
     else:
         raise ValueError("which must be 'stable' or 'unstable'")
-    expo = frame.cumlam_at(t2) - frame.cumlam_at(t1)
-    out = np.zeros((m, m))
     diag = np.zeros(m)
-    diag[idx] = np.exp(expo[idx])
-    np.fill_diagonal(out, diag)
-    return out
+    diag[idx] = np.exp([np.interp(t2, frame.times, c) - np.interp(t1, frame.times, c)
+                        for c in frame.cumlam.T[idx]])
+    return np.diag(diag)
 
 
 def _phi1(a):
@@ -496,18 +504,27 @@ class ManifoldModel:
         self.picard = picard
         self.radius = float(radius)
         self._frames = {}
-        self.fixed_frame = None
-        self._build_reference(ref_points)
+        self.fixed_frame = self.ref_times = None
+        # the reference track runs backward from the largest penalty, where
+        # the path is closest to the saddle
+        times = np.linspace(self.t_start, self.t_end, ref_points)
+        points, _, modes, _ = self._track(times[::-1])
+        self.ref_times, self.ref_g, self.ref_modes = times, points[::-1], modes[::-1]
         self._detect_structure()
 
     # -- the tracked path ----------------------------------------------------
 
-    def _track(self, times, g, modes):
+    def _track(self, times):
         """(path points g(gamma_t), eigenvalues, eigenframes U(t), forcing
-        U g'(gamma_t) gammadot_t) at `times`, each time continued from the one
-        before: Newton warm-started at the previous point, eigenvectors
-        matched to the previous frame. g and modes are the point and frame
-        the first time continues from.
+        U g'(gamma_t) gammadot_t) at `times`, all rows at once.
+
+        Each row's Newton solve starts from, and its eigenvectors are matched
+        to, the reference point and frame at or after its own time, so with
+        an oracle that acts row by row, a row's bits do not depend on the
+        other rows. While the reference track itself is built, Newton starts
+        at the saddle and each row is matched to the row before it, the first
+        sorted descending. Every tracked row must keep the saddle's sign
+        pattern, n_u positive eigenvalues first.
 
         A fixed frame (g = saddle, constant U) needs no tracking: there the
         eigenvalues are affine in gamma and the forcing is zero.
@@ -523,38 +540,21 @@ class ManifoldModel:
             return (np.tile(ctx.saddle, (n, 1)),
                     base[None, :] - gammas[:, None] * qdiag[None, :],
                     np.broadcast_to(u, (n, m, m)), np.zeros((n, m)))
-        gdot = ctx.gamma.derivative(times)
-        points, lambdas, frames, forcing = (np.empty((n, m)), np.empty((n, m)),
-                                            np.empty((n, m, m)), np.empty((n, m)))
-        for i, t in enumerate(times):
-            g = _newton_stationary(ctx.loss, ctx.qmat, gammas[i], g)
-            split = linearize(ctx, t, g, reference_modes=modes)
-            modes = split.modes
-            points[i], lambdas[i], frames[i] = g, split.lambdas, modes
-            jac = ctx.loss.hessian(g) + gammas[i] * ctx.qmat
-            g_prime = -np.linalg.solve(jac, ctx.qmat @ g)
-            forcing[i] = modes @ (g_prime * float(gdot[i]))
-        return points, lambdas, frames, forcing
-
-    def _build_reference(self, ref_points):
-        ctx = self.context
-        times = np.linspace(self.t_start, self.t_end, ref_points)
-        # continuation runs backward from the largest penalty, where the path
-        # is closest to the saddle
-        g_end = _newton_stationary(ctx.loss, ctx.qmat, float(ctx.gamma(times[-1])),
-                                   ctx.saddle)
-        anchor = linearize(ctx, times[-1], g_end)
-        if anchor.n_u != ctx.n_u:
-            raise PartitionError(
-                f"anchor split found {anchor.n_u} unstable directions, expected {ctx.n_u}")
-        points, lambdas, modes, _ = self._track(times[::-1], g_end, anchor.modes)
+        if self.ref_times is None:
+            starts, refs = np.broadcast_to(ctx.saddle, (n, m)), None
+        else:
+            i = np.clip(np.searchsorted(self.ref_times, times), 1, len(self.ref_times) - 1)
+            starts, refs = self.ref_g[i], self.ref_modes[i]
+        points = _newton_stationary(ctx.loss, ctx.qmat, gammas, starts)
+        jac, lambdas, frames = _splits(ctx, times, points, refs)
         if np.any(lambdas[:, : ctx.n_u] <= 0) or np.any(lambdas[:, ctx.n_u:] >= 0):
             raise PartitionError(
-                "sign pattern of the tracked split is not stable over the model span; "
-                "raise t_start")
-        self.ref_times = times
-        self.ref_g = points[::-1]
-        self.ref_modes = modes[::-1]
+                f"split sign pattern unstable between t={np.min(times):g} and "
+                f"t={np.max(times):g}: it is not the saddle's; raise t_start")
+        g_prime = -np.linalg.solve(jac, _row_products(ctx.qmat, points)[:, :, None])[:, :, 0]
+        gdot = np.asarray(ctx.gamma.derivative(times), dtype=float)
+        forcing = _row_products(frames, g_prime * gdot[:, None])
+        return points, lambdas, frames, forcing
 
     def _detect_structure(self):
         ctx = self.context
@@ -579,12 +579,6 @@ class ManifoldModel:
         scale = max(1.0, float(np.max(np.abs(hess))))
         self.psi_is_zero = float(np.max(np.abs(lin_err))) <= 1e-12 * scale
 
-    def _reference_start(self, t):
-        """Reference point and frame to continue the path from toward t: the
-        first reference time at or after t, clipped to the track."""
-        i = int(np.clip(np.searchsorted(self.ref_times, t), 1, len(self.ref_times) - 1))
-        return self.ref_g[i], self.ref_modes[i]
-
     # -- coordinate machinery ----------------------------------------------
 
     def _frame_at(self, t):
@@ -592,7 +586,7 @@ class ManifoldModel:
         # returns before any gamma evaluation: a drift campaign asks once per step
         if self.fixed_frame is not None:
             return self.fixed_frame, self.context.saddle
-        g, _, modes, _ = self._track([t], *self._reference_start(t))
+        g, _, modes, _ = self._track([t])
         return Frame(modes[0]), g[0]
 
     def coordinate_change(self, x, t):
@@ -612,14 +606,10 @@ class ManifoldModel:
 
     def local_linearization(self, t, fd_step=1e-4):
         """(lambdas, modes, mode rate, forcing, path point) at a single time.
-        The mode rate is a central difference of the frames at t +- fd_step,
-        both continued from the frame at t."""
-        g, lam, modes, forcing = (row[0] for row in
-                                  self._track([t], *self._reference_start(t)))
-        _, _, plus, _ = self._track([t + fd_step], g, modes)
-        _, _, minus, _ = self._track([t - fd_step], g, modes)
-        mode_rate = ((plus[0] - minus[0]) / (2.0 * fd_step)) @ modes.T
-        return lam, modes, mode_rate, forcing, g
+        The mode rate is a central difference of the frames at t +- fd_step."""
+        g, lam, modes, forcing = self._track([t - fd_step, t, t + fd_step])
+        mode_rate = ((modes[2] - modes[0]) / (2.0 * fd_step)) @ modes[1].T
+        return lam[1], modes[1], mode_rate, forcing[1], g[1]
 
     # -- frames --------------------------------------------------------------
 
@@ -638,10 +628,7 @@ class ManifoldModel:
         times = t0 + opts.dt * np.arange(n)
         if times[-1] > self.t_end + 1e-9:
             raise ValueError("frame grid exceeds the model span; extend t_end")
-        g_path, lam, modes, forcing = self._track(times, *self._reference_start(t0))
-        if np.any(lam[:, : ctx.n_u] <= 0) or np.any(lam[:, ctx.n_u:] >= 0):
-            raise PartitionError(
-                f"split sign pattern unstable inside the frame starting at t0={t0:g}")
+        g_path, lam, modes, forcing = self._track(times)
         cumlam = np.zeros((n, ctx.dim))
         cumlam[1:] = np.cumsum(0.5 * (lam[1:] + lam[:-1]) * opts.dt, axis=0)
         rotation, mode_rate = Frame(modes[0]), None

@@ -37,11 +37,15 @@ def _as_batch(z):
 def rectify_phi(model, z, t):
     """Flattening map in rotated coordinates: (z_u - psi(t, z_s); z_s).
 
-    Input points must lie inside the validity ball (rotated-frame norm).
+    Input points must lie where psi is certified: inside the validity ball
+    (rotated-frame norm), and when psi is solved, with the stable block
+    inside the contraction radius too (`ManifoldModel.certified`).
     """
     zb, single = _as_batch(z)
-    if np.max(np.linalg.norm(zb, axis=1)) > model.radius + 1e-12:
-        raise OutOfBallError("point outside the manifold validity ball")
+    inside = np.linalg.norm(zb, axis=1) <= model.radius + 1e-12 if model.psi_is_zero \
+        else model.certified(zb)
+    if not np.all(inside):
+        raise OutOfBallError("point outside the region where the manifold map is certified")
     out = zb.copy()
     n_u = model.context.n_u
     out[:, :n_u] -= model.psi(t, zb[:, n_u:])

@@ -496,3 +496,19 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_manifold_run_with_a_failed_solve_exits_2(tmp_path, monkeypatch):
+    # the decay-rate fit needs the Picard solve from a_scale e_1, so a
+    # failed solve ends the run: exit 2, the solver's error, no report
+    from dsgdlab.errors import ContractionError
+
+    def failing(model, t0, a_s):
+        raise ContractionError("stopped contracting")
+
+    monkeypatch.setattr(experiments.ManifoldModel, "picard_solve", failing)
+    config = Path(__file__).parents[1] / "configs" / "manifold_shifted.ini"
+    code, _, err = run_cli("run", str(config), "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "experiment failed: ContractionError: stopped contracting\n"
+    assert not (tmp_path / "out" / "report.txt").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsgdlab import experiments
-from dsgdlab.errors import ConfigError, ContractionError, DsgdLabError
+from dsgdlab.errors import ConfigError, ContractionError
 from dsgdlab.experiments import (
     ExperimentConfig,
     build_problem,
@@ -373,31 +373,34 @@ def _pinned(got, want, where):
         assert got == pytest.approx(want, rel=1e-12), where
 
 
-@pytest.mark.parametrize("battery", ["cross-cubic", "quadratic"])
-def test_manifold_battery_report_is_pinned(battery):
-    # every field of the 20-sample reports, as committed in the data file
+@pytest.mark.parametrize("battery", ["cross-cubic", "quadratic", "shifted"])
+def test_manifold_battery_report_is_pinned(battery, monkeypatch):
+    # every field of the 20-sample reports, as committed in the data file;
+    # the picard check and the decay-rate fit share one solve from a_scale e_1
+    solve = experiments.ManifoldModel.picard_solve
+    starts = []
+
+    def counted(model, t0, a_s):
+        starts.append(np.asarray(a_s, dtype=float))
+        return solve(model, t0, a_s)
+
+    monkeypatch.setattr(experiments.ManifoldModel, "picard_solve", counted)
     pinned = json.loads((DATA / "manifold_reports_n20.json").read_text())[battery]
     cfg = make_config("manifold-verify", problem={"battery": battery},
                       schedule=SCHED, manifold={"n_samples": 20})
-    _pinned(json.loads(json.dumps(run_experiment(cfg), default=_plain)), pinned, battery)
-
-
-def test_manifold_verification_shifted_battery_picard(monkeypatch):
-    # the forced saddle path offsets the graph, psi(t0, 0) != 0; the tangency
-    # fit measures from it, so the offset alone fails nothing. The sweeps of
-    # the other checks take about a minute on this battery and are stubbed.
-    def stub(*args, **kwargs):
-        raise DsgdLabError("stubbed")
-
-    for name in ("repulsion_check", "rectified_field_spectrum", "autonomous_restriction"):
-        monkeypatch.setattr(experiments, name, stub)
-    cfg = make_config("manifold-verify", problem={"battery": "shifted"},
-                      schedule=SCHED, manifold={"n_samples": 20})
     report = run_experiment(cfg)
-    assert not report["battery"]["psi_is_zero"]
-    assert report["picard"]["passed"]
-    assert report["picard"]["tangency_slope"] == 0.0
-    assert report["repulsion"] == {"passed": False, "error": "DsgdLabError: stubbed"}
+    _pinned(json.loads(json.dumps(report, default=_plain)), pinned, battery)
+    a_scale = 0.1 * 0.3   # a tenth of the batteries' validity radius
+    e_1 = np.eye(1, starts[0].shape[1])
+    assert sum(np.array_equal(a_s, a_scale * e_1) for a_s in starts) == 1
+    if battery == "shifted":
+        # the full battery on the moving eigenframe of the forced saddle path,
+        # which offsets the graph, psi(t0, 0) != 0; the tangency fit measures
+        # from it, so the offset alone fails nothing
+        assert not report["battery"]["psi_is_zero"]
+        assert report["picard"]["passed"]
+        assert report["picard"]["tangency_slope"] == 0.0
+        assert report["overall"]["passed"]
 
 
 def test_manifold_verification_rejects_degenerate_saddle():

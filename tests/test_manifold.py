@@ -14,6 +14,7 @@ from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
 from dsgdlab.manifold import (
     MATCH_OVERLAP_FLOOR,
     SCAN_SPAN,
+    Frame,
     ManifoldModel,
     PicardOptions,
     _decay_scan,
@@ -162,14 +163,19 @@ def test_match_to_previous_is_the_exact_assignment(m, seed, angle, eps):
     signed = np.eye(m)[rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
     v = prev.T @ (signed @ turn @ (q * np.sign(np.diag(r))))
     w = np.arange(m, dtype=float)
+    # the case is one frame of a stack, between two that match trivially
+    plain = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    stack = (np.stack([plain, prev, plain]), np.stack([w, w, w]),
+             np.stack([plain.T, v, plain.T]))
     try:
         want = _assignment_match(prev, w, v)
     except EigvecContinuityError:
         with pytest.raises(EigvecContinuityError):
-            _match_to_previous(prev, w, v)
+            _match_to_previous(*stack)
         return
-    got = _match_to_previous(prev, w, v)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = _match_to_previous(*stack)
+    assert np.array_equal(got[0][1], want[0]) and np.array_equal(got[1][1], want[1])
+    assert np.array_equal(got[1][0], plain) and np.array_equal(got[1][2], plain)
 
 
 def test_linearize_quadratic_q0():
@@ -494,18 +500,27 @@ def test_fixed_frame_closed_form_matches_linearize(make_ctx):
                           PicardOptions(horizon=10.0, dt=0.005, tail=5.0)),
 ], ids=["shifted", "cross-cubic"])
 def test_local_linearization_matches_frame_row(make_model):
-    # one tracker serves both: the point continued from the reference track
-    # at a grid time is the frame's row there
+    # one tracker serves both, and a tracked row's bits depend on its time
+    # alone: at a grid time the linearization, and the coordinate change, use
+    # the frame's row there bit for bit
     model = make_model()
     frame = model.frame(6.0)
     last = len(frame.times) - 1
+    rng = np.random.default_rng(3)
+    x = model.context.saddle + 0.05 * rng.standard_normal((4, model.context.dim))
     for i in (0, 1, 250, last // 2, last - 1, last):
         lam, modes, mode_rate, forcing, g_t = model.local_linearization(frame.times[i])
         modes_i = frame.rotation.matrices if frame.mode_rate is None \
             else frame.rotation.matrices[i]
         for got, want in ((lam, frame.lambdas[i]), (modes, modes_i),
                           (forcing, frame.forcing[i]), (g_t, frame.g_path[i])):
-            assert np.max(np.abs(got - want)) <= 1e-9
+            assert np.array_equal(got, want)
+        z = model.coordinate_change(x, frame.times[i])
+        assert np.array_equal(z, Frame(modes_i).rotate(x - frame.g_path[i]))
+        if frame.mode_rate is not None:
+            # a tracked row's stacked split is the one-point split of its point
+            split = linearize(model.context, frame.times[i], g_t, reference_modes=modes_i)
+            assert np.array_equal(split.lambdas, lam) and np.array_equal(split.modes, modes_i)
         rate_i = 0.0 if frame.mode_rate is None else frame.mode_rate.matrices[i]
         # the frame's rate is a difference of step dt, second order inside
         # the grid and first order at its ends; a fixed frame's is exactly 0

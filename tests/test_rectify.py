@@ -108,6 +108,17 @@ def test_eta_out_of_ball():
         eta(model, np.array([5.0, 5.0]), 5.0)
 
 
+def test_phi_refuses_rows_psi_cannot_certify():
+    # inside the validity ball (r = 0.3) but past the contraction radius
+    # r/3 of a solved psi: the map refuses the row before the solver does
+    model = cross_model()
+    with pytest.raises(OutOfBallError):
+        rectify_phi(model, [0.0, 0.2], 2.0)
+    with pytest.raises(OutOfBallError):
+        rectify_phi(model, np.array([[0.0, 0.05], [0.0, 0.2]]), 2.0)
+    assert rectify_phi(model, [0.0, 0.05], 2.0)[1] == 0.05
+
+
 def test_distance_slice_properties():
     rng = np.random.default_rng(1)
     for _ in range(20):
