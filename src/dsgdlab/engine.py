@@ -15,7 +15,6 @@ views, and `general_step`/`agentwise_step` are the single-step references.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -122,6 +121,24 @@ class NoiseStream:
         return out if self.rows else out[:, 0]
 
 
+def row_norms(x):
+    """Euclidean norms over the last axis of x, bit-equal to
+    `np.linalg.norm(x, axis=-1)`.
+
+    Below 8 columns numpy's sum runs left to right, so in-place column adds
+    give the same bits at a fraction of the cost; from 8 on its pairwise
+    order differs, and the norm is numpy's own.
+    """
+    x = np.asarray(x, dtype=float)
+    if not 0 < x.shape[-1] < 8:
+        return np.linalg.norm(x, axis=-1)
+    out = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
+    term = np.empty_like(out)
+    for j in range(1, x.shape[-1]):
+        out += np.square(x[..., j], out=term)
+    return np.sqrt(out, out=out)
+
+
 def general_step(x, k, loss, q, schedule, noise):
     """One update of the penalized recursion; consumes one noise event."""
     if k < 1:
@@ -207,17 +224,18 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
     m = len(x0)
     if rotation is None:
         rotation = constraint_rotation(q)
-    states, callback = None, None
+    states, observer = None, None
     if record_state:
         wanted = set(_record_points(steps, record))
         states = [x0.copy()]
 
-        def callback(k, zeta, x, active):
+        @per_step
+        def observer(k, zeta, x, active):
             if k in wanted:
                 states.append(x[0].copy())
 
     batch = run_batch(x0, steps, loss, q, schedule, noise, [noise.seed], record=record,
-                      ceiling=ceiling, rotation=rotation, step_callback=callback,
+                      ceiling=ceiling, rotation=rotation, observer=observer,
                       n_agents=n_agents)
     if batch.diverged_at[0] >= 0:
         raise DivergedError(int(batch.diverged_at[0]))
@@ -349,6 +367,15 @@ def technical_inner_product(x, v, q, alpha_k, gamma_k):
     return float(np.dot(x - 0.5 * alpha_k * (np.asarray(v) - gamma_k * qx), w))
 
 
+def per_step(callback):
+    """A `run_batch` observer that calls callback(k, zeta_k, x, active) once
+    per step, in step order, with that step's (rows, m) states."""
+    def observer(k_first, zetas, states, active):
+        for j, (zeta, x) in enumerate(zip(zetas, states)):
+            callback(k_first + j, zeta, x, active)
+    return observer
+
+
 @dataclass
 class BatchRun:
     """Vectorized multi-seed run: per-seed rows of checkpointed metrics."""
@@ -370,7 +397,7 @@ class BatchRun:
 
 def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
               record="geometric", ceiling=DIVERGENCE_CEILING, rotation=None,
-              chunk=256, step_callback=None, n_agents=1, k_start=1):
+              chunk=256, observer=None, n_agents=1, k_start=1):
     """Run one seed per row of a vectorized batch of the general recursion.
 
     This is the one loop that iterates the recursion; `run` and
@@ -380,15 +407,19 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     row's noise for a chunk of steps. Diverged rows are frozen at their last
     finite state and recorded, not fatal; once every row has diverged the loop
     stops, and the remaining checkpoints repeat the frozen rows' metrics.
-    step_callback(k, zeta_k, x, active) runs after each step it takes; x is
-    valid only during the call (it is reused for later steps), so a callback
-    copies what it keeps and never writes to it. k_start shifts the schedule
-    index (restart experiments resume mid-schedule).
+    observer(k_first, zetas, states, active) sees every step taken: once per
+    chunk with the chunk's (span, rows, m) states, the schedule index
+    k_first of its first step, the elapsed times zetas after each step and
+    the rows' active mask; in a replayed chunk once per step, with span 1.
+    `states` and `active` are valid only during the call (later steps reuse
+    them), so an observer copies what it keeps and never writes to them;
+    `per_step` adapts a per-step callback. k_start shifts the schedule index
+    (restart experiments resume mid-schedule).
 
     Steps run `chunk` at a time. Divergence and the sup-norm are checked once
     per chunk on the chunk's stored states; a chunk in which some row crossed
-    the ceiling is replayed step by step from its start, so every result,
-    callbacks included, is the same for any chunk size.
+    the ceiling is replayed step by step from its start, so every result, and
+    the observed sequence flattened per step, is the same for any chunk size.
     """
     seeds = np.asarray(list(seeds), dtype=int)
     s_count = len(seeds)
@@ -445,12 +476,14 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
         return np.subtract(x, alphas[count - 1] * drive, out=out)
 
     def serve(count, xs):
-        """Callback and checkpoint after step `count`, whose states are xs."""
+        """Observer and checkpoints after the steps from `count` on, whose
+        states are xs, (span, rows, m)."""
         nonlocal rec_idx
-        if step_callback is not None:
-            step_callback(k_start + count - 1, zeta_all[count], xs, active)
-        if rec_idx < n_rec and count == points[rec_idx]:
-            cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = metrics(xs)
+        if observer is not None:
+            observer(k_start + count - 1, zeta_all[count:count + len(xs)], xs, active)
+        while rec_idx < n_rec and points[rec_idx] < count + len(xs):
+            cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = \
+                metrics(xs[points[rec_idx] - count])
             rec_idx += 1
 
     states = np.empty((min(chunk, steps), s_count, m))
@@ -464,13 +497,13 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             x = step(x, k + j, xi[j], out=states[j])
             if frozen is not None:
                 x[frozen] = start[frozen]
-        norms = np.linalg.norm(states[:span], axis=2)
+        norms = row_norms(states[:span])
         if (active & ~(norms <= ceiling)).any():
             # some row crossed the ceiling: replay the chunk one checked step at a time
             x = start
             for j in range(span):
                 x_new = step(x, k + j, xi[j])
-                norms = np.linalg.norm(x_new, axis=1)
+                norms = row_norms(x_new)
                 bad = active & ~(norms <= ceiling)
                 if bad.any():
                     diverged_at[bad] = k_start + k + j - 1
@@ -479,14 +512,10 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
                         break
                 x = np.where(active[:, None], x_new, x)
                 np.maximum(sup_norm, norms, out=sup_norm, where=active)
-                serve(k + j, x)
+                serve(k + j, x[None])
         else:
             np.maximum(sup_norm, norms.max(axis=0), out=sup_norm, where=active)
-            served = range(span)
-            if step_callback is None:  # only the chunk's checkpoints
-                served = [p - k for p in points[rec_idx:bisect_left(points, k + span)]]
-            for j in served:
-                serve(k + j, states[j])
+            serve(k, states[:span])
         k += span
     x = x.copy()  # not a view of the state buffer
     if rec_idx < n_rec:

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .engine import NoiseModel, run_batch
+from .engine import NoiseModel, row_norms, run_batch
 from .errors import ConfigError, DsgdLabError
 from .graphs import (
     complete_graph,
@@ -469,21 +469,34 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
     s_series = np.full((n_seeds, steps), np.nan)
     censor = np.full(n_seeds, -1, dtype=int)
     n_u = model.context.n_u
+    z_buf = None
 
-    def callback(kk, zeta, x, active):
-        z = model.coordinate_change(x, float(zeta))
-        certified = model.certified(z)
-        censor[(censor < 0) & ~certified & active] = kk
-        # S is recorded only for active rows not yet censored, so a row's
-        # censoring step records NaN whichever way psi is found
-        ok = certified & active & (censor < 0)
+    def observer(k_first, zetas, states, active):
+        nonlocal z_buf
+        span = len(zetas)
+        if z_buf is None or len(z_buf) < span:
+            # one buffer for every chunk: a fresh one per chunk would be
+            # paged in anew each time
+            z_buf = np.empty(states.shape)
+        z = model.coordinate_change(states, zetas, out=z_buf[:span])
+        # each live row is censored at its first uncertified step; S is
+        # recorded only for live rows before that step, so a row's censoring
+        # step records NaN whichever way psi is found
+        live = (censor < 0) & active
+        left = ~model.certified(z) & live
+        hit = left.any(axis=0)
+        first = np.where(hit, np.argmax(left, axis=0), span)
+        censor[hit] = k_first + first[hit]
+        ok = live & (np.arange(span)[:, None] < first)
+        cols = s_series[:, k_first - k0:k_first - k0 + span]
         if model.psi_is_zero:
-            s_series[:, kk - k0] = np.where(ok, np.linalg.norm(z[:, :n_u], axis=1), np.nan)
-        elif np.any(ok):
-            s_series[ok, kk - k0] = model.distance(z[ok], float(zeta))
+            cols[...] = np.where(ok, row_norms(z[:, :, :n_u]), np.nan).T
+        else:
+            for j in np.flatnonzero(ok.any(axis=1)):
+                cols[ok[j], j] = model.distance(z[j, ok[j]], float(zetas[j]))
 
     run_batch(np.tile(saddle, (n_seeds, 1)), steps, problem.assembled, problem.q,
-              schedule, noise, seeds, k_start=k0, step_callback=callback,
+              schedule, noise, seeds, k_start=k0, observer=observer,
               record=max(steps, 1))
     return s_series, censor
 
@@ -537,28 +550,55 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
     return out
 
 
-def _drift_record(seed, k0, s_row, censored_at, thresh, band_lo, band_hi, radius):
-    """One seed's excursion and band drift sums after the restart at k0."""
-    finite = np.isfinite(s_row)
-    sup_s = float(np.nanmax(s_row)) if finite.any() else radius
-    if censored_at >= 0:
-        sup_s = max(sup_s, radius)  # ball exit is a large excursion
-    x_incr = np.diff(s_row)
-    pair_ok = finite[:-1] & finite[1:]
-    bands = {"lo": pair_ok & (s_row[:-1] < band_lo),
-             "mid": pair_ok & (s_row[:-1] >= band_lo) & (s_row[:-1] <= band_hi),
-             "hi": pair_ok & (s_row[:-1] > band_hi)}
-    crossing = np.flatnonzero(finite & (s_row > thresh))
-    returned = False
-    if len(crossing):
-        after = s_row[crossing[0]:]
-        returned = bool(np.any(np.isfinite(after) & (after < 0.5 * thresh)))
-    record = {"seed": int(seed), "k0": int(k0), "sup_s": sup_s}
+def _drift_records(seeds, k0, series, censor, thresh, band_lo, band_hi, radius):
+    """Each seed's excursion and band drift sums after the restart at k0, from
+    the window's (seeds, steps) S series."""
+    finite = np.isfinite(series)
+    # np.nanmax's own reduction, without its warning on all-NaN rows
+    sup_s = np.where(finite.any(axis=1), np.fmax.reduce(series, axis=1), radius)
+    # a ball exit is a large excursion
+    sup_s = np.where(censor >= 0, np.maximum(sup_s, radius), sup_s)
+    x_incr = np.diff(series, axis=1)
+    pair_ok = finite[:, :-1] & finite[:, 1:]
+    before = series[:, :-1]
+    bands = {"lo": pair_ok & (before < band_lo),
+             "mid": pair_ok & (before >= band_lo) & (before <= band_hi),
+             "hi": pair_ok & (before > band_hi)}
+    columns = {"seed": [int(seed) for seed in seeds], "k0": [int(k0)] * len(seeds),
+               "sup_s": sup_s.tolist()}
     for band, mask in bands.items():
-        record[f"sum_x_{band}"] = float(np.sum(x_incr[mask])) if mask.any() else 0.0
-        record[f"count_{band}"] = int(mask.sum())
-    return {**record, "crossed": bool(len(crossing)), "returned": returned,
-            "censored_at": int(censored_at)}
+        counts = mask.sum(axis=1)
+        # np.sum over each row's own compressed increments: one reduction
+        # over the whole block would add them in another order
+        flat, ends = x_incr[mask], np.cumsum(counts).tolist()
+        columns[f"sum_x_{band}"] = [float(np.sum(flat[lo:hi]))
+                                    for lo, hi in zip([0, *ends], ends)]
+        columns[f"count_{band}"] = counts.tolist()
+    above = finite & (series > thresh)
+    crossed = above.any(axis=1)
+    first = np.where(crossed, np.argmax(above, axis=1), series.shape[1])
+    after = np.arange(series.shape[1]) >= first[:, None]
+    returned = (after & finite & (series < 0.5 * thresh)).any(axis=1)
+    columns.update(crossed=crossed.tolist(), returned=returned.tolist(),
+                   censored_at=censor.tolist())
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _band_edges(all_series, lo_q, hi_q):
+    """Mid-band edges from the pooled positive distance values of every
+    window: above the noise-fold core near zero, below the excursion tail."""
+    series = [s for s, _ in all_series.values()]
+    masks = [(s > 0) & (s < np.inf) for s in series]
+    ends = np.cumsum([0] + [np.count_nonzero(m) for m in masks]).tolist()
+    if not ends[-1]:
+        return 0.0, 0.0
+    # filled window by window and partitioned in place, so that one copy of
+    # the pooled values is alive at a time
+    pooled = np.empty(ends[-1])
+    for s, mask, lo, hi in zip(series, masks, ends, ends[1:]):
+        pooled[lo:hi] = s[mask]
+    band_lo, band_hi = np.quantile(pooled, [lo_q, hi_q], overwrite_input=True).tolist()
+    return band_lo, band_hi
 
 
 def setup_drift_stats(config):
@@ -607,20 +647,14 @@ def setup_drift_stats(config):
     def experiment():
         all_series = {k0: _restart_series(problem, schedule, noise, model, seeds, k0,
                                           factor) for k0 in k0_grid}
-        # mid-band edges from the pooled distance values: above the
-        # noise-fold core near zero, below the excursion tail
-        pooled = np.concatenate([s[np.isfinite(s)] for s, _ in all_series.values()])
-        pooled = pooled[pooled > 0]
-        band_lo, band_hi = (float(np.quantile(pooled, q)) if len(pooled) else 0.0
-                            for q in (lo_q, hi_q))
+        band_lo, band_hi = _band_edges(all_series, lo_q, hi_q)
         c_fit = float(np.median([np.median(np.nanmax(
             np.where(np.isfinite(s), s, model.radius), axis=1))
             / k0 ** (0.5 - tau_alpha) for k0, (s, _) in all_series.items()]))
-        records = [_drift_record(seed, k0, series[row], censor[row],
-                                 c_fit * k0 ** (0.5 - tau_alpha), band_lo, band_hi,
-                                 model.radius)
-                   for k0, (series, censor) in all_series.items()
-                   for row, seed in enumerate(seeds)]
+        records = [rec for k0, (series, censor) in all_series.items()
+                   for rec in _drift_records(seeds, k0, series, censor,
+                                             c_fit * k0 ** (0.5 - tau_alpha),
+                                             band_lo, band_hi, model.radius)]
 
         def summarize(recs):
             return {**drift_aggregate(recs, band_lo, band_hi, tau_alpha, k0_grid),

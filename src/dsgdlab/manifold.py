@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import row_norms
 from .errors import (
     ContractionError,
     DegenerateJacobianError,
@@ -589,10 +590,27 @@ class ManifoldModel:
         g, _, modes, _ = self._track([t])
         return Frame(modes[0]), g[0]
 
-    def coordinate_change(self, x, t):
-        """z = U(t) (x - g(gamma_t)); batched over leading axes of x."""
-        frame, g_t = self._frame_at(t)
-        return frame.rotate(np.asarray(x, dtype=float) - g_t)
+    def coordinate_change(self, x, t, out=None):
+        """z = U(t) (x - g(gamma_t)); batched over leading axes of x, written
+        into `out` when given (a C-contiguous array of x's shape).
+
+        With a 1-D array of n times, x has shape (n, rows, M) and x[i] is
+        taken at t[i]: one stacked product of n (rows, M) x (M, M) GEMMs, so
+        each block has the bits of a call at its time alone (one GEMM over
+        all n * rows rows would wake a second BLAS thread).
+        """
+        x = np.asarray(x, dtype=float)
+        if np.ndim(t) == 0:
+            frame, g_t = self._frame_at(t)
+            return frame.rotate(x - g_t, out=out)
+        if self.fixed_frame is not None:
+            g, modes = self.context.saddle[None], self.fixed_frame.matrices
+        else:
+            g, _, modes, _ = self._track(t)
+        # g repeated along the rows: a contiguous operand, so the subtraction
+        # runs in long inner loops rather than one per M-vector
+        offset = x - np.repeat(g[:, None, :], x.shape[1], axis=1)
+        return np.matmul(offset, modes.swapaxes(-1, -2), out=out)
 
     def coordinate_change_inverse(self, z, t):
         frame, g_t = self._frame_at(t)
@@ -769,17 +787,17 @@ class ManifoldModel:
     # -- the certified region -------------------------------------------------
 
     def certified(self, z):
-        """Per row of z (rotated coordinates): True where psi is certified,
-        inside the validity ball |z| <= r with the stable block inside the
-        contraction radius |z_s| <= r/3 that picard_solve requires."""
+        """Per row of z (rotated coordinates; rows along every leading axis):
+        True where psi is certified, inside the validity ball |z| <= r with
+        the stable block inside the contraction radius |z_s| <= r/3 that
+        picard_solve requires."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        norm = np.linalg.norm(z, axis=1)
+        norm = row_norms(z)
         ok = norm <= self.radius
         # |z_s| <= |z|, so only rows with r/3 < |z| <= r need the second norm
         check = ok & (norm > self.radius / 3.0)
         if np.any(check):
-            ok[check] = np.linalg.norm(z[check, self.context.n_u:], axis=1) \
-                <= self.radius / 3.0
+            ok[check] = row_norms(z[check, self.context.n_u:]) <= self.radius / 3.0
         return ok
 
     def distance(self, z, t):

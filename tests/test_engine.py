@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsgdlab.engine import (
     BatchRun,
@@ -11,7 +13,9 @@ from dsgdlab.engine import (
     boundedness_probe,
     general_step,
     network_mean_residual,
+    per_step,
     rate_check_kar,
+    row_norms,
     run,
     run_agentwise,
     run_batch,
@@ -388,7 +392,8 @@ def test_run_batch_steps_match_agentwise_form():
         states = []
         batch = run_batch(x0, steps, losses.assembled, q, sched,
                           NoiseModel("gaussian", 0.5), seeds, n_agents=n, chunk=8,
-                          step_callback=lambda k, zeta, x, active: states.append(x.copy()))
+                          observer=per_step(lambda k, zeta, x, active:
+                                            states.append(x.copy())))
         assert len(states) == steps and np.all(batch.diverged_at == -1)
         for row, seed in enumerate(seeds):
             stream = NoiseModel("gaussian", 0.5, seed=seed).start(n, dim)
@@ -397,6 +402,30 @@ def test_run_batch_steps_match_agentwise_form():
                 xa = agentwise_step(xa, k, losses, g, sched, stream)
                 gap = np.linalg.norm(xb[row] - xa.ravel()) / max(1.0, np.linalg.norm(xa))
                 assert gap <= 1e-12, (trial, row, k, gap)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cols=st.integers(1, 12), lead=st.lists(st.integers(0, 6), max_size=3),
+       seed=st.integers(0, 2**32 - 1), sliced=st.booleans(),
+       specials=st.lists(st.sampled_from([0.0, -0.0, 1.0, 1e200, -1e200, np.nan]),
+                         max_size=6))
+def test_row_norms_is_bit_equal_to_numpy(cols, lead, seed, sliced, specials):
+    # below 8 columns the column adds must reproduce numpy's order, overflow
+    # (1e200 squared) and NaN included; from 8 on numpy's own norm is used.
+    # A sliced input is a strided view, as the drift series' z[..., :n_u] is
+    rng = np.random.default_rng(seed)
+    shape = (*lead, cols + 2)
+    full = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    flat = full.reshape(-1)
+    for value in specials[:flat.size]:
+        flat[rng.integers(flat.size)] = value
+    x = full[..., 1:cols + 1] if sliced else np.ascontiguousarray(full[..., :cols])
+    with np.errstate(over="ignore"):
+        got, want = row_norms(x), np.linalg.norm(x, axis=-1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the kernel's ceiling check flags the same rows
+    for ceiling in (1.0, 1e12):
+        np.testing.assert_array_equal(~(got <= ceiling), ~(want <= ceiling))
 
 
 def test_run_batch_stops_once_every_row_diverged():
@@ -412,10 +441,10 @@ def test_run_batch_stops_once_every_row_diverged():
         calls.append(k)
 
     alone = run_batch(np.array([[1.0]]), steps, anti, q, sched, NoiseModel(), [0],
-                      ceiling=1e3, step_callback=count_calls)
+                      ceiling=1e3, observer=per_step(count_calls))
     stopped_after = len(calls)
     both = run_batch(np.array([[1.0], [0.0]]), steps, anti, q, sched, NoiseModel(),
-                     [0, 1], ceiling=1e3, step_callback=count_calls)
+                     [0, 1], ceiling=1e3, observer=per_step(count_calls))
     assert 0 < alone.diverged_at[0] < steps
     assert stopped_after == alone.diverged_at[0] - 1
     assert len(calls) - stopped_after == steps
@@ -469,16 +498,23 @@ def test_draw_chunk_matches_per_agent_reference(kind, restrict):
 def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, record="geometric"):
     """Rows of x(k+1) = (1 + alpha_k) x(k) - alpha_k (gamma_k Q x(k) + xi) on two
     agents, started at the given scales: a row crosses the ceiling sooner the
-    larger it starts. Returns the batch and its recorded callback sequence."""
+    larger it starts. Returns the batch, its observed sequence flattened per
+    step, and the span of each observer call."""
     q = consensus_penalty(laplacian(path_graph(2)), 2)
     x0 = np.asarray(scales, dtype=float)[:, None] * np.array([1.0, -0.5, 0.8, 0.3])
-    calls = []
+    calls, spans = [], []
+    flatten = per_step(lambda k, zeta, x, active:
+                       calls.append((k, zeta, x.copy(), active.copy())))
+
+    def observer(k_first, zetas, states, active):
+        assert len(zetas) == len(states)
+        spans.append(len(states))
+        flatten(k_first, zetas, states, active)
+
     batch = run_batch(x0, steps, quadratic_form(-np.eye(4)), q, SCHED, noise,
                       range(len(scales)), record=record, ceiling=ceiling, chunk=chunk,
-                      n_agents=2, k_start=k_start,
-                      step_callback=lambda k, zeta, x, active:
-                      calls.append((k, zeta, x.copy(), active.copy())))
-    return batch, calls
+                      n_agents=2, k_start=k_start, observer=observer)
+    return batch, calls, spans
 
 
 def _assert_same_run(a, b):
@@ -507,6 +543,10 @@ KERNEL_CASES = {
 def test_run_batch_is_the_same_for_every_chunk_size(case):
     spec = KERNEL_CASES[case]
     ref = _anti_quadratic_batch(chunk=1, **spec)
+    # each observed step carries its own index and the elapsed time after it
+    at = {int(k) + spec.get("k_start", 1) - 1: z for k, z in zip(ref[0].steps, ref[0].zeta)}
+    seen = [zeta == at[k] for k, zeta, *_ in ref[1] if k in at]
+    assert len(seen) > 1 and all(seen)
     diverged = ref[0].diverged_at
     if case.startswith("none"):
         assert np.all(diverged == -1)
@@ -521,7 +561,12 @@ def test_run_batch_is_the_same_for_every_chunk_size(case):
         assert 2 < first < 256
         chunks |= {first, first - 1}
     for chunk in sorted(chunks):
-        _assert_same_run(_anti_quadratic_batch(chunk=chunk, **spec), ref)
+        run = _anti_quadratic_batch(chunk=chunk, **spec)
+        _assert_same_run(run, ref)
+        if case.startswith("none"):
+            # no chunk is replayed: one observer call per chunk
+            steps = spec["steps"]
+            assert run[2] == [min(chunk, steps - k) for k in range(0, steps, chunk)]
 
 
 def test_run_batch_rejects_an_empty_chunk():
@@ -552,8 +597,8 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
     monkeypatch.setattr(NoiseStream, "draw_chunk", spy)
     batch = run_batch(x0, steps, zero_loss(n * d), penalty_from_matrix(np.zeros((4, 4))),
                       SCHED, model, seeds, rotation=rotation, ceiling=ceiling, chunk=chunk,
-                      n_agents=n, step_callback=lambda k, zeta, x, active:
-                      calls.append(x.copy()))
+                      n_agents=n, observer=per_step(lambda k, zeta, x, active:
+                                                    calls.append(x.copy())))
     monkeypatch.undo()
     assert len(draws) == -(-steps // chunk)
     drawn = np.concatenate(draws)

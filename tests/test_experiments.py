@@ -1,10 +1,12 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dsgdlab import experiments
+from dsgdlab.engine import run_batch
 from dsgdlab.errors import ConfigError, ContractionError
 from dsgdlab.experiments import (
     ExperimentConfig,
@@ -15,7 +17,7 @@ from dsgdlab.experiments import (
     parse_vectors,
     run_experiment,
 )
-from dsgdlab.records import read_campaign, write_campaign
+from dsgdlab.records import read_campaign, write_campaign, write_summary
 
 DATA = Path(__file__).parent / "data"
 
@@ -292,6 +294,35 @@ def test_drift_censoring_step_records_nan(monkeypatch):
         np.testing.assert_array_equal(s_zero, s_solved)
 
 
+# records.tsv and summary.txt written by the per-step callback that the
+# chunk observer replaced: the shipped noise, and the censoring variant above
+DRIFT_PINNED = {"shipped": {},
+                "censoring": {"noise": {"scale": "2.0"}, "drift": {"validity_radius": "0.02"}}}
+
+
+@pytest.mark.parametrize("name", sorted(DRIFT_PINNED))
+def test_drift_records_are_pinned(tmp_path, monkeypatch, name):
+    cfg = drift_config(seeds="0:40")
+    cfg.sections["drift"]["k0_grid"] = "250 500"
+    for section, keys in DRIFT_PINNED[name].items():
+        cfg.sections[section].update(keys)
+    # at chunk 5 censoring rows also leave on a chunk's last step
+    positions = set()
+    for chunk in (256, 5):
+        monkeypatch.setattr(experiments, "run_batch", partial(run_batch, chunk=chunk))
+        result = run_experiment(cfg)
+        write_campaign(result, tmp_path / "records.tsv")
+        write_summary(result, tmp_path / "summary.txt")
+        for part in ("records.tsv", "summary.txt"):
+            pinned = DATA / "drift_records" / name / part
+            assert (tmp_path / part).read_bytes() == pinned.read_bytes(), (chunk, part)
+        positions |= {"first" if step % chunk == 0 else
+                      "last" if step % chunk == chunk - 1 else "mid"
+                      for step in (r["censored_at"] - r["k0"] for r in result.records
+                                   if r["censored_at"] >= 0)}
+    assert positions == (set() if name == "shipped" else {"first", "mid", "last"})
+
+
 def test_drift_solved_psi_censors_rows_past_contraction_radius(monkeypatch):
     # the quartic's psi is solved, and certified only for |z_s| <= r/3. With
     # noise that throws rows out of a small ball, rows reach that radius while
@@ -308,9 +339,12 @@ def test_drift_solved_psi_censors_rows_past_contraction_radius(monkeypatch):
     def recording(problem, schedule, noise, model, seeds, k0, factor):
         change, states = model.coordinate_change, []
 
-        def coordinate_change(x, t):
-            states.append((t, change(x, t)))
-            return states[-1][1]
+        def coordinate_change(x, t, out=None):
+            # one call per step chunk: one (t, z) entry per step, copied
+            # because the caller reuses `out` for the next chunk
+            z = change(x, t, out=out)
+            states.extend(zip(t, z.copy()))
+            return z
 
         monkeypatch.setattr(model, "coordinate_change", coordinate_change)
         seen.update(model=model, states=states)
