@@ -83,10 +83,13 @@ def _cmd_report(args, out, err):
         out.write(f"{path}: {meta.get('experiment', '?')}, {len(records)} rows, "
                   f"hash {meta.get('config-hash', '?')}\n")
         summary = path.parent / "summary.txt"
-        if summary.exists():
-            for line in summary.read_text().splitlines():
-                if line and not line.startswith("#"):
-                    out.write(f"  {line}\n")
+        try:
+            lines = summary.read_text().splitlines() if summary.exists() else []
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{summary}: {exc}") from exc
+        for line in lines:
+            if line and not line.startswith("#"):
+                out.write(f"  {line}\n")
     return 0
 
 

@@ -11,6 +11,7 @@ drawn from one sub-stream per agent, spawned from the master seed, so stacked
 and agentwise runs can consume identical realizations. `run_batch` is the one
 loop that iterates the recursion; `run` and `run_agentwise` are its one-seed
 views, and `general_step`/`agentwise_step` are the single-step references.
+It steps each chunk once and serves it to one observer call.
 """
 
 from __future__ import annotations
@@ -369,10 +370,11 @@ def technical_inner_product(x, v, q, alpha_k, gamma_k):
 
 def per_step(callback):
     """A `run_batch` observer that calls callback(k, zeta_k, x, active) once
-    per step, in step order, with that step's (rows, m) states."""
+    per step, in step order, with that step's (rows, m) states and (rows,)
+    live mask."""
     def observer(k_first, zetas, states, active):
-        for j, (zeta, x) in enumerate(zip(zetas, states)):
-            callback(k_first + j, zeta, x, active)
+        for j, (zeta, x, live) in enumerate(zip(zetas, states, active)):
+            callback(k_first + j, zeta, x, live)
     return observer
 
 
@@ -405,21 +407,24 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     spawned streams, so row s reproduces `run` with that seed up to the BLAS
     summation order of the wider batch; one `draw_chunk` call draws every
     row's noise for a chunk of steps. Diverged rows are frozen at their last
-    finite state and recorded, not fatal; once every row has diverged the loop
+    state below the ceiling and recorded, not fatal; once every row has diverged the loop
     stops, and the remaining checkpoints repeat the frozen rows' metrics.
-    observer(k_first, zetas, states, active) sees every step taken: once per
-    chunk with the chunk's (span, rows, m) states, the schedule index
-    k_first of its first step, the elapsed times zetas after each step and
-    the rows' active mask; in a replayed chunk once per step, with span 1.
-    `states` and `active` are valid only during the call (later steps reuse
-    them), so an observer copies what it keeps and never writes to them;
-    `per_step` adapts a per-step callback. k_start shifts the schedule index
-    (restart experiments resume mid-schedule).
+    observer(k_first, zetas, states, active) is called once per chunk with
+    the chunk's (span, rows, m) states, the schedule index k_first of its
+    first step, the elapsed times zetas after each step and the (span, rows)
+    mask of the rows still live after each step. `states` and `active` are
+    valid only during the call (later steps reuse them), so an observer
+    copies what it keeps and never writes to them; `per_step` adapts a
+    per-step callback. k_start shifts the schedule index (restart
+    experiments resume mid-schedule).
 
     Steps run `chunk` at a time. Divergence and the sup-norm are checked once
-    per chunk on the chunk's stored states; a chunk in which some row crossed
-    the ceiling is replayed step by step from its start, so every result, and
-    the observed sequence flattened per step, is the same for any chunk size.
+    per chunk on the chunk's stored states: from its first step past the
+    ceiling on, a row's states are overwritten with its last state below
+    the ceiling, and the sup-norm spans only its live steps. Once every row
+    has crossed, only the steps before the last crossing are served. So every
+    result, and the observed sequence flattened per step, is the same for
+    any chunk size.
     """
     seeds = np.asarray(list(seeds), dtype=int)
     s_count = len(seeds)
@@ -475,47 +480,39 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             blocks += xi
         return np.subtract(x, alphas[count - 1] * drive, out=out)
 
-    def serve(count, xs):
-        """Observer and checkpoints after the steps from `count` on, whose
-        states are xs, (span, rows, m)."""
-        nonlocal rec_idx
-        if observer is not None:
-            observer(k_start + count - 1, zeta_all[count:count + len(xs)], xs, active)
-        while rec_idx < n_rec and points[rec_idx] < count + len(xs):
-            cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = \
-                metrics(xs[points[rec_idx] - count])
-            rec_idx += 1
-
     states = np.empty((min(chunk, steps), s_count, m))
     k = 1
     while k <= steps and active.any():
         span = min(chunk, steps - k + 1)
+        xs = states[:span]
         xi = [None] * span if noise.kind == "none" else stream.draw_chunk(span)
         start = x.copy()
         frozen = None if active.all() else ~active
         for j in range(span):
-            x = step(x, k + j, xi[j], out=states[j])
+            x = step(x, k + j, xi[j], out=xs[j])
             if frozen is not None:
                 x[frozen] = start[frozen]
-        norms = row_norms(states[:span])
-        if (active & ~(norms <= ceiling)).any():
-            # some row crossed the ceiling: replay the chunk one checked step at a time
-            x = start
-            for j in range(span):
-                x_new = step(x, k + j, xi[j])
-                norms = row_norms(x_new)
-                bad = active & ~(norms <= ceiling)
-                if bad.any():
-                    diverged_at[bad] = k_start + k + j - 1
-                    active &= ~bad
-                    if not active.any():
-                        break
-                x = np.where(active[:, None], x_new, x)
-                np.maximum(sup_norm, norms, out=sup_norm, where=active)
-                serve(k + j, x[None])
-        else:
-            np.maximum(sup_norm, norms.max(axis=0), out=sup_norm, where=active)
-            serve(k, states[:span])
+        # each active row's first step past the ceiling (NaN included), or span
+        norms = row_norms(xs)
+        crossed = active & ~(norms <= ceiling)
+        hit = crossed.any(axis=0)
+        cross = np.where(hit, crossed.argmax(axis=0), span)
+        live = active & (np.arange(span)[:, None] < cross)
+        if hit.any():
+            diverged_at[hit] = k_start + k + cross[hit] - 1
+            # from its crossing on, a row keeps its last state below the ceiling
+            last = np.where((cross > 0)[:, None], xs[cross - 1, np.arange(s_count)], start)
+            np.copyto(xs, last, where=~live[:, :, None])
+            active &= ~hit
+        np.maximum(sup_norm, np.max(norms, axis=0, where=live, initial=0.0), out=sup_norm)
+        # every step while a row is live: the steps before the last crossing
+        served = int(np.count_nonzero(live.any(axis=1)))
+        if observer is not None and served:
+            observer(k_start + k - 1, zeta_all[k:k + served], xs[:served], live[:served])
+        while rec_idx < n_rec and points[rec_idx] < k + served:
+            cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = \
+                metrics(xs[points[rec_idx] - k])
+            rec_idx += 1
         k += span
     x = x.copy()  # not a view of the state buffer
     if rec_idx < n_rec:

@@ -582,13 +582,13 @@ class ManifoldModel:
 
     # -- coordinate machinery ----------------------------------------------
 
-    def _frame_at(self, t):
-        """Eigenframe U(t) and path point g(gamma_t) at one time."""
-        # returns before any gamma evaluation: a drift campaign asks once per step
+    def _path_frames(self, times):
+        """Path points g(gamma_t), (n, M), and eigenframes U(t) at a 1-D
+        array of n times; a fixed frame is its one (M, M) matrix."""
         if self.fixed_frame is not None:
-            return self.fixed_frame, self.context.saddle
-        g, _, modes, _ = self._track([t])
-        return Frame(modes[0]), g[0]
+            return self.context.saddle[None], self.fixed_frame.matrices
+        g, _, modes, _ = self._track(times)
+        return g, modes
 
     def coordinate_change(self, x, t, out=None):
         """z = U(t) (x - g(gamma_t)); batched over leading axes of x, written
@@ -597,24 +597,23 @@ class ManifoldModel:
         With a 1-D array of n times, x has shape (n, rows, M) and x[i] is
         taken at t[i]: one stacked product of n (rows, M) x (M, M) GEMMs, so
         each block has the bits of a call at its time alone (one GEMM over
-        all n * rows rows would wake a second BLAS thread).
+        all n * rows rows would wake a second BLAS thread). A scalar time is
+        the case n = 1.
         """
         x = np.asarray(x, dtype=float)
-        if np.ndim(t) == 0:
-            frame, g_t = self._frame_at(t)
-            return frame.rotate(x - g_t, out=out)
-        if self.fixed_frame is not None:
-            g, modes = self.context.saddle[None], self.fixed_frame.matrices
-        else:
-            g, _, modes, _ = self._track(t)
+        g, modes = self._path_frames(np.reshape(t, -1))
+        stacked = x if np.ndim(t) else x.reshape(1, -1, x.shape[-1])
         # g repeated along the rows: a contiguous operand, so the subtraction
         # runs in long inner loops rather than one per M-vector
-        offset = x - np.repeat(g[:, None, :], x.shape[1], axis=1)
-        return np.matmul(offset, modes.swapaxes(-1, -2), out=out)
+        offset = stacked - np.repeat(g[:, None, :], stacked.shape[1], axis=1)
+        z = np.matmul(offset, modes.swapaxes(-1, -2),
+                      out=None if out is None else out.reshape(stacked.shape))
+        return z.reshape(x.shape) if out is None else out
 
     def coordinate_change_inverse(self, z, t):
-        frame, g_t = self._frame_at(t)
-        return frame.unrotate(z) + g_t
+        z = np.asarray(z, dtype=float)
+        g, modes = self._path_frames([t])
+        return (np.matmul(z.reshape(1, -1, z.shape[-1]), modes) + g).reshape(z.shape)
 
     def drive_field(self, x, t):
         """Right-hand side of the flow, -grad h(x) - gamma_t Q x."""

@@ -371,14 +371,18 @@ def test_report_empty_dir(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("content", [
-    b"# not-a-campaign v0\n# columns: seed\n0\n",
-    b"# dsgdlab-campaign v1\n# config-hash: abc\n0\t1\n",
-    b"# dsgdlab-campaign v1\n# columns: seed\n\xff\xfe\n",
-], ids=["bad-magic", "no-columns-line", "undecodable"])
-def test_report_malformed_records_is_config_error(tmp_path, content):
-    path = tmp_path / "r" / "records.tsv"
+@pytest.mark.parametrize("name, content", [
+    ("records.tsv", b"# not-a-campaign v0\n# columns: seed\n0\n"),
+    ("records.tsv", b"# dsgdlab-campaign v1\n# config-hash: abc\n0\t1\n"),
+    ("records.tsv", b"# dsgdlab-campaign v1\n# columns: seed\n\xff\xfe\n"),
+    ("summary.txt", b"\xff\xfe# dsgdlab-summary v1\nrows = 1\n"),
+], ids=["bad-magic", "no-columns-line", "undecodable", "undecodable-summary"])
+def test_report_malformed_records_is_config_error(tmp_path, name, content):
+    # a malformed file next to a valid records.tsv
+    path = tmp_path / "r" / name
     path.parent.mkdir()
+    (tmp_path / "r" / "records.tsv").write_bytes(
+        b"# dsgdlab-campaign v1\n# config-hash: abc\n# columns: seed\n0\n")
     path.write_bytes(content)
     code, out, err = run_cli("report", str(tmp_path))
     assert code == 1

@@ -495,11 +495,13 @@ def test_draw_chunk_matches_per_agent_reference(kind, restrict):
     assert np.concatenate(draws).tobytes() == singles.tobytes()
 
 
-def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, record="geometric"):
+def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, record="geometric",
+                          loss=None):
     """Rows of x(k+1) = (1 + alpha_k) x(k) - alpha_k (gamma_k Q x(k) + xi) on two
     agents, started at the given scales: a row crosses the ceiling sooner the
     larger it starts. Returns the batch, its observed sequence flattened per
-    step, and the span of each observer call."""
+    step, and the span of each observer call. `loss` stands in for the
+    anti-quadratic's oracle (a wrapper around it)."""
     q = consensus_penalty(laplacian(path_graph(2)), 2)
     x0 = np.asarray(scales, dtype=float)[:, None] * np.array([1.0, -0.5, 0.8, 0.3])
     calls, spans = [], []
@@ -508,10 +510,11 @@ def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, recor
 
     def observer(k_first, zetas, states, active):
         assert len(zetas) == len(states)
+        assert active.shape == (len(states), len(scales))
         spans.append(len(states))
         flatten(k_first, zetas, states, active)
 
-    batch = run_batch(x0, steps, quadratic_form(-np.eye(4)), q, SCHED, noise,
+    batch = run_batch(x0, steps, loss or quadratic_form(-np.eye(4)), q, SCHED, noise,
                       range(len(scales)), record=record, ceiling=ceiling, chunk=chunk,
                       n_agents=2, k_start=k_start, observer=observer)
     return batch, calls, spans
@@ -554,19 +557,51 @@ def test_run_batch_is_the_same_for_every_chunk_size(case):
         assert np.all(diverged[:2] > 0)
         assert np.all(diverged > 0) == (case == "all-diverge")
     chunks = {7, 256}
+    # steps observed: all of them, or, once every row has crossed, those
+    # before the last crossing
+    observed = spec["steps"]
     if np.any(diverged > 0):
         # the first row to diverge does so on the last step of the first
         # chunk, then on the first step of the second chunk
         first = int(np.min(diverged[diverged > 0])) - spec.get("k_start", 1) + 1
         assert 2 < first < 256
         chunks |= {first, first - 1}
+    if np.all(diverged > 0):
+        # and so does the last row to diverge
+        observed = int(np.max(diverged)) - spec.get("k_start", 1)
+        chunks |= {observed, observed + 1}
+    assert len(ref[1]) == observed
     for chunk in sorted(chunks):
         run = _anti_quadratic_batch(chunk=chunk, **spec)
         _assert_same_run(run, ref)
-        if case.startswith("none"):
-            # no chunk is replayed: one observer call per chunk
-            steps = spec["steps"]
-            assert run[2] == [min(chunk, steps - k) for k in range(0, steps, chunk)]
+        # one observer call per chunk, the last one cut at the last crossing
+        assert run[2] == [min(chunk, observed - k) for k in range(0, observed, chunk)]
+
+
+class _CountingLoss:
+    """An oracle wrapper that counts subgradient calls."""
+
+    def __init__(self, loss):
+        self.loss, self.calls = loss, 0
+
+    def __getattr__(self, name):
+        return getattr(self.loss, name)
+
+    def subgradient(self, x):
+        self.calls += 1
+        return self.loss.subgradient(x)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_run_batch_steps_each_chunk_once(chunk):
+    # rows diverge mid-run and one stays: the oracle is called once per step
+    # and once per checkpoint, so no chunk is stepped twice
+    spec = KERNEL_CASES["some-diverge"]
+    loss = _CountingLoss(quadratic_form(-np.eye(4)))
+    batch, calls, _ = _anti_quadratic_batch(chunk=chunk, loss=loss, **spec)
+    assert np.any(batch.diverged_at > 0) and np.any(batch.diverged_at == -1)
+    assert len(calls) == spec["steps"]
+    assert loss.calls == spec["steps"] + len(batch.steps)
 
 
 def test_run_batch_rejects_an_empty_chunk():

@@ -323,6 +323,23 @@ def test_drift_records_are_pinned(tmp_path, monkeypatch, name):
     assert positions == (set() if name == "shipped" else {"first", "mid", "last"})
 
 
+# records.tsv and summary.txt of two shipped seed campaigns at 3000 steps,
+# pinned byte for byte: the kernel's clean path for seed campaigns
+SEED_PINNED = {"saddle_avoidance": {"seeds": "0:40"}, "saddle_avoidance_control_off": {}}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_PINNED))
+def test_seed_campaign_records_are_pinned(tmp_path, name):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini")
+    cfg.sections["run"].update(steps="3000", **SEED_PINNED[name])
+    result = run_experiment(cfg)
+    write_campaign(result, tmp_path / "records.tsv")
+    write_summary(result, tmp_path / "summary.txt")
+    for part in ("records.tsv", "summary.txt"):
+        pinned = DATA / "seed_records" / name / part
+        assert (tmp_path / part).read_bytes() == pinned.read_bytes(), part
+
+
 def test_drift_solved_psi_censors_rows_past_contraction_radius(monkeypatch):
     # the quartic's psi is solved, and certified only for |z_s| <= r/3. With
     # noise that throws rows out of a small ball, rows reach that radius while
