@@ -212,8 +212,7 @@ def _record_points(steps, record):
 
 
 def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geometric",
-        record_state=False, record_noise=False, ceiling=DIVERGENCE_CEILING,
-        rotation=None, n_agents=1):
+        record_state=False, record_noise=False, ceiling=DIVERGENCE_CEILING, n_agents=1):
     """Iterate the general recursion, recording metrics at checkpoints.
 
     The one-row view of `run_batch` whose only seed is the noise seed, so it is
@@ -223,8 +222,7 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
     """
     x0 = np.asarray(initial, dtype=float)
     m = len(x0)
-    if rotation is None:
-        rotation = constraint_rotation(q)
+    rotation = constraint_rotation(q)
     states, observer = None, None
     if record_state:
         wanted = set(_record_points(steps, record))
@@ -253,8 +251,7 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
 
 
 def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseModel(),
-                  *, record="geometric", record_state=False, record_noise=False,
-                  ceiling=DIVERGENCE_CEILING):
+                  *, record="geometric", record_state=False, record_noise=False):
     """Iterate the agentwise recursion on a communication graph: `run` with
     Q = L kron I_d and one noise sub-stream per agent."""
     states = np.asarray(initial_states, dtype=float)
@@ -263,8 +260,7 @@ def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseMod
         raise ValueError("initial states disagree with the loss stack")
     traj = run(states.ravel(), steps, losses.assembled,
                consensus_penalty(laplacian(graph), d), schedule, noise, record=record,
-               record_state=record_state, record_noise=record_noise, ceiling=ceiling,
-               n_agents=n)
+               record_state=record_state, record_noise=record_noise, n_agents=n)
     return replace(traj, mode="agentwise")
 
 

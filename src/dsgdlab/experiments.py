@@ -113,9 +113,12 @@ def load_config(path):
 
 
 def ranged(cast, low, high=math.inf, strict=False):
-    """Parser of `cast(text)` within [low, high], or (low, high] when strict."""
+    """Parser of `cast(text)`, finite and within [low, high], or (low, high]
+    when strict."""
     def parse(raw):
         value = cast(raw)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
         if not ((low < value) if strict else (low <= value)) or not value <= high:
             raise ValueError(f"must be {'>' if strict else '>='} {low:g}"
                              + (f" and <= {high:g}" if high < math.inf else ""))
@@ -124,6 +127,7 @@ def ranged(cast, low, high=math.inf, strict=False):
 
 
 positive = ranged(float, 0.0, strict=True)
+real = ranged(float, -math.inf)   # any finite float
 
 
 def boolean(raw):
@@ -149,7 +153,7 @@ def parse_seeds(spec):
 
 
 def parse_vector(spec):
-    return np.array([float(v) for v in spec.replace(",", " ").split()])
+    return np.array([real(v) for v in spec.replace(",", " ").split()])
 
 
 def parse_vectors(spec):
@@ -175,10 +179,8 @@ def build_graph(spec):
 
 
 def build_schedule(config):
-    sched = Schedule(config.get("schedule", "alpha_scale", parse=float),
-                     config.get("schedule", "tau_alpha", parse=float),
-                     config.get("schedule", "gamma_scale", parse=float),
-                     config.get("schedule", "tau_gamma", parse=float))
+    sched = Schedule(*(config.get("schedule", key, parse=real)
+                       for key in ("alpha_scale", "tau_alpha", "gamma_scale", "tau_gamma")))
     try:
         validate(sched)
     except DsgdLabError as exc:
@@ -277,7 +279,7 @@ def initial_states(config, problem, seeds):
             raise ConfigError("stacked init value must have the full dimension")
         return np.tile(x, (len(seeds), 1))
     if mode == "gaussian":
-        scale = config.get("init", "scale", 1.0, parse=float)
+        scale = config.get("init", "scale", 1.0, parse=real)
         out = np.empty((len(seeds), m))
         for i, s in enumerate(seeds):
             gen = np.random.default_rng(np.random.SeedSequence([int(s), 0xD5]))
@@ -688,7 +690,7 @@ def setup_manifold_verification(config):
         span = (4.0, 60.0)
         opts = PicardOptions(horizon=8.0, dt=0.01, tail=4.0, tol=1e-10)
     elif battery == "cross-cubic":
-        coef = config.get("problem", "cubic_coef", 0.1, float)
+        coef = config.get("problem", "cubic_coef", 0.1, real)
         loss = monomial_loss(2, {(2, 0): 0.5, (0, 2): -0.5, (2, 1): coef})
         q = penalty_from_matrix(np.zeros((2, 2)))
         gamma = ConstantGamma(1.0)
@@ -769,7 +771,7 @@ def setup_manifold_verification(config):
             return out
 
         def comparison():
-            auto = autonomous_restriction(model.context, picard=model.picard)
+            auto = autonomous_restriction(model.context, model.picard)
             ts = np.linspace(t0, model.t_end - model.picard.horizon
                              - model.picard.tail - 1.0, 4)
             comp = compare_flattening_limit(model, auto, ts, n_samples=16,
@@ -820,9 +822,9 @@ def setup_manifold_verification(config):
     return experiment
 
 
-def _fit_evolution_constants(model, t0, seed=0):
+def _fit_evolution_constants(model, t0):
     frame = model.frame(t0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     span = min(model.picard.horizon, frame.times[-1] - frame.t0)
     pairs = np.sort(frame.t0 + span * rng.random((60, 2)), axis=1)
     gaps = pairs[:, 1] - pairs[:, 0]

@@ -22,8 +22,6 @@ class OdeSolution:
     times: np.ndarray
     states: np.ndarray
     step: float
-    method: str = "rk4"
-    order: int = 4
 
     def at(self, t):
         """Linear interpolation of the solution at times t (within the grid)."""
@@ -74,19 +72,23 @@ def _vectorize_scalar(fn):
     return wrapped
 
 
-def _simpson(fn, a, b, tol=1e-10, max_doublings=24):
-    """Composite Simpson on a uniform grid, refined until the change < tol."""
+SIMPSON_TOL = 1e-10
+SIMPSON_MAX_DOUBLINGS = 24
+
+
+def _simpson(fn, a, b):
+    """Composite Simpson on a uniform grid, refined until the change < SIMPSON_TOL."""
     if b <= a:
         return 0.0
     n = 8
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(SIMPSON_MAX_DOUBLINGS):
         ts = np.linspace(a, b, n + 1)
         vals = fn(ts)
         h = (b - a) / n
         est = h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                          + 2.0 * vals[2:-1:2].sum())
-        if prev is not None and abs(est - prev) < tol * max(1.0, abs(est)):
+        if prev is not None and abs(est - prev) < SIMPSON_TOL * max(1.0, abs(est)):
             return est
         prev = est
         n *= 2

@@ -40,6 +40,12 @@ MATCH_OVERLAP_FLOOR = 0.7
 # An orthogonal matrix's entry above 1/sqrt(2) in absolute value dominates its
 # row and its column; the margin absorbs the frames' rounding.
 UNIQUE_MATCH_OVERLAP = np.sqrt(0.5) + 1e-9
+NEWTON_MAX_ITER = 50
+GAMMA0_FLOOR = 0.1          # smallest |eigenvalue| of the penalized Hessian at gamma0
+REF_POINTS = 256            # reference-track times over the model span
+MODE_RATE_STEP = 1e-4       # central-difference step of the local mode rate
+PICARD_MAX_ITERS = 60
+TAIL_TOL = 1e-6             # certified truncated-tail budget
 
 
 @dataclass(frozen=True)
@@ -94,14 +100,14 @@ def saddle_context(loss, q, gamma, saddle):
     return SaddleContext(loss, q, gamma, saddle, rotation, n_u, len(saddle) - n_u)
 
 
-def default_gamma0(context, floor=0.1):
+def default_gamma0(context):
     """Smallest power-of-two penalty at which the penalized Hessian is safely
     nonsingular, found by doubling from 1."""
     gamma = 1.0
     hess = context.loss.hessian(context.saddle)
     for _ in range(60):
         sv = np.abs(np.linalg.eigvalsh(hess + gamma * context.qmat))
-        if np.min(sv) > floor:
+        if np.min(sv) > GAMMA0_FLOOR:
             return gamma
         gamma *= 2.0
     raise DegenerateJacobianError("no penalty level makes the penalized Hessian nonsingular")
@@ -129,14 +135,14 @@ def _stationarity(loss, qmat, gammas, x):
     return loss.subgradient(x) + gammas[:, None] * _row_products(qmat, x)
 
 
-def _newton_stationary(loss, qmat, gammas, starts, tol=GRAD_TOL, max_iter=50):
+def _newton_stationary(loss, qmat, gammas, starts):
     """Row-wise Newton solve of grad h(x) + gamma Q x = 0, one penalty level
-    and start per row. Each row stops at its own residual <= tol, so its
+    and start per row. Each row stops at its own residual <= GRAD_TOL, so its
     bits do not depend on the other rows."""
     x = np.array(starts, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = _stationarity(loss, qmat, gammas, x)
-        moving = np.linalg.norm(r, axis=1) > tol
+        moving = np.linalg.norm(r, axis=1) > GRAD_TOL
         if not np.any(moving):
             return x
         jac = loss.hessian(x[moving]) + gammas[moving, None, None] * qmat
@@ -147,7 +153,7 @@ def _newton_stationary(loss, qmat, gammas, starts, tol=GRAD_TOL, max_iter=50):
         if not np.all(np.isfinite(step)):
             raise NewtonError("Newton step not finite")
         x[moving] -= step
-    raise NewtonError(f"Newton did not reach residual {tol:g} at every penalty level")
+    raise NewtonError(f"Newton did not reach residual {GRAD_TOL:g} at every penalty level")
 
 
 def solve_perturbed_saddle(context, gamma_grid):
@@ -295,12 +301,6 @@ class PicardFrame:
     @property
     def t0(self):
         return float(self.times[0])
-
-    def index_of(self, t):
-        i = int(round((t - self.t0) / self.dt))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t:g} is not on the frame grid")
-        return i
 
 
 def evolution_operator(frame, t1, t2, which):
@@ -458,8 +458,6 @@ class PicardOptions:
     dt: float = 0.01
     tail: float = 6.0
     tol: float = 1e-9           # fixed-point sup-norm tolerance
-    tail_tol: float = 1e-6      # certified truncated-tail budget
-    max_iters: int = 60
 
 
 @dataclass(frozen=True)
@@ -490,13 +488,13 @@ class PicardSolution:
 
 
 class ManifoldModel:
-    """Precomputed manifold data for one saddle: reference eigenframe track,
-    cached integral-equation frames, and the coordinate change
-    z = U(t) (x - g(gamma_t)). Every path point and eigenframe comes from one
-    tracker, `_track`."""
+    """Precomputed manifold data for one saddle: the reference eigenframe
+    track and the coordinate change z = U(t) (x - g(gamma_t)). Every path
+    point and eigenframe comes from one tracker, `_track`. Nothing changes
+    after `__init__`: each integral-equation frame is built when a solve
+    asks for it, as a pure function of its start time."""
 
-    def __init__(self, context, t_start, t_end, picard=PicardOptions(),
-                 radius=0.3, ref_points=256):
+    def __init__(self, context, t_start, t_end, picard=PicardOptions(), radius=0.3):
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         self.context = context
@@ -504,11 +502,10 @@ class ManifoldModel:
         self.t_end = float(t_end)
         self.picard = picard
         self.radius = float(radius)
-        self._frames = {}
         self.fixed_frame = self.ref_times = None
         # the reference track runs backward from the largest penalty, where
         # the path is closest to the saddle
-        times = np.linspace(self.t_start, self.t_end, ref_points)
+        times = np.linspace(self.t_start, self.t_end, REF_POINTS)
         points, _, modes, _ = self._track(times[::-1])
         self.ref_times, self.ref_g, self.ref_modes = times, points[::-1], modes[::-1]
         self._detect_structure()
@@ -535,7 +532,7 @@ class ManifoldModel:
         n, m = len(times), ctx.dim
         gammas = np.asarray(ctx.gamma(times), dtype=float)
         if self.fixed_frame is not None:
-            u = self.fixed_frame.matrices
+            u = self.fixed_frame
             base = np.diag(u @ (-ctx.loss.hessian(ctx.saddle)) @ u.T)
             qdiag = np.diag(u @ ctx.qmat @ u.T)
             return (np.tile(ctx.saddle, (n, 1)),
@@ -568,7 +565,7 @@ class ManifoldModel:
         self.psi_is_zero = False
         if not (stationary and const_modes):
             return
-        self.fixed_frame = Frame(self.ref_modes[-1])
+        self.fixed_frame = self.ref_modes[-1]
         # remainder-free detection: along a stationary path the nonlinear
         # remainder reduces to the gradient's linearization error at the
         # saddle, which vanishes identically for quadratic objectives
@@ -586,7 +583,7 @@ class ManifoldModel:
         """Path points g(gamma_t), (n, M), and eigenframes U(t) at a 1-D
         array of n times; a fixed frame is its one (M, M) matrix."""
         if self.fixed_frame is not None:
-            return self.context.saddle[None], self.fixed_frame.matrices
+            return self.context.saddle[None], self.fixed_frame
         g, _, modes, _ = self._track(times)
         return g, modes
 
@@ -621,20 +618,19 @@ class ManifoldModel:
         return -self.context.loss.subgradient(x) - float(self.context.gamma(t)) \
             * (x @ self.context.qmat)
 
-    def local_linearization(self, t, fd_step=1e-4):
+    def local_linearization(self, t):
         """(lambdas, modes, mode rate, forcing, path point) at a single time.
-        The mode rate is a central difference of the frames at t +- fd_step."""
-        g, lam, modes, forcing = self._track([t - fd_step, t, t + fd_step])
-        mode_rate = ((modes[2] - modes[0]) / (2.0 * fd_step)) @ modes[1].T
+        The mode rate is a central difference of the frames at t +- MODE_RATE_STEP."""
+        h = MODE_RATE_STEP
+        g, lam, modes, forcing = self._track([t - h, t, t + h])
+        mode_rate = ((modes[2] - modes[0]) / (2.0 * h)) @ modes[1].T
         return lam[1], modes[1], mode_rate, forcing[1], g[1]
 
     # -- frames --------------------------------------------------------------
 
     def frame(self, t0):
-        key = round(float(t0), 9)
-        if key not in self._frames:
-            self._frames[key] = self._build_frame(float(t0))
-        return self._frames[key]
+        """The integral equation's frame from t0, built anew on every call."""
+        return self._build_frame(float(t0))
 
     def _build_frame(self, t0):
         ctx = self.context
@@ -738,7 +734,7 @@ class ManifoldModel:
 
         deltas = []
         grow = 0
-        for _ in range(opts.max_iters):
+        for _ in range(PICARD_MAX_ITERS):
             g_all = self._apply_integral_operator(u, a_s, frame, work, new)
             delta = work.sup_change(new, u)
             deltas.append(delta)
@@ -755,23 +751,22 @@ class ManifoldModel:
                 grow = 0
         else:
             raise ContractionError(
-                f"no convergence to {opts.tol:g} within {opts.max_iters} iterations")
+                f"no convergence to {opts.tol:g} within {PICARD_MAX_ITERS} iterations")
 
         # the tail bound uses the last iteration's field, which the
         # resubstitution below overwrites
-        tail_start = frame.index_of(round(frame.t0 + opts.horizon, 9))
-        sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u])) if frame.n_u else np.inf
-        g_tail_max = float(np.max(np.abs(g_all[:, tail_start:, : frame.n_u]))) \
-            if frame.n_u else 0.0
-        self._apply_integral_operator(u, a_s, frame, work, new)
-        residual = work.sup_change(new, u)
-
-        tail_est = g_tail_max / sigma_floor * float(np.exp(-sigma_floor * opts.tail)) \
-            if frame.n_u else 0.0
-        if tail_est > opts.tail_tol:
+        tail_start = int(round(opts.horizon / opts.dt))
+        tail_est = 0.0
+        if frame.n_u:
+            sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u]))
+            g_tail_max = float(np.max(np.abs(g_all[:, tail_start:, : frame.n_u])))
+            tail_est = g_tail_max / sigma_floor * float(np.exp(-sigma_floor * opts.tail))
+        if tail_est > TAIL_TOL:
             raise HorizonError(
                 f"truncated-tail bound {tail_est:.2e} exceeds the tolerance; "
                 "extend the tail window")
+        self._apply_integral_operator(u, a_s, frame, work, new)
+        residual = work.sup_change(new, u)
         return PicardSolution(frame.times[: tail_start + 1], u[:, : tail_start + 1, :],
                               a_s, frame.n_u, np.array(deltas), residual, tail_est,
                               tail_start)

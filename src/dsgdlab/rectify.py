@@ -20,12 +20,17 @@ import numpy as np
 from .errors import NewtonError, OutOfBallError
 from .graphs import penalty_from_matrix
 from .losses import LossOracle
-from .manifold import ManifoldModel, PicardOptions, saddle_context
+from .manifold import ManifoldModel, saddle_context
 from .schedules import ConstantGamma
 
 # eta_before quantile below which points count as on the manifold when fitting
 # the repulsion rate c2
 RATE_FLOOR_QUANTILE = 0.05
+INVERSE_TOL = 1e-11           # flattening-map inversion: sup-norm residual
+INVERSE_MAX_ITER = 30
+FD_STEP = 1e-4                # central differences of psi and the rectified field
+DRIFT_FD_STEP = 1e-3          # central differences of the flattening drift probe
+AUTONOMOUS_SPAN = 40.0        # time span of the autonomous restriction's model
 
 
 def _as_batch(z):
@@ -52,19 +57,20 @@ def rectify_phi(model, z, t):
     return out[0] if single else out
 
 
-def rectify_phi_inverse(model, w, t, tol=1e-11, max_iter=30):
-    """Invert the flattening map by fixed-point iteration.
+def rectify_phi_inverse(model, w, t):
+    """Invert the flattening map by fixed-point iteration, one point per row
+    of w.
 
     The Jacobian is identity plus the O(|z|) graph slope, so x <- x - (Phi(x)-w)
     contracts near the origin.
     """
-    wb, single = _as_batch(w)
-    x = wb.copy()
-    for _ in range(max_iter):
-        r = rectify_phi(model, x, t) - wb
+    w = np.asarray(w, dtype=float)
+    x = w.copy()
+    for _ in range(INVERSE_MAX_ITER):
+        r = rectify_phi(model, x, t) - w
         x = x - r
-        if np.max(np.abs(r)) < tol:
-            return x[0] if single else x
+        if np.max(np.abs(r)) < INVERSE_TOL:
+            return x
     raise NewtonError("flattening-map inversion did not converge")
 
 
@@ -155,43 +161,35 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500, see
 
 def moving_frame_field(model, z, t):
     """The flow field in the rotated/recentered coordinates,
-    H(z, t) = U J(U^T z + g, t) + Udot U^T z - U g' gammadot."""
+    H(z, t) = U J(U^T z + g, t) + Udot U^T z - U g' gammadot, one point per
+    row of z."""
     lam, modes, mode_rate, forcing, g_t = model.local_linearization(t)
-    zb, single = _as_batch(z)
-    w = zb @ modes + g_t
-    out = model.drive_field(w, t) @ modes.T + zb @ mode_rate.T - forcing
-    return out[0] if single else out
+    z = np.asarray(z, dtype=float)
+    w = z @ modes + g_t
+    return model.drive_field(w, t) @ modes.T + z @ mode_rate.T - forcing
 
 
-def rectified_field(model, w, t, fd_step=1e-4):
-    """Vector field governing Phi-coordinates: D_x Phi H + D_t Phi at Phi^-1(w)."""
-    wb, single = _as_batch(w)
+def rectified_field(model, w, t):
+    """Vector field governing Phi-coordinates: D_x Phi H + D_t Phi at Phi^-1(w),
+    one point per row of w; derivatives of psi are central differences with
+    step FD_STEP."""
     n_u = model.context.n_u
-    x = rectify_phi_inverse(model, wb, t)
+    x = rectify_phi_inverse(model, w, t)
     h_val = moving_frame_field(model, x, t)
-    b = len(wb)
+    b = len(x)
     n_s = model.context.n_s
-    # graph-slope block of D_x Phi by central differences in the stable block
-    stencil = []
-    for j in range(n_s):
-        e = np.zeros(n_s)
-        e[j] = fd_step
-        stencil.append(x[:, n_u:] + e)
-        stencil.append(x[:, n_u:] - e)
-    psis = model.psi(t, np.concatenate(stencil, axis=0))
-    dpsi = np.empty((b, n_u, n_s))
-    for j in range(n_s):
-        plus = psis[2 * j * b:(2 * j + 1) * b]
-        minus = psis[(2 * j + 1) * b:(2 * j + 2) * b]
-        dpsi[:, :, j] = (plus - minus) / (2.0 * fd_step)
+    # graph-slope block of D_x Phi by central differences in the stable block:
+    # psi at x_s + h e_j, then at x_s - h e_j, for each stable direction j
+    stencil = [x[:, n_u:] + sign * e for e in FD_STEP * np.eye(n_s) for sign in (1.0, -1.0)]
+    pairs = model.psi(t, np.concatenate(stencil, axis=0)).reshape(n_s, 2, b, n_u)
+    dpsi = np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * FD_STEP), 0, -1).copy()
     # time slope of the graph at the stable components
-    dt_loc = fd_step
-    psi_p = model.psi(t + dt_loc, x[:, n_u:])
-    psi_m = model.psi(t - dt_loc, x[:, n_u:])
-    dpsi_dt = (psi_p - psi_m) / (2.0 * dt_loc)
+    psi_p = model.psi(t + FD_STEP, x[:, n_u:])
+    psi_m = model.psi(t - FD_STEP, x[:, n_u:])
+    dpsi_dt = (psi_p - psi_m) / (2.0 * FD_STEP)
     out = h_val.copy()
     out[:, :n_u] -= np.einsum("bus,bs->bu", dpsi, h_val[:, n_u:]) + dpsi_dt
-    return out[0] if single else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ class SpectrumReport:
     max_imag: float
 
 
-def rectified_field_spectrum(model, t_grid, fd_step=1e-4):
+def rectified_field_spectrum(model, t_grid):
     """Finite-difference Jacobian spectrum of the rectified field at the origin.
 
     For large t the Jacobian has exactly n_u positive eigenvalues, the rest
@@ -216,10 +214,10 @@ def rectified_field_spectrum(model, t_grid, fd_step=1e-4):
     n_pos = np.empty(len(t_grid), dtype=int)
     max_imag = 0.0
     for i, t in enumerate(t_grid):
-        basis = fd_step * np.eye(m)
-        plus = rectified_field(model, basis, t, fd_step)
-        minus = rectified_field(model, -basis, t, fd_step)
-        w_t = (plus - minus).T / (2.0 * fd_step)
+        basis = FD_STEP * np.eye(m)
+        plus = rectified_field(model, basis, t)
+        minus = rectified_field(model, -basis, t)
+        w_t = (plus - minus).T / (2.0 * FD_STEP)
         vals = np.linalg.eigvals(w_t)
         max_imag = max(max_imag, float(np.max(np.abs(vals.imag))))
         re = np.sort(vals.real)[::-1]
@@ -245,7 +243,7 @@ def approximate_eigenvalue_bound(a, x, lam):
     return eps, bound, actual
 
 
-def autonomous_restriction(context, t_span=40.0, picard=None, radius=0.3):
+def autonomous_restriction(context, picard):
     """Classical (constant-coefficient) manifold model of the flow restricted
     to the constraint space; its graph map is the limit object the
     time-varying flattening converges to."""
@@ -265,8 +263,7 @@ def autonomous_restriction(context, t_span=40.0, picard=None, radius=0.3):
     restricted = LossOracle(basis.shape[1], value, subgradient, hessian, "c3")
     q_zero = penalty_from_matrix(np.zeros((basis.shape[1], basis.shape[1])))
     ctx_c = saddle_context(restricted, q_zero, ConstantGamma(0.0), saddle_c)
-    opts = picard or PicardOptions()
-    return ManifoldModel(ctx_c, 0.0, t_span, opts, radius)
+    return ManifoldModel(ctx_c, 0.0, AUTONOMOUS_SPAN, picard)
 
 
 @dataclass(frozen=True)
@@ -307,21 +304,21 @@ class FlatteningDriftProbe:
     dx_phi_gap: np.ndarray       # ||D_x Phi(0, t) - I||
 
 
-def dt_phi_decay_probe(model, t_grid, fd_step=1e-3):
+def dt_phi_decay_probe(model, t_grid):
     """Finite-difference time and space derivatives of the flattening at the
     origin; both drift terms decay as the penalty grows."""
-    ctx = model.context
-    n_u, n_s = ctx.n_u, ctx.n_s
+    n_s = model.context.n_s
     t_grid = np.asarray(t_grid, dtype=float)
     dt_norm = np.empty(len(t_grid))
     dx_gap = np.empty(len(t_grid))
     zero_s = np.zeros((1, n_s))
+    h = DRIFT_FD_STEP
     for i, t in enumerate(t_grid):
-        p_plus = model.psi(t + fd_step, zero_s)
-        p_minus = model.psi(t - fd_step, zero_s)
-        dt_norm[i] = float(np.linalg.norm((p_plus - p_minus) / (2.0 * fd_step)))
-        stencil = np.concatenate([fd_step * np.eye(n_s), -fd_step * np.eye(n_s)])
+        p_plus = model.psi(t + h, zero_s)
+        p_minus = model.psi(t - h, zero_s)
+        dt_norm[i] = float(np.linalg.norm((p_plus - p_minus) / (2.0 * h)))
+        stencil = np.concatenate([h * np.eye(n_s), -h * np.eye(n_s)])
         psis = model.psi(t, stencil)
-        dpsi = (psis[:n_s] - psis[n_s:]).T / (2.0 * fd_step)
+        dpsi = (psis[:n_s] - psis[n_s:]).T / (2.0 * h)
         dx_gap[i] = float(np.linalg.norm(dpsi))
     return FlatteningDriftProbe(t_grid, dt_norm, dx_gap)

@@ -130,7 +130,10 @@ class GammaConditionReport:
     terminal_below_initial: bool
 
 
-def gamma_condition_check(schedule, t0, alpha_decay, horizon, grid_points=24):
+GAMMA_CHECK_POINTS = 24
+
+
+def gamma_condition_check(schedule, t0, alpha_decay, horizon):
     """Numerically evaluate the damped-forcing integral and report its tail trend.
 
     The integrand concentrates near tau = t because the inner integral of the
@@ -146,7 +149,7 @@ def gamma_condition_check(schedule, t0, alpha_decay, horizon, grid_points=24):
     big_g = gamma.antiderivative
 
     # empty interval at t = t0 contributes an exact zero first point
-    ts = np.concatenate([[t0], np.geomspace(t0 * 1.05, horizon, grid_points - 1)])
+    ts = np.concatenate([[t0], np.geomspace(t0 * 1.05, horizon, GAMMA_CHECK_POINTS - 1)])
     values = np.empty_like(ts)
     for i, t in enumerate(ts):
         def integrand(tau, t=t):

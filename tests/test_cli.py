@@ -190,6 +190,19 @@ PROBES = {
                                                      ("drift", "k0_grid", "250")]),
     "drift-window-past-t-end": ("drift_stats", [("problem", "loss", "saddle_quartic"),
                                                 ("drift", "k0_grid", "2000")]),
+    # non-finite numbers: each passed `validate` before it was refused
+    "t-end-infinite": ("drift_stats", [("drift", "t_end", "inf")]),
+    "alpha-scale-infinite": ("consensus", [("schedule", "alpha_scale", "inf")]),
+    "alpha-scale-nan": ("consensus", [("schedule", "alpha_scale", "nan")]),
+    "noise-scale-infinite": ("consensus", [("noise", "scale", "inf")]),
+    "init-value-infinite": ("saddle_avoidance", [("init", "value", "inf 0")]),
+    "init-value-nan": ("critical_point_l1", [("init", "value", "nan")]),
+    "init-scale-infinite": ("consensus", [("init", "scale", "inf")]),
+    "init-scale-nan": ("consensus", [("init", "scale", "nan")]),
+    "anchors-infinite": ("critical_point_wells", [("problem", "anchors", "1 2; -inf 0; 4 5")]),
+    "cubic-coef-nan": ("manifold_cross_cubic", [("problem", "cubic_coef", "nan")]),
+    "cubic-coef-infinite": ("manifold_cross_cubic", [("problem", "cubic_coef", "inf")]),
+    "l1-weight-infinite": ("critical_point_l1", [("problem", "l1_weight", "inf")]),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -359,9 +361,8 @@ def test_certified_region_is_ball_and_contraction_radius(make_context, psi_is_ze
         & (np.linalg.norm(z[:, n_u:], axis=1) <= r / 3.0)
     assert 0 < expected.sum() < len(z)
     np.testing.assert_array_equal(model.certified(z), expected)
-    # one cached frame per start time, built with the model's Picard options
+    # the frame from a start time is built with the model's Picard options
     frame = model.frame(5.0)
-    assert model.frame(5.0) is frame
     assert len(frame.times) == round(12.0 / 0.01) + 1
 
 
@@ -447,6 +448,27 @@ def test_picard_solution_survives_later_solves(make_model):
     again = model.picard_solve(6.0, a_s)
     assert np.array_equal(again.u, u) and np.array_equal(again.deltas, deltas)
     assert again.residual == first.residual and again.tail_estimate == first.tail_estimate
+
+
+def test_solves_retain_no_memory():
+    # a model keeps nothing that a solve builds: the memory still allocated
+    # after 20 solves at distinct start times is what it was after one
+    model = ManifoldModel(cross_cubic_context(), 1.0, 40.0,
+                          PicardOptions(horizon=8.0, dt=0.01, tail=4.0))
+    a_s = np.array([[0.05]])
+    model.picard_solve(2.0, a_s)    # lazy imports and numpy's first-call caches
+    tracemalloc.start()
+    try:
+        model.picard_solve(2.5, a_s)
+        after_one = tracemalloc.get_traced_memory()[0]
+        for k in range(20):
+            model.picard_solve(3.0 + 0.25 * k, a_s)
+        after_many = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    frame = model.frame(2.0)
+    frame_bytes = sum(v.nbytes for v in vars(frame).values() if isinstance(v, np.ndarray))
+    assert after_many - after_one < frame_bytes / 4
 
 
 def test_frame_rotations_match_einsum():

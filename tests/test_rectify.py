@@ -187,8 +187,8 @@ def test_rectified_jacobian_block_diagonal():
         n_u = model.context.n_u
         step = 1e-4
         basis = step * np.eye(m)
-        plus = rectified_field(model, basis, t, step)
-        minus = rectified_field(model, -basis, t, step)
+        plus = rectified_field(model, basis, t)
+        minus = rectified_field(model, -basis, t)
         w_t = (plus - minus).T / (2.0 * step)
         coupling = max(np.max(np.abs(w_t[:n_u, n_u:])), np.max(np.abs(w_t[n_u:, :n_u])))
         diag_scale = np.max(np.abs(np.diag(w_t)))
