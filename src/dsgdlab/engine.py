@@ -175,24 +175,28 @@ def agentwise_step(states, k, losses, graph, schedule, noise):
 
 @dataclass
 class Trajectory:
-    """Checkpointed record of a run: per-row step count, elapsed time, and metrics."""
+    """Checkpointed record of a run: per-checkpoint step count, elapsed time,
+    metrics and state."""
 
     steps: np.ndarray
     zeta: np.ndarray
     consensus_error: np.ndarray
     grad_norm: np.ndarray
     state_norm: np.ndarray
-    final_state: np.ndarray
+    states: np.ndarray
     sup_state_norm: float
     mode: str = "general"
     noise_kind: str = "none"
     n_agents: int = 1
     agent_dim: int = 0
-    states: Optional[np.ndarray] = None
     noise_means: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.steps)
+
+    @property
+    def final_state(self):
+        return self.states[-1]
 
 
 def _record_points(steps, record):
@@ -212,8 +216,8 @@ def _record_points(steps, record):
 
 
 def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geometric",
-        record_state=False, record_noise=False, ceiling=DIVERGENCE_CEILING, n_agents=1):
-    """Iterate the general recursion, recording metrics at checkpoints.
+        record_noise=False, ceiling=DIVERGENCE_CEILING, n_agents=1):
+    """Iterate the general recursion, recording metrics and states at checkpoints.
 
     The one-row view of `run_batch` whose only seed is the noise seed, so it is
     deterministic given that seed. n_agents fixes the noise sub-stream layout:
@@ -223,19 +227,8 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
     x0 = np.asarray(initial, dtype=float)
     m = len(x0)
     rotation = constraint_rotation(q)
-    states, observer = None, None
-    if record_state:
-        wanted = set(_record_points(steps, record))
-        states = [x0.copy()]
-
-        @per_step
-        def observer(k, zeta, x, active):
-            if k in wanted:
-                states.append(x[0].copy())
-
     batch = run_batch(x0, steps, loss, q, schedule, noise, [noise.seed], record=record,
-                      ceiling=ceiling, rotation=rotation, observer=observer,
-                      n_agents=n_agents)
+                      ceiling=ceiling, rotation=rotation, n_agents=n_agents)
     if batch.diverged_at[0] >= 0:
         raise DivergedError(int(batch.diverged_at[0]))
     noise_means = None
@@ -244,14 +237,13 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
         stream = noise.start(n_agents, m // n_agents, rotation)
         noise_means = stream.draw_chunk(steps).mean(axis=1)
     return Trajectory(batch.steps, batch.zeta, batch.consensus_error[0],
-                      batch.grad_norm[0], batch.state_norm[0], batch.final_states[0],
+                      batch.grad_norm[0], batch.state_norm[0], batch.states[0],
                       float(batch.sup_state_norm[0]), "general", noise.kind, n_agents,
-                      m // n_agents, None if states is None else np.array(states),
-                      noise_means)
+                      m // n_agents, noise_means)
 
 
 def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseModel(),
-                  *, record="geometric", record_state=False, record_noise=False):
+                  *, record="geometric", record_noise=False):
     """Iterate the agentwise recursion on a communication graph: `run` with
     Q = L kron I_d and one noise sub-stream per agent."""
     states = np.asarray(initial_states, dtype=float)
@@ -260,7 +252,7 @@ def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseMod
         raise ValueError("initial states disagree with the loss stack")
     traj = run(states.ravel(), steps, losses.assembled,
                consensus_penalty(laplacian(graph), d), schedule, noise, record=record,
-               record_state=record_state, record_noise=record_noise, n_agents=n)
+               record_noise=record_noise, n_agents=n)
     return replace(traj, mode="agentwise")
 
 
@@ -276,14 +268,14 @@ class MeanResidualReport:
 def network_mean_residual(traj, losses, schedule):
     """Check that the network mean follows the averaged-gradient recursion.
 
-    Needs an agentwise trajectory recorded at every step with states and noise
-    means; losses must be continuously differentiable so the gradient at the
-    mean is well defined.
+    Needs an agentwise trajectory recorded at every step with noise means;
+    losses must be continuously differentiable so the gradient at the mean is
+    well defined.
     """
     if traj.mode != "agentwise":
         raise ValueError("need an agentwise trajectory")
-    if traj.states is None or traj.noise_means is None:
-        raise ValueError("trajectory must record states and noise at every step")
+    if traj.noise_means is None:
+        raise ValueError("trajectory must record noise means")
     if not all(c.is_smooth(1) for c in losses.components):
         raise ValueError("mean-recursion comparison needs smooth losses")
     k_count = len(traj.states) - 1
@@ -374,9 +366,21 @@ def per_step(callback):
     return observer
 
 
+def checkpoint_metrics(xs, loss, rotation):
+    """Consensus error, restricted gradient norm and state norm of each row of
+    the (rows, m) states xs: the norms of xs off the constraint space, of the
+    constraint part of the subgradient at xs projected onto it, and of xs."""
+    basis = rotation.constraint_basis
+    cons = np.linalg.norm(xs @ rotation.off_basis, axis=1)
+    proj = (xs @ basis) @ basis.T
+    gn = np.linalg.norm(loss.subgradient(proj) @ basis, axis=1)
+    return cons, gn, np.linalg.norm(xs, axis=1)
+
+
 @dataclass
 class BatchRun:
-    """Vectorized multi-seed run: per-seed rows of checkpointed metrics."""
+    """Vectorized multi-seed run: per-seed rows of checkpointed metrics and
+    states."""
 
     seeds: np.ndarray
     steps: np.ndarray
@@ -384,13 +388,17 @@ class BatchRun:
     consensus_error: np.ndarray  # (n_seeds, n_records)
     grad_norm: np.ndarray
     state_norm: np.ndarray
-    final_states: np.ndarray
+    states: np.ndarray  # (n_seeds, n_records, m)
     sup_state_norm: np.ndarray
     diverged_at: np.ndarray  # -1 where the seed stayed finite
 
     @property
     def n_seeds(self):
         return len(self.seeds)
+
+    @property
+    def final_states(self):
+        return self.states[:, -1]
 
 
 def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
@@ -402,9 +410,12 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     `run_agentwise` are its one-row views. Each seed draws from its own
     spawned streams, so row s reproduces `run` with that seed up to the BLAS
     summation order of the wider batch; one `draw_chunk` call draws every
-    row's noise for a chunk of steps. Diverged rows are frozen at their last
-    state below the ceiling and recorded, not fatal; once every row has diverged the loop
-    stops, and the remaining checkpoints repeat the frozen rows' metrics.
+    row's noise for a chunk of steps. Each checkpoint keeps every row's state
+    (`BatchRun.states`), copied from the chunk buffer, and its metrics come
+    from `checkpoint_metrics` on those states. Diverged rows are frozen at
+    their last state below the ceiling and recorded, not fatal; once every row
+    has diverged the loop stops, and the remaining checkpoints repeat the
+    frozen rows' states and metrics.
     observer(k_first, zetas, states, active) is called once per chunk with
     the chunk's (span, rows, m) states, the schedule index k_first of its
     first step, the elapsed times zetas after each step and the (span, rows)
@@ -445,21 +456,10 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     gammas = schedule.gamma(ks)
     zeta_all = zeta0 + np.concatenate([[0.0], np.cumsum(alphas)])
 
-    basis = rotation.constraint_basis
-    off = rotation.off_basis
-
-    def metrics(xs):
-        cons = np.linalg.norm(xs @ off, axis=1)
-        proj = (xs @ basis) @ basis.T
-        v = loss.subgradient(proj)
-        gn = np.linalg.norm(v @ basis, axis=1)
-        return cons, gn, np.linalg.norm(xs, axis=1)
-
     n_rec = len(points)
-    cons_rec = np.empty((s_count, n_rec))
-    grad_rec = np.empty((s_count, n_rec))
-    norm_rec = np.empty((s_count, n_rec))
-    cons_rec[:, 0], grad_rec[:, 0], norm_rec[:, 0] = metrics(x)
+    # checkpoint-major: the metrics read each checkpoint as one C-ordered (rows, m) block
+    rec = np.empty((n_rec, s_count, m))
+    rec[0] = x
     sup_norm = np.linalg.norm(x, axis=1)
     diverged_at = np.full(s_count, -1, dtype=int)
     active = np.ones(s_count, dtype=bool)
@@ -506,15 +506,14 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
         if observer is not None and served:
             observer(k_start + k - 1, zeta_all[k:k + served], xs[:served], live[:served])
         while rec_idx < n_rec and points[rec_idx] < k + served:
-            cons_rec[:, rec_idx], grad_rec[:, rec_idx], norm_rec[:, rec_idx] = \
-                metrics(xs[points[rec_idx] - k])
+            rec[rec_idx] = xs[points[rec_idx] - k]
             rec_idx += 1
         k += span
-    x = x.copy()  # not a view of the state buffer
-    if rec_idx < n_rec:
-        # every row diverged: stepping on would record these frozen states again
-        for rec, col in zip((cons_rec, grad_rec, norm_rec), metrics(x)):
-            rec[:, rec_idx:] = col[:, None]
-
-    return BatchRun(seeds, np.asarray(points), zeta_all[points], cons_rec, grad_rec,
-                    norm_rec, x, sup_norm, diverged_at)
+    # once every row has diverged, stepping on would record its frozen states
+    # again, and their metrics are those of the first record that holds them
+    rec[rec_idx:] = x
+    cols = [checkpoint_metrics(xs, loss, rotation) for xs in rec[:rec_idx + 1]]
+    cols += cols[-1:] * (n_rec - len(cols))
+    cons, grad, norm = (np.stack(col, axis=1) for col in zip(*cols))
+    return BatchRun(seeds, np.asarray(points), zeta_all[points], cons, grad, norm,
+                    rec.transpose(1, 0, 2), sup_norm, diverged_at)

@@ -213,7 +213,6 @@ def saddle_quadratic_component(n_agents):
 class Problem:
     losses: object            # SumLoss
     q: object
-    graph: object
     n_agents: int
     agent_dim: int
     known: dict = field(default_factory=dict)
@@ -261,7 +260,7 @@ def build_problem(config):
         raise ConfigError(f"unknown loss key {key!r}")
 
     q = consensus_penalty(laplacian(graph), d)
-    return Problem(losses, q, graph, graph.vertex_count, d, known)
+    return Problem(losses, q, graph.vertex_count, d, known)
 
 
 def initial_states(config, problem, seeds):
@@ -320,8 +319,6 @@ def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
 
 def aggregate(kind, records):
     """Aggregates of a seed campaign: a pure function of its per-seed records."""
-    if not records:
-        return {}
     return {**SEED_CAMPAIGNS[kind].summarize(records),
             "diverged": int(sum(r["diverged_at"] >= 0 for r in records))}
 

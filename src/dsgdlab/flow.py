@@ -104,7 +104,6 @@ class TimeChange:
     tau_grid: np.ndarray
     gamma_tau: np.ndarray
     _alpha: object
-    _beta: object
 
     def invert(self, tau):
         """T(tau): solve S(t) = tau to root-finder accuracy."""
@@ -144,7 +143,7 @@ def time_change_to_gamma_form(alpha, beta, t_grid):
     if np.any(np.diff(taus) <= 0):
         raise ClockMismatchError("computed clock is not strictly increasing")
     gam = np.array([float(beta(float(t))) / float(alpha(float(t))) for t in t_grid])
-    return TimeChange(t_grid, taus, gam, alpha, beta)
+    return TimeChange(t_grid, taus, gam, alpha)
 
 
 def discrete_vs_continuous_gap(traj, solution):
@@ -152,8 +151,6 @@ def discrete_vs_continuous_gap(traj, solution):
     elapsed-time clock."""
     if traj.noise_kind != "none":
         raise ValueError("the gap comparison needs a noise-free trajectory")
-    if traj.states is None:
-        raise ValueError("trajectory must record states")
     interp = solution.at(traj.zeta)
     return np.linalg.norm(traj.states - interp, axis=1)
 

@@ -188,11 +188,6 @@ class ConstraintRotation:
     def off_constraint_part(self, x):
         return np.asarray(x) @ self.off_basis
 
-    def project_constraint(self, x):
-        """Orthogonal projection of x onto the constraint space (ambient frame)."""
-        b = self.constraint_basis
-        return (np.asarray(x) @ b) @ b.T
-
     def off_constraint_norm(self, x):
         return np.linalg.norm(self.off_constraint_part(x), axis=-1)
 

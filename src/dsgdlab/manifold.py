@@ -466,12 +466,10 @@ class PicardSolution:
 
     times: np.ndarray
     u: np.ndarray              # (batch, n, M)
-    a_s: np.ndarray            # (batch, n_s)
     n_u: int
     deltas: np.ndarray         # sup-norm change per iteration
     residual: float            # change of one extra substitution
     tail_estimate: float
-    horizon_index: int
 
     @property
     def iterations(self):
@@ -479,7 +477,8 @@ class PicardSolution:
 
     @property
     def psi(self):
-        """Unstable components at the initial time, one row per a_s."""
+        """Unstable components at the initial time, one row per stable
+        initial condition."""
         return self.u[:, 0, : self.n_u]
 
     def contraction_ratios(self):
@@ -495,6 +494,8 @@ class ManifoldModel:
     asks for it, as a pure function of its start time."""
 
     def __init__(self, context, t_start, t_end, picard=PicardOptions(), radius=0.3):
+        if not (np.isfinite(t_start) and np.isfinite(t_end)):
+            raise ValueError("the model span must be finite")
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         self.context = context
@@ -768,8 +769,7 @@ class ManifoldModel:
         self._apply_integral_operator(u, a_s, frame, work, new)
         residual = work.sup_change(new, u)
         return PicardSolution(frame.times[: tail_start + 1], u[:, : tail_start + 1, :],
-                              a_s, frame.n_u, np.array(deltas), residual, tail_est,
-                              tail_start)
+                              frame.n_u, np.array(deltas), residual, tail_est)
 
     def psi(self, t0, z_s):
         """Graph map of the manifold: unstable components over the stable block."""

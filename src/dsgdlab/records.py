@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .engine import checkpoint_metrics
+
 CHECKPOINT_MAGIC = "# dsgdlab-checkpoints v1"
 CAMPAIGN_MAGIC = "# dsgdlab-campaign v1"
 SUMMARY_MAGIC = "# dsgdlab-summary v1"
@@ -26,48 +28,33 @@ def _fmt(x):
     return str(x)
 
 
-def write_trajectory(traj, path, include_state=False):
+def _write_checkpoints(path, kind, steps, zeta, metrics, states):
     """One checkpoint per line: step, zeta, consensus_error, grad_norm,
-    state_norm, and optionally the full state."""
-    cols = ["step", "zeta", "consensus_error", "grad_norm", "state_norm"]
-    state = traj.states if include_state else None
-    if include_state and state is None:
-        raise ValueError("trajectory has no recorded states")
-    if state is not None:
-        cols += [f"x{i}" for i in range(state.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write("# kind: discrete\n")
-        fh.write("# columns: " + " ".join(cols) + "\n")
-        for i in range(len(traj.steps)):
-            row = [traj.steps[i], traj.zeta[i], traj.consensus_error[i],
-                   traj.grad_norm[i], traj.state_norm[i]]
-            if state is not None:
-                row += list(state[i])
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
-
-
-def write_solution(solution, path, loss=None, rotation=None):
-    """Serialize a continuous solution in the same checkpoint format,
-    tagged continuous; metric columns are filled when the loss and rotation
-    are supplied, otherwise nan."""
-    states = solution.states
+    state_norm and the state's coordinates."""
     cols = ["step", "zeta", "consensus_error", "grad_norm", "state_norm"]
     cols += [f"x{i}" for i in range(states.shape[1])]
     with open(path, "w") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write("# kind: continuous\n")
+        fh.write(f"# kind: {kind}\n")
         fh.write("# columns: " + " ".join(cols) + "\n")
-        for i, t in enumerate(solution.times):
-            x = states[i]
-            if loss is not None and rotation is not None:
-                cons = float(rotation.off_constraint_norm(x))
-                proj = rotation.project_constraint(x)
-                gn = float(np.linalg.norm(rotation.constraint_part(loss.subgradient(proj))))
-            else:
-                cons, gn = float("nan"), float("nan")
-            row = [i, t, cons, gn, float(np.linalg.norm(x))] + list(x)
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        for *head, x in zip(steps, zeta, *metrics, states):
+            fh.write("\t".join(_fmt(v) for v in [*head, *x]) + "\n")
+
+
+def write_trajectory(traj, path):
+    """Serialize a discrete trajectory's checkpoints, tagged discrete."""
+    _write_checkpoints(path, "discrete", traj.steps, traj.zeta,
+                       (traj.consensus_error, traj.grad_norm, traj.state_norm),
+                       traj.states)
+
+
+def write_solution(solution, path, loss, rotation):
+    """Serialize a continuous solution in the same checkpoint format, tagged
+    continuous: one line per grid time, its metrics those of a discrete
+    checkpoint."""
+    _write_checkpoints(path, "continuous", range(len(solution.times)), solution.times,
+                       checkpoint_metrics(solution.states, loss, rotation),
+                       solution.states)
 
 
 def read_checkpoints(path):

@@ -304,8 +304,7 @@ def test_10_integrator_and_gap_scaling():
     x0 = np.array([1.0, -1.0])
     terminal = []
     for a in (0.1, 0.05):
-        traj = run(x0, 400, loss2, q2, Schedule(a, 1.0, 1.0, 0.6), record=1,
-                   record_state=True)
+        traj = run(x0, 400, loss2, q2, Schedule(a, 1.0, 1.0, 0.6), record=1)
         sol = integrate_dgf(loss2, q2, ConstantGamma(0.0), x0, 0.0,
                             float(traj.zeta[-1]) + 1e-9, step=1e-3)
         terminal.append(discrete_vs_continuous_gap(traj, sol)[-1])

@@ -479,9 +479,9 @@ def test_trajectory_record_roundtrip(tmp_path):
     losses = sum_loss([zero_loss(1), zero_loss(1)])
     traj = run(np.array([1.0, 0.0]), 100, losses.assembled, q,
                Schedule(1.0, 1.0, 0.5, 0.6), NoiseModel("gaussian", 0.1, seed=3),
-               record_state=True, n_agents=2)
+               n_agents=2)
     path = tmp_path / "traj.tsv"
-    write_trajectory(traj, path, include_state=True)
+    write_trajectory(traj, path)
     kind, cols, arr = read_checkpoints(path)
     assert kind == "discrete"
     assert cols[:5] == ["step", "zeta", "consensus_error", "grad_norm", "state_norm"]

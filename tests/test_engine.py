@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsgdlab.engine import (
@@ -145,7 +145,7 @@ def test_two_agent_quadratics_reach_sum_minimizer():
 
 def test_run_zero_steps_contains_initial_state_only():
     q, losses = consensus_problem(2, 1)
-    traj = run(np.array([1.0, 0.0]), 0, losses.assembled, q, SCHED, record_state=True)
+    traj = run(np.array([1.0, 0.0]), 0, losses.assembled, q, SCHED)
     assert len(traj) == 1
     assert traj.steps[0] == 0
     assert np.array_equal(traj.states[0], [1.0, 0.0])
@@ -154,10 +154,8 @@ def test_run_zero_steps_contains_initial_state_only():
 def test_run_determinism_same_seed():
     q, losses = consensus_problem(3, 1)
     noise = NoiseModel("gaussian", 0.3, seed=9)
-    a = run(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise,
-            record_state=True, n_agents=3)
-    b = run(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise,
-            record_state=True, n_agents=3)
+    a = run(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise, n_agents=3)
+    b = run(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise, n_agents=3)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.consensus_error, b.consensus_error)
 
@@ -170,9 +168,8 @@ def test_run_agentwise_equals_run_general_whole_trajectory():
     q = consensus_penalty(laplacian(g), d)
     noise = NoiseModel("uniform-sphere", 0.4, seed=77)
     x0 = rng.standard_normal((n, d))
-    ta = run_agentwise(x0, 300, losses, g, SCHED, noise, record=1, record_state=True)
-    tg = run(x0.ravel(), 300, losses.assembled, q, SCHED, noise, record=1,
-             record_state=True, n_agents=n)
+    ta = run_agentwise(x0, 300, losses, g, SCHED, noise, record=1)
+    tg = run(x0.ravel(), 300, losses.assembled, q, SCHED, noise, record=1, n_agents=n)
     assert np.max(np.abs(ta.states - tg.states)) < 1e-12
 
 
@@ -277,7 +274,7 @@ def test_network_mean_residual_identity_and_gap():
     g = path_graph(n)
     noise = NoiseModel("gaussian", 0.2, seed=21)
     traj = run_agentwise(rng.standard_normal((n, d)), 400, losses, g, SCHED, noise,
-                         record=1, record_state=True, record_noise=True)
+                         record=1, record_noise=True)
     rep = network_mean_residual(traj, losses, SCHED)
     assert np.max(rep.identity_residual) < 1e-12
     # gap bounded by Lipschitz(grad f_n) * max_n ||x_n - mean||; here Lip = 1
@@ -286,8 +283,7 @@ def test_network_mean_residual_identity_and_gap():
     assert np.all(rep.approximation_gap <= spread[:-1] + 1e-12)
     # at consensus the gap vanishes
     consensual = np.tile(rng.standard_normal(d), (n, 1))
-    traj2 = run_agentwise(consensual, 1, losses, g, SCHED, record=1,
-                          record_state=True, record_noise=True)
+    traj2 = run_agentwise(consensual, 1, losses, g, SCHED, record=1, record_noise=True)
     rep2 = network_mean_residual(traj2, losses, SCHED)
     assert rep2.approximation_gap[0] < 1e-14
 
@@ -495,6 +491,10 @@ def test_draw_chunk_matches_per_agent_reference(kind, restrict):
     assert np.concatenate(draws).tobytes() == singles.tobytes()
 
 
+def _anti_quadratic_starts(scales):
+    return np.asarray(scales, dtype=float)[:, None] * np.array([1.0, -0.5, 0.8, 0.3])
+
+
 def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, record="geometric",
                           loss=None):
     """Rows of x(k+1) = (1 + alpha_k) x(k) - alpha_k (gamma_k Q x(k) + xi) on two
@@ -503,7 +503,7 @@ def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, recor
     step, and the span of each observer call. `loss` stands in for the
     anti-quadratic's oracle (a wrapper around it)."""
     q = consensus_penalty(laplacian(path_graph(2)), 2)
-    x0 = np.asarray(scales, dtype=float)[:, None] * np.array([1.0, -0.5, 0.8, 0.3])
+    x0 = _anti_quadratic_starts(scales)
     calls, spans = [], []
     flatten = per_step(lambda k, zeta, x, active:
                        calls.append((k, zeta, x.copy(), active.copy())))
@@ -576,6 +576,59 @@ def test_run_batch_is_the_same_for_every_chunk_size(case):
         _assert_same_run(run, ref)
         # one observer call per chunk, the last one cut at the last crossing
         assert run[2] == [min(chunk, observed - k) for k in range(0, observed, chunk)]
+
+
+def _observed_checkpoints(scales, steps, chunk, ceiling, noise, record):
+    """A batch and the states a per-step observer saw at its checkpoints: the
+    initial state at step 0, the observed state at a served step, and the
+    states at the last served step (or the initial states) at a checkpoint
+    past the last crossing, where every row is frozen."""
+    batch, calls, _ = _anti_quadratic_batch(scales, steps, chunk, ceiling, noise,
+                                            record=record)
+    seen = {k: x for k, _, x, _ in calls}
+    frozen = calls[-1][2] if calls else _anti_quadratic_starts(scales)
+    want = [_anti_quadratic_starts(scales) if p == 0 else seen.get(p, frozen)
+            for p in batch.steps]
+    return batch, np.stack(want, axis=1)
+
+
+NOISES = [NoiseModel(), GAUSS, NoiseModel("uniform-sphere", 0.1),
+          NoiseModel("gaussian", 0.1, 0, True)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scales=st.lists(st.sampled_from([0.01, 0.1, 1.0, 3.0]) | st.floats(0.01, 3.0),
+                      min_size=1, max_size=3),
+       steps=st.integers(1, 400),
+       record=st.one_of(st.just("geometric"), st.integers(1, 60)),
+       chunk=st.one_of(st.sampled_from([1, 7, 64, 256]), st.integers(1, 300)),
+       ceiling=st.sampled_from([2.0, 20.0, 200.0, 1e12]),
+       noise=st.sampled_from(NOISES))
+@example(scales=[1.0, 3.0], steps=300, record=1, chunk=7, ceiling=20.0, noise=NOISES[1])
+@example(scales=[0.01, 3.0, 1.0], steps=400, record=1, chunk=64, ceiling=200.0,
+         noise=NOISES[3])
+@example(scales=[3.0], steps=50, record=13, chunk=64, ceiling=2.0, noise=NOISES[0])
+@example(scales=[0.5, 0.01], steps=0, record="geometric", chunk=1, ceiling=2.0,
+         noise=NOISES[2])
+def test_checkpoint_states_are_the_observed_states(scales, steps, record, chunk, ceiling,
+                                                   noise):
+    # byte for byte: each checkpoint's states are what a per-step observer saw
+    # at that step, also when some or every row diverges
+    batch, want = _observed_checkpoints(scales, steps, chunk, ceiling, noise, record)
+    assert batch.states.shape == (len(scales), len(batch.steps), 4)
+    assert batch.states.tobytes() == want.tobytes()
+    assert batch.final_states.tobytes() == batch.states[:, -1].tobytes()
+    # and `run` keeps the states of its one-row batch
+    alone, want = _observed_checkpoints(scales[:1], steps, chunk, ceiling, noise, record)
+    args = (_anti_quadratic_starts(scales[:1])[0], steps, quadratic_form(-np.eye(4)),
+            consensus_penalty(laplacian(path_graph(2)), 2), SCHED, noise)
+    if alone.diverged_at[0] >= 0:
+        with pytest.raises(DivergedError):
+            run(*args, record=record, ceiling=ceiling, n_agents=2)
+    else:
+        traj = run(*args, record=record, ceiling=ceiling, n_agents=2)
+        assert traj.states.tobytes() == want[0].tobytes()
+        assert traj.final_state.tobytes() == want[0, -1].tobytes()
 
 
 class _CountingLoss:

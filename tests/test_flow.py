@@ -107,7 +107,7 @@ def test_time_change_gamma_increasing_for_slower_beta_decay():
 def test_gap_zero_for_zero_steps_and_at_fixed_point():
     loss = quadratic_form(np.eye(2))
     q = penalty_from_matrix(np.zeros((2, 2)))
-    traj = run(np.zeros(2), 0, loss, q, Schedule(0.1, 1.0, 1.0, 0.6), record_state=True)
+    traj = run(np.zeros(2), 0, loss, q, Schedule(0.1, 1.0, 1.0, 0.6))
     sol = integrate_dgf(loss, q, ConstantGamma(0.0), np.zeros(2), 0.0, 1e-9)
     gaps = discrete_vs_continuous_gap(traj, sol)
     assert np.allclose(gaps, 0.0)
@@ -126,7 +126,7 @@ def test_gap_halves_when_alpha_scale_halves():
     terminal = []
     for a in (0.1, 0.05, 0.025):
         sched = Schedule(a, 1.0, 1.0, 0.6)
-        traj = run(x0, 400, loss, q, sched, record=1, record_state=True)
+        traj = run(x0, 400, loss, q, sched, record=1)
         sol = integrate_dgf(loss, q, ConstantGamma(0.0), x0, 0.0,
                             float(traj.zeta[-1]) + 1e-9, step=1e-3)
         gaps = discrete_vs_continuous_gap(traj, sol)
@@ -140,7 +140,7 @@ def test_gap_rejects_noisy_trajectory():
     loss = quadratic_form(np.eye(1))
     q = penalty_from_matrix(np.zeros((1, 1)))
     traj = run(np.ones(1), 10, loss, q, Schedule(0.1, 1.0, 1.0, 0.6),
-               NoiseModel("gaussian", 0.1, seed=1), record_state=True)
+               NoiseModel("gaussian", 0.1, seed=1))
     sol = integrate_dgf(loss, q, ConstantGamma(0.0), np.ones(1), 0.0, 2.0)
     with pytest.raises(ValueError):
         discrete_vs_continuous_gap(traj, sol)
@@ -149,7 +149,7 @@ def test_gap_rejects_noisy_trajectory():
 def test_gap_clock_mismatch():
     loss = quadratic_form(np.eye(1))
     q = penalty_from_matrix(np.zeros((1, 1)))
-    traj = run(np.ones(1), 100, loss, q, Schedule(0.1, 1.0, 1.0, 0.6), record_state=True)
+    traj = run(np.ones(1), 100, loss, q, Schedule(0.1, 1.0, 1.0, 0.6))
     short = integrate_dgf(loss, q, ConstantGamma(0.0), np.ones(1), 0.0, 0.01)
     with pytest.raises(ClockMismatchError):
         discrete_vs_continuous_gap(traj, short)

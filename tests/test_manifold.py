@@ -69,6 +69,17 @@ def rotating_context():
                           PowerLawGamma(0.5, 0.6), np.zeros(3))
 
 
+@pytest.mark.parametrize("make_context", [cross_cubic_context, quad_context],
+                         ids=["cross-cubic", "penalized-quadratic"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_model_refuses_a_non_finite_span(make_context, bad):
+    ctx = make_context()
+    with pytest.raises(ValueError, match="finite"):
+        ManifoldModel(ctx, 4.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ManifoldModel(ctx, -bad, 40.0)
+
+
 def test_context_counts_unstable_directions():
     ctx = quad_context()
     assert ctx.n_u == 1
