@@ -17,7 +17,6 @@ It steps each chunk once and serves it to one observer call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -83,7 +82,10 @@ class NoiseStream:
                           for child in np.random.SeedSequence(int(seed)).spawn(n_agents)]
 
     def draw(self):
-        """One noise event."""
+        """One noise event.
+
+        Test-only: the single-step references draw one event at a time.
+        """
         return self.draw_chunk(1)[0]
 
     def draw_chunk(self, count):
@@ -100,7 +102,8 @@ class NoiseStream:
             out = np.zeros((count, rows, self.n_agents, self.agent_dim))
             return out if self.rows else out[:, 0]
         out = np.empty((rows, self.n_agents, count, self.agent_dim))
-        for gen, block in zip(self._gens, out.reshape(-1, count, self.agent_dim)):
+        for gen, block in zip(self._gens, out.reshape(rows * self.n_agents, count,
+                                                      self.agent_dim)):
             gen.standard_normal(out=block)
         if self.kind == "uniform-sphere":
             norms = np.linalg.norm(out, axis=-1, keepdims=True)
@@ -114,7 +117,8 @@ class NoiseStream:
         else:
             # a product summed row by row, so a draw's projection does not
             # depend on the chunk size (a BLAS product's summation order can)
-            flat = out.transpose(0, 2, 1, 3).reshape(rows, count, -1)
+            flat = out.transpose(0, 2, 1, 3).reshape(rows, count,
+                                                     self.n_agents * self.agent_dim)
             for block in flat:
                 block[...] = (block[:, :, None] * self.projector.T).sum(axis=1)
             out = flat.reshape(rows, count, self.n_agents,
@@ -141,7 +145,10 @@ def row_norms(x):
 
 
 def general_step(x, k, loss, q, schedule, noise):
-    """One update of the penalized recursion; consumes one noise event."""
+    """One update of the penalized recursion; consumes one noise event.
+
+    Test-only: the single-step reference of the general form (acceptance test_01).
+    """
     if k < 1:
         raise ValueError("step index starts at 1")
     x = np.asarray(x, dtype=float)
@@ -159,7 +166,10 @@ def general_step(x, k, loss, q, schedule, noise):
 
 def agentwise_step(states, k, losses, graph, schedule, noise):
     """One agentwise update; each agent mixes neighbor states and descends its
-    private loss. Equals the stacked general step with Q = L kron I_d."""
+    private loss. Equals the stacked general step with Q = L kron I_d.
+
+    Test-only: the single-step reference of the agentwise form (acceptance test_01).
+    """
     if k < 1:
         raise ValueError("step index starts at 1")
     states = np.asarray(states, dtype=float)
@@ -176,7 +186,10 @@ def agentwise_step(states, k, losses, graph, schedule, noise):
 @dataclass
 class Trajectory:
     """Checkpointed record of a run: per-checkpoint step count, elapsed time,
-    metrics and state."""
+    metrics and state.
+
+    Test-only: the one-seed view of a `BatchRun`.
+    """
 
     steps: np.ndarray
     zeta: np.ndarray
@@ -189,7 +202,6 @@ class Trajectory:
     noise_kind: str = "none"
     n_agents: int = 1
     agent_dim: int = 0
-    noise_means: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.steps)
@@ -216,150 +228,51 @@ def _record_points(steps, record):
 
 
 def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geometric",
-        record_noise=False, ceiling=DIVERGENCE_CEILING, n_agents=1):
+        ceiling=DIVERGENCE_CEILING, n_agents=1):
     """Iterate the general recursion, recording metrics and states at checkpoints.
 
     The one-row view of `run_batch` whose only seed is the noise seed, so it is
     deterministic given that seed. n_agents fixes the noise sub-stream layout:
     with n_agents = N the run consumes the same realizations as the agentwise
     form on N agents. Raises DivergedError past the ceiling.
+
+    Test-only: the one-seed view of `run_batch`.
     """
     x0 = np.asarray(initial, dtype=float)
-    m = len(x0)
-    rotation = constraint_rotation(q)
     batch = run_batch(x0, steps, loss, q, schedule, noise, [noise.seed], record=record,
-                      ceiling=ceiling, rotation=rotation, n_agents=n_agents)
+                      ceiling=ceiling, n_agents=n_agents)
     if batch.diverged_at[0] >= 0:
         raise DivergedError(int(batch.diverged_at[0]))
-    noise_means = None
-    if record_noise:
-        # a fresh stream for the same seed replays the realizations the run drew
-        stream = noise.start(n_agents, m // n_agents, rotation)
-        noise_means = stream.draw_chunk(steps).mean(axis=1)
     return Trajectory(batch.steps, batch.zeta, batch.consensus_error[0],
                       batch.grad_norm[0], batch.state_norm[0], batch.states[0],
                       float(batch.sup_state_norm[0]), "general", noise.kind, n_agents,
-                      m // n_agents, noise_means)
+                      len(x0) // n_agents)
 
 
 def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseModel(),
-                  *, record="geometric", record_noise=False):
+                  *, record="geometric"):
     """Iterate the agentwise recursion on a communication graph: `run` with
-    Q = L kron I_d and one noise sub-stream per agent."""
+    Q = L kron I_d and one noise sub-stream per agent.
+
+    Test-only: the one-seed view of `run_batch` in the agentwise form.
+    """
     states = np.asarray(initial_states, dtype=float)
     n, d = states.shape
     if n != losses.n_agents or d != losses.agent_dim:
         raise ValueError("initial states disagree with the loss stack")
     traj = run(states.ravel(), steps, losses.assembled,
                consensus_penalty(laplacian(graph), d), schedule, noise, record=record,
-               record_noise=record_noise, n_agents=n)
+               n_agents=n)
     return replace(traj, mode="agentwise")
-
-
-@dataclass(frozen=True)
-class MeanResidualReport:
-    """Exact mean-recursion residuals (zero to round-off) and the gap between
-    the averaged agent gradients and the gradient at the network mean."""
-
-    identity_residual: np.ndarray
-    approximation_gap: np.ndarray
-
-
-def network_mean_residual(traj, losses, schedule):
-    """Check that the network mean follows the averaged-gradient recursion.
-
-    Needs an agentwise trajectory recorded at every step with noise means;
-    losses must be continuously differentiable so the gradient at the mean is
-    well defined.
-    """
-    if traj.mode != "agentwise":
-        raise ValueError("need an agentwise trajectory")
-    if traj.noise_means is None:
-        raise ValueError("trajectory must record noise means")
-    if not all(c.is_smooth(1) for c in losses.components):
-        raise ValueError("mean-recursion comparison needs smooth losses")
-    k_count = len(traj.states) - 1
-    if not np.array_equal(traj.steps, np.arange(k_count + 1)):
-        raise ValueError("trajectory must be recorded at every step")
-
-    n, d = losses.n_agents, losses.agent_dim
-    blocks = traj.states.reshape(-1, n, d)
-    means = blocks.mean(axis=1)
-    identity = np.empty(k_count)
-    gap = np.empty(k_count)
-    for k in range(1, k_count + 1):
-        prev = blocks[k - 1]
-        avg_grad = np.stack([c.subgradient(prev[i])
-                             for i, c in enumerate(losses.components)]).mean(axis=0)
-        predicted = means[k - 1] - schedule.alpha(k) * (avg_grad + traj.noise_means[k - 1])
-        identity[k - 1] = np.linalg.norm(means[k] - predicted)
-        grad_at_mean = np.stack([c.subgradient(means[k - 1])
-                                 for c in losses.components]).mean(axis=0)
-        gap[k - 1] = np.linalg.norm(avg_grad - grad_at_mean)
-    return MeanResidualReport(identity, gap)
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    sup_norm: float
-    within_bound: bool
-
-
-def boundedness_probe(traj, ceiling=1e3):
-    """Did the whole run stay inside the configured norm ball?"""
-    return BoundednessReport(traj.sup_state_norm, bool(traj.sup_state_norm <= ceiling))
-
-
-@dataclass(frozen=True)
-class KarRateReport:
-    converges: bool
-    scaled_limit: float
-    z_final: float
-
-
-def rate_check_kar(a1, delta1, a2, delta2, delta0, z0, steps):
-    """Iterate z_{k+1} = (1 - r1(k)) z_k + r2(k) and report the rescaled tail.
-
-    r1(k) = a1 (k+1)^-delta1 (clipped at 1), r2(k) = a2 (k+1)^-delta2; the
-    rescaling (k+1)^delta0 z_k should vanish whenever delta0 < delta2 - delta1.
-    """
-    if a1 <= 0:
-        raise ValueError("a1 must be positive")
-    if a2 < 0:
-        raise ValueError("a2 must be nonnegative")
-    if not 0 <= delta1 < 1:
-        raise ValueError("delta1 must lie in [0, 1)")
-    if delta2 <= delta1:
-        raise ValueError("delta2 must exceed delta1")
-    if not 0 <= delta0 < delta2 - delta1:
-        raise ValueError("delta0 must lie in [0, delta2 - delta1)")
-    z = float(z0)
-    early_at = max(10, steps // 100)
-    early = None
-    for k in range(1, steps + 1):
-        r1 = min(a1 * (k + 1.0) ** (-delta1), 1.0)
-        r2 = a2 * (k + 1.0) ** (-delta2)
-        z = (1.0 - r1) * z + r2
-        if k == early_at:
-            early = (k + 1.0) ** delta0 * z
-    scaled = (steps + 1.0) ** delta0 * z
-    converges = bool(np.isfinite(scaled) and (early is None or scaled <= early + 1e-300))
-    return KarRateReport(converges, float(scaled), z)
-
-
-def technical_inner_product(x, v, q, alpha_k, gamma_k):
-    """<x - alpha/2 (v - gamma Q x), v + gamma Q x>, positive for large k
-    outside the coercivity radius."""
-    qm = q.matrix
-    qx = qm @ np.asarray(x, dtype=float)
-    w = np.asarray(v, dtype=float) + gamma_k * qx
-    return float(np.dot(x - 0.5 * alpha_k * (np.asarray(v) - gamma_k * qx), w))
 
 
 def per_step(callback):
     """A `run_batch` observer that calls callback(k, zeta_k, x, active) once
     per step, in step order, with that step's (rows, m) states and (rows,)
-    live mask."""
+    live mask.
+
+    Test-only: the one-step-at-a-time view of a chunk observer.
+    """
     def observer(k_first, zetas, states, active):
         for j, (zeta, x, live) in enumerate(zip(zetas, states, active)):
             callback(k_first + j, zeta, x, live)

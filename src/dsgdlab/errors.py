@@ -13,10 +13,6 @@ class ScheduleError(DsgdLabError):
     """A step/penalty weight schedule violates its exponent constraints."""
 
 
-class QuadratureError(DsgdLabError):
-    """A quadrature did not reach the requested accuracy."""
-
-
 class DivergedError(DsgdLabError):
     """A discrete recursion produced a non-finite or runaway state."""
 

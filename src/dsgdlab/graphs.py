@@ -103,14 +103,6 @@ def load_graph(path):
     return Graph.from_edges(n, edges)
 
 
-def dump_graph(graph, path):
-    """Write the edge-list format read by :func:`load_graph`."""
-    with open(path, "w") as fh:
-        fh.write(f"{graph.vertex_count}\n")
-        for i, j in sorted(graph.edges):
-            fh.write(f"{i} {j}\n")
-
-
 def laplacian(graph):
     """Graph Laplacian L = D - A as a dense symmetric array."""
     a = graph.adjacency()

@@ -298,6 +298,8 @@ def relu_regression(inputs, targets, widths=()):
     ReLU after each hidden layer; widths lists the hidden layer sizes
     (empty means a linear model). The parameter vector stacks the weight
     matrices in order, each flattened row-major. ReLU'(0) = 0.
+
+    Test-only: the nonsmooth network loss of acceptance test_01.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=float))
     ys = np.asarray(targets, dtype=float).ravel()
@@ -352,11 +354,6 @@ def relu_regression(inputs, targets, widths=()):
                       None, "lipschitz")
 
 
-def custom_loss(dim, value, subgradient, hessian=None, smoothness="c1"):
-    """User-supplied value/subgradient pair."""
-    return LossOracle(dim, value, subgradient, hessian, smoothness)
-
-
 @dataclass(frozen=True)
 class CoercivityReport:
     c1_hat: float
@@ -394,7 +391,10 @@ def check_coercivity(loss, radius, sample_count=2000, seed=0):
 
 
 def finite_difference_gradient(loss, x, step=1e-5):
-    """Central-difference gradient, the independent oracle for smooth points."""
+    """Central-difference gradient, the independent oracle for smooth points.
+
+    Test-only: the oracle that subgradients are checked against.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)

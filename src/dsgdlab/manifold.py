@@ -41,7 +41,6 @@ MATCH_OVERLAP_FLOOR = 0.7
 # row and its column; the margin absorbs the frames' rounding.
 UNIQUE_MATCH_OVERLAP = np.sqrt(0.5) + 1e-9
 NEWTON_MAX_ITER = 50
-GAMMA0_FLOOR = 0.1          # smallest |eigenvalue| of the penalized Hessian at gamma0
 REF_POINTS = 256            # reference-track times over the model span
 MODE_RATE_STEP = 1e-4       # central-difference step of the local mode rate
 PICARD_MAX_ITERS = 60
@@ -100,29 +99,6 @@ def saddle_context(loss, q, gamma, saddle):
     return SaddleContext(loss, q, gamma, saddle, rotation, n_u, len(saddle) - n_u)
 
 
-def default_gamma0(context):
-    """Smallest power-of-two penalty at which the penalized Hessian is safely
-    nonsingular, found by doubling from 1."""
-    gamma = 1.0
-    hess = context.loss.hessian(context.saddle)
-    for _ in range(60):
-        sv = np.abs(np.linalg.eigvalsh(hess + gamma * context.qmat))
-        if np.min(sv) > GAMMA0_FLOOR:
-            return gamma
-        gamma *= 2.0
-    raise DegenerateJacobianError("no penalty level makes the penalized Hessian nonsingular")
-
-
-@dataclass(frozen=True)
-class PerturbedSaddlePath:
-    gamma_grid: np.ndarray
-    points: np.ndarray
-    arc_length_estimate: float
-
-    def residuals(self, loss, qmat):
-        return np.linalg.norm(_stationarity(loss, qmat, self.gamma_grid, self.points), axis=1)
-
-
 def _row_products(mats, v):
     """mats[i] @ v[i] for every row i as a fixed-order sum of elementwise
     products, so a row's bits do not depend on how many rows there are.
@@ -156,24 +132,13 @@ def _newton_stationary(loss, qmat, gammas, starts):
     raise NewtonError(f"Newton did not reach residual {GRAD_TOL:g} at every penalty level")
 
 
-def solve_perturbed_saddle(context, gamma_grid):
-    """Newton solve of the penalized stationarity condition at every penalty
-    level at once, each from the saddle, to residuals below GRAD_TOL. The arc
-    length estimate is the polygonal length of the computed path."""
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if np.any(np.diff(gamma_grid) <= 0):
-        raise ValueError("gamma_grid must be increasing")
-    pts = _newton_stationary(context.loss, context.qmat, gamma_grid,
-                             np.broadcast_to(context.saddle, (len(gamma_grid), context.dim)))
-    arc = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    return PerturbedSaddlePath(gamma_grid, pts, arc)
-
-
 @dataclass(frozen=True)
 class SpectralSplit:
     """Eigenframe of the flow linearization at one time, unstable block first.
 
     Rows of modes are eigenvectors: modes @ a_matrix @ modes.T = diag(lambdas).
+
+    Test-only: the split that acceptance test_07 inspects.
     """
 
     t: float
@@ -244,7 +209,10 @@ def _splits(context, times, points, reference_modes):
 
 def linearize(context, t, g_at_t, reference_modes=None):
     """Spectral split of A(t) = -hess h(g_at_t) - gamma_t Q, where g_at_t is
-    the path point g(gamma_t); a one-row view of `_splits`."""
+    the path point g(gamma_t); a one-row view of `_splits`.
+
+    Test-only: acceptance test_07 checks the spectral structure one time at a time.
+    """
     jac, w, modes = _splits(context, [t], np.asarray(g_at_t, dtype=float)[None],
                             None if reference_modes is None else reference_modes[None])
     return SpectralSplit(float(t), -jac[0], modes[0], w[0], int(np.sum(w[0] > 0)))
@@ -413,7 +381,10 @@ class _BlockScan:
 
 def _decay_scan(log_decay, inc, reverse=False):
     """The blocked scan of `_BlockScan` on inc of shape (batch, n-1, m);
-    returns x, (batch, n, m)."""
+    returns x, (batch, n, m).
+
+    Test-only: the seam that checks the scan against the sequential recursion.
+    """
     scan = _BlockScan(log_decay, reverse)
     x = np.empty(scan.buffer_shape(inc.shape[0]))
     scan.increments(x)[...] = inc

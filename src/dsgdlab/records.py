@@ -1,4 +1,4 @@
-"""Delimited text records for trajectories, campaigns, and manifold reports.
+"""Delimited text records for campaigns, summaries, and manifold reports.
 
 All writers are timestamp-free so identical inputs produce byte-identical
 files. Floats are rendered with repr-level precision ('%.17g').
@@ -10,9 +10,6 @@ import hashlib
 
 import numpy as np
 
-from .engine import checkpoint_metrics
-
-CHECKPOINT_MAGIC = "# dsgdlab-checkpoints v1"
 CAMPAIGN_MAGIC = "# dsgdlab-campaign v1"
 SUMMARY_MAGIC = "# dsgdlab-summary v1"
 REPORT_MAGIC = "# dsgdlab-manifold-report v1"
@@ -26,53 +23,6 @@ def _fmt(x):
     if isinstance(x, float) or isinstance(x, np.floating):
         return "%.17g" % float(x)
     return str(x)
-
-
-def _write_checkpoints(path, kind, steps, zeta, metrics, states):
-    """One checkpoint per line: step, zeta, consensus_error, grad_norm,
-    state_norm and the state's coordinates."""
-    cols = ["step", "zeta", "consensus_error", "grad_norm", "state_norm"]
-    cols += [f"x{i}" for i in range(states.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(f"# kind: {kind}\n")
-        fh.write("# columns: " + " ".join(cols) + "\n")
-        for *head, x in zip(steps, zeta, *metrics, states):
-            fh.write("\t".join(_fmt(v) for v in [*head, *x]) + "\n")
-
-
-def write_trajectory(traj, path):
-    """Serialize a discrete trajectory's checkpoints, tagged discrete."""
-    _write_checkpoints(path, "discrete", traj.steps, traj.zeta,
-                       (traj.consensus_error, traj.grad_norm, traj.state_norm),
-                       traj.states)
-
-
-def write_solution(solution, path, loss, rotation):
-    """Serialize a continuous solution in the same checkpoint format, tagged
-    continuous: one line per grid time, its metrics those of a discrete
-    checkpoint."""
-    _write_checkpoints(path, "continuous", range(len(solution.times)), solution.times,
-                       checkpoint_metrics(solution.states, loss, rotation),
-                       solution.states)
-
-
-def read_checkpoints(path):
-    """Parse a checkpoint file into (kind, columns, array)."""
-    kind, cols, rows = None, None, []
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint record file")
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# kind:"):
-                kind = line.split(":", 1)[1].strip()
-            elif line.startswith("# columns:"):
-                cols = line.split(":", 1)[1].split()
-            elif line and not line.startswith("#"):
-                rows.append([float(v) for v in line.split("\t")])
-    return kind, cols, np.array(rows)
 
 
 def config_hash(sections):

@@ -78,18 +78,14 @@ def eta(model, x, t):
     """Distance-to-manifold functional in original coordinates.
 
     eta(x, t) = || unstable components of Phi(U(t)(x - g(gamma_t)), t) ||.
+
+    Test-only: the paper's distance functional, checked on and off the manifold.
     """
     xb, single = _as_batch(x)
     z = model.coordinate_change(xb, t)
     phi = rectify_phi(model, z, t)
     val = np.linalg.norm(phi[:, : model.context.n_u], axis=1)
     return float(val[0]) if single else val
-
-
-def distance_coordinates(x, n_u):
-    """The coordinate-slice distance d(x) = sqrt(sum of first n_u squares)."""
-    x = np.asarray(x, dtype=float)
-    return np.linalg.norm(x[..., :n_u], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -227,20 +223,6 @@ def rectified_field_spectrum(model, t_grid):
     pos_tail = tail[tail > 0]
     min_pos = float(np.min(pos_tail)) if len(pos_tail) else 0.0
     return SpectrumReport(t_grid, eigs, n_pos, min_pos, max_imag)
-
-
-def approximate_eigenvalue_bound(a, x, lam):
-    """Residual certificate: ||(A - lam I) x|| = eps with unit x locates lam
-    within eps * sqrt(m) of the spectrum of symmetric A."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    x = x / np.linalg.norm(x)
-    eps = float(np.linalg.norm(a @ x - lam * x))
-    bound = eps * np.sqrt(a.shape[0])
-    actual = float(np.min(np.abs(np.linalg.eigvalsh(a) - lam)))
-    return eps, bound, actual
 
 
 def autonomous_restriction(context, picard):

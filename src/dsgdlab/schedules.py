@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, ScheduleError
+from .errors import ScheduleError
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,6 @@ def elapsed_times(schedule, k_max):
     return np.concatenate([[0.0], np.cumsum(schedule.alpha(ks))])
 
 
-class ElapsedClock:
-    """Running sum of step sizes, identifying iteration count with time."""
-
-    def __init__(self, zeta=0.0):
-        self.zeta = float(zeta)
-
-    def advance(self, alpha_k):
-        self.zeta += float(alpha_k)
-        return self.zeta
-
-
 @dataclass(frozen=True)
 class PowerLawGamma:
     """Smooth interpolation gamma_t = g * t**r, agreeing with gamma_k at integers."""
@@ -95,10 +84,6 @@ class PowerLawGamma:
     def derivative(self, t):
         return self.scale * self.exponent * np.asarray(t, dtype=float) ** (self.exponent - 1.0)
 
-    def antiderivative(self, t):
-        r1 = self.exponent + 1.0
-        return self.scale * np.asarray(t, dtype=float) ** r1 / r1
-
 
 @dataclass(frozen=True)
 class ConstantGamma:
@@ -110,58 +95,8 @@ class ConstantGamma:
     def derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def antiderivative(self, t):
-        return self.level * np.asarray(t, dtype=float)
-
 
 def interpolate_gamma(schedule):
     """C2 interpolation of the penalty weights for t >= 1."""
     validate(schedule)
     return PowerLawGamma(schedule.gamma_scale, schedule.tau_gamma)
-
-
-@dataclass(frozen=True)
-class GammaConditionReport:
-    """Grid evaluation of gamma_t * int_{t0}^t exp(-int_tau^t gamma) exp(-a(tau-t0)) dtau."""
-
-    times: np.ndarray
-    values: np.ndarray
-    decreasing_tail: bool
-    terminal_below_initial: bool
-
-
-GAMMA_CHECK_POINTS = 24
-
-
-def gamma_condition_check(schedule, t0, alpha_decay, horizon):
-    """Numerically evaluate the damped-forcing integral and report its tail trend.
-
-    The integrand concentrates near tau = t because the inner integral of the
-    growing weight dominates; adaptive quadrature handles the boundary layer.
-    """
-    from scipy import integrate
-
-    if alpha_decay <= 0:
-        raise ValueError("alpha_decay must be positive")
-    if horizon <= t0:
-        raise ValueError("horizon must exceed t0")
-    gamma = interpolate_gamma(schedule)
-    big_g = gamma.antiderivative
-
-    # empty interval at t = t0 contributes an exact zero first point
-    ts = np.concatenate([[t0], np.geomspace(t0 * 1.05, horizon, GAMMA_CHECK_POINTS - 1)])
-    values = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        def integrand(tau, t=t):
-            return np.exp(big_g(tau) - big_g(t) - alpha_decay * (tau - t0))
-
-        val, err = integrate.quad(integrand, t0, t, limit=400)
-        if err > 1e-8 + 1e-4 * abs(val):
-            raise QuadratureError(
-                f"gamma-condition quadrature error {err:g} at t={t:g} exceeds budget")
-        values[i] = gamma(t) * val
-
-    tail = values[len(values) // 2:]
-    decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-6 * tail[:-1]))
-    # compare against the first nonempty-interval evaluation
-    return GammaConditionReport(ts, values, decreasing, bool(values[-1] < values[1]))

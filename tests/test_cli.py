@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 from dsgdlab import cli, experiments
 from dsgdlab.cli import main
-from dsgdlab.records import (
-    read_campaign,
-    read_checkpoints,
-    write_solution,
-    write_trajectory,
-)
+from dsgdlab.records import read_campaign
 
 GOOD_CONFIG = """
 [experiment]
@@ -469,46 +464,11 @@ def test_worker_count_env(monkeypatch, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_trajectory_record_roundtrip(tmp_path):
-    from dsgdlab.engine import NoiseModel, run
-    from dsgdlab.graphs import consensus_penalty, laplacian, path_graph
-    from dsgdlab.losses import sum_loss, zero_loss
-    from dsgdlab.schedules import Schedule
-
-    q = consensus_penalty(laplacian(path_graph(2)), 1)
-    losses = sum_loss([zero_loss(1), zero_loss(1)])
-    traj = run(np.array([1.0, 0.0]), 100, losses.assembled, q,
-               Schedule(1.0, 1.0, 0.5, 0.6), NoiseModel("gaussian", 0.1, seed=3),
-               n_agents=2)
-    path = tmp_path / "traj.tsv"
-    write_trajectory(traj, path)
-    kind, cols, arr = read_checkpoints(path)
-    assert kind == "discrete"
-    assert cols[:5] == ["step", "zeta", "consensus_error", "grad_norm", "state_norm"]
-    assert np.allclose(arr[:, 0], traj.steps)
-    assert np.allclose(arr[:, 5:], traj.states)
-
-
-def test_solution_record_tagged_continuous(tmp_path):
-    from dsgdlab.flow import integrate_dgf
-    from dsgdlab.graphs import constraint_rotation, penalty_from_matrix
-    from dsgdlab.losses import zero_loss
-    from dsgdlab.schedules import ConstantGamma
-
-    q = penalty_from_matrix(np.diag([0.0, 1.0]))
-    sol = integrate_dgf(zero_loss(2), q, ConstantGamma(1.0), [1.0, 1.0], 0.0, 0.5,
-                        step=1e-2)
-    path = tmp_path / "sol.tsv"
-    write_solution(sol, path, zero_loss(2), constraint_rotation(q))
-    kind, cols, arr = read_checkpoints(path)
-    assert kind == "continuous"
-    assert np.allclose(arr[:, 1], sol.times)
-    assert np.allclose(arr[:, 5:], sol.states)
-
-
 def test_cli_import_leaves_scipy_out():
-    # scipy is imported only by the calls that use it
-    code = "import sys, dsgdlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # scipy is imported only by the calls that use it; flow and schedules are
+    # not reached from the cli, so they are imported too
+    code = ("import sys, dsgdlab.cli, dsgdlab.flow, dsgdlab.schedules; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})

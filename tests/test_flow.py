@@ -3,14 +3,9 @@ import pytest
 
 from dsgdlab.engine import NoiseModel, run
 from dsgdlab.errors import ClockMismatchError
-from dsgdlab.flow import (
-    discrete_vs_continuous_gap,
-    integrate_dgf,
-    time_change_to_gamma_form,
-    uniform_consensus_probe,
-)
+from dsgdlab.flow import discrete_vs_continuous_gap, integrate_dgf
 from dsgdlab.graphs import constraint_rotation, penalty_from_matrix
-from dsgdlab.losses import finite_difference_gradient, quadratic_form, zero_loss
+from dsgdlab.losses import LossOracle, finite_difference_gradient, quadratic_form, zero_loss
 from dsgdlab.schedules import ConstantGamma, Schedule
 
 
@@ -36,12 +31,10 @@ def test_rhs_is_gradient_of_penalized_function():
     loss = quadratic_form(h + h.T + 4 * np.eye(3), rng.standard_normal(3))
     q = penalty_from_matrix(np.diag([0.0, 1.0, 2.5]))
     gamma_val = 1.7
-    from dsgdlab.losses import custom_loss
-
     for _ in range(5):
         x = rng.standard_normal(3)
         rhs = -loss.subgradient(x) - gamma_val * (q.matrix @ x)
-        penalized = custom_loss(
+        penalized = LossOracle(
             3,
             lambda y: loss.value(y) + 0.5 * gamma_val
             * np.einsum("...i,ij,...j->...", np.asarray(y), q.matrix, np.asarray(y)),
@@ -74,34 +67,6 @@ def test_penalized_value_nonincreasing_with_frozen_gamma():
     vals = loss.value(sol.states) + 0.5 * gamma_val * np.einsum(
         "ti,ij,tj->t", sol.states, q.matrix, sol.states)
     assert np.all(np.diff(vals) <= 1e-8)
-
-
-def test_time_change_identity_alpha():
-    tc = time_change_to_gamma_form(lambda t: 1.0, lambda t: 0.5 * (1 + t) ** -0.4,
-                                   np.linspace(0.5, 5.0, 10))
-    assert np.allclose(tc.tau_grid, tc.t_grid, atol=1e-10)
-    assert np.allclose(tc.gamma_tau, 0.5 * (1 + tc.t_grid) ** -0.4)
-
-
-def test_time_change_log_clock_inverts():
-    tc = time_change_to_gamma_form(lambda t: 1.0 / (1.0 + t), lambda t: 1.0,
-                                   np.linspace(0.1, 4.0, 12))
-    assert np.allclose(tc.tau_grid, np.log1p(tc.t_grid), atol=1e-9)
-    assert tc.invert(1.0) == pytest.approx(np.e - 1.0, abs=1e-8)
-
-
-def test_time_change_gamma_increasing_for_slower_beta_decay():
-    sched = Schedule(1.0, 0.9, 1.0, 0.6)  # beta decays at 0.3, alpha at 0.9
-
-    def alpha(t):
-        return (1.0 + t) ** -0.9
-
-    def beta(t):
-        return (1.0 + t) ** -0.3
-
-    tc = time_change_to_gamma_form(alpha, beta, np.linspace(0.0, 6.0, 15))
-    assert np.all(np.diff(tc.gamma_tau) > 0)
-    assert sched.tau_beta < sched.tau_alpha
 
 
 def test_gap_zero_for_zero_steps_and_at_fixed_point():
@@ -155,19 +120,6 @@ def test_gap_clock_mismatch():
         discrete_vs_continuous_gap(traj, short)
 
 
-def test_uniform_consensus_probe_zero_loss_matches_efolding():
-    q = penalty_from_matrix(np.diag([0.0, 1.0]))
-    rot = constraint_rotation(q)
-    gamma_bar = 2.0
-    eps = 1e-3
-    x0 = np.array([0.3, 1.0])
-    probe = uniform_consensus_probe(zero_loss(2), q, ConstantGamma(gamma_bar), rot,
-                                    [x0], [0.0], eps, t_max=10.0, step=1e-3)
-    analytic = np.log(1.0 / eps) / (1.0 * gamma_bar)  # dist0 = 1, lambda_min = 1
-    assert probe.t_bar_hat == pytest.approx(analytic, rel=0.5)
-    assert 0.5 * analytic <= probe.t_bar_hat <= 2.0 * analytic
-
-
 def test_constraint_distance_decreasing_past_penalty_threshold():
     # outside an epsilon-tube around the constraint space, the off-constraint
     # norm must shrink once gamma_t lambda_min epsilon exceeds the drive bound;
@@ -189,18 +141,3 @@ def test_constraint_distance_decreasing_past_penalty_threshold():
     outside = dists[:-1] > eps
     assert np.any(outside)
     assert np.all(np.diff(dists)[outside] < 0)
-
-
-def test_uniform_consensus_probe_monotone_in_epsilon_and_on_C():
-    q = penalty_from_matrix(np.diag([0.0, 1.0]))
-    rot = constraint_rotation(q)
-    x0s = [np.array([0.5, 0.8]), np.array([-0.2, -1.0])]
-    small = uniform_consensus_probe(zero_loss(2), q, ConstantGamma(1.0), rot,
-                                    x0s, [0.0, 1.0], 1e-2, t_max=15.0, step=1e-2)
-    large = uniform_consensus_probe(zero_loss(2), q, ConstantGamma(1.0), rot,
-                                    x0s, [0.0, 1.0], 1e-1, t_max=15.0, step=1e-2)
-    assert large.t_bar_hat <= small.t_bar_hat
-    on_c = uniform_consensus_probe(zero_loss(2), q, ConstantGamma(1.0), rot,
-                                   [np.array([0.7, 0.0])], [0.0], 1e-6, t_max=5.0,
-                                   step=1e-2)
-    assert on_c.t_bar_hat == pytest.approx(0.0, abs=1e-12)

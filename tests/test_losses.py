@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsgdlab.losses import (
+    LossOracle,
     check_coercivity,
-    custom_loss,
     finite_difference_gradient,
     l1_regularized,
     polynomial,
@@ -222,7 +222,7 @@ def test_coercivity_quartic_dominates():
         x = np.asarray(x, dtype=float)
         return saddle.subgradient(x) + 4.0 * np.sum(x ** 2, axis=-1, keepdims=True) * x
 
-    loss = custom_loss(2, value, subgradient, smoothness="c3")
+    loss = LossOracle(2, value, subgradient, smoothness="c3")
     rep = check_coercivity(loss, radius=10.0, sample_count=2000, seed=1)
     assert rep.passed
     # dense sampling on the inner sphere itself, the worst case

@@ -21,11 +21,11 @@ from dsgdlab.manifold import (
     PicardOptions,
     _decay_scan,
     _match_to_previous,
-    default_gamma0,
+    _newton_stationary,
+    _stationarity,
     evolution_operator,
     linearize,
     saddle_context,
-    solve_perturbed_saddle,
 )
 from dsgdlab.schedules import ConstantGamma, PowerLawGamma
 
@@ -100,18 +100,20 @@ def test_context_rejects_noncritical_point():
         saddle_context(loss, q, ConstantGamma(1.0), np.zeros(2))
 
 
-def test_default_gamma0_quadratic():
-    ctx = quad_context()
-    g0 = default_gamma0(ctx)
-    hess = ctx.loss.hessian(ctx.saddle)
-    assert np.min(np.abs(np.linalg.eigvalsh(hess + g0 * ctx.qmat))) > 0.1
+def perturbed_path(ctx, gamma_grid):
+    """Stationary points g(gamma) on the grid, each solved from the saddle."""
+    return _newton_stationary(ctx.loss, ctx.qmat, gamma_grid,
+                              np.broadcast_to(ctx.saddle, (len(gamma_grid), ctx.dim)))
+
+
+def arc_length(points):
+    return float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
 
 
 def test_perturbed_path_is_zero_for_centered_saddle():
     ctx = quad_context()
-    path = solve_perturbed_saddle(ctx, np.linspace(2.0, 50.0, 30))
-    assert np.max(np.abs(path.points)) == 0.0
-    assert path.arc_length_estimate == 0.0
+    points = perturbed_path(ctx, np.linspace(2.0, 50.0, 30))
+    assert np.max(np.abs(points)) == 0.0
 
 
 def test_perturbed_path_closed_form():
@@ -122,21 +124,22 @@ def test_perturbed_path_closed_form():
     q = penalty_from_matrix(np.diag([0.0, q2]))
     ctx = saddle_context(loss, q, PowerLawGamma(1.0, 0.8), np.zeros(2))
     grid = np.linspace(2.0, 400.0, 200)
-    path = solve_perturbed_saddle(ctx, grid)
+    points = perturbed_path(ctx, grid)
     expected = 1.0 / (1.0 - grid * q2)
-    assert np.allclose(path.points[:, 0], 0.0, atol=1e-12)
-    assert np.allclose(path.points[:, 1], expected, atol=1e-9)
-    assert np.max(path.residuals(loss, q.matrix)) <= 1e-9
+    assert np.allclose(points[:, 0], 0.0, atol=1e-12)
+    assert np.allclose(points[:, 1], expected, atol=1e-9)
+    residuals = np.linalg.norm(_stationarity(loss, q.matrix, grid, points), axis=1)
+    assert np.max(residuals) <= 1e-9
     # norm decreasing toward zero on the tail
-    norms = np.linalg.norm(path.points, axis=1)
+    norms = np.linalg.norm(points, axis=1)
     assert np.all(np.diff(norms) < 0)
     assert norms[-1] < 2e-3
-    # arc length against the analytic integral |g2(end) - g2(start)| (monotone
-    # scalar curve), and stability under grid refinement
+    # polygonal arc length against the analytic integral |g2(end) - g2(start)|
+    # (monotone scalar curve), and stability under grid refinement
     analytic = abs(expected[-1] - expected[0])
-    assert path.arc_length_estimate == pytest.approx(analytic, rel=0.01)
-    fine = solve_perturbed_saddle(ctx, np.linspace(2.0, 400.0, 400))
-    assert fine.arc_length_estimate == pytest.approx(path.arc_length_estimate, rel=0.01)
+    assert arc_length(points) == pytest.approx(analytic, rel=0.01)
+    fine = perturbed_path(ctx, np.linspace(2.0, 400.0, 400))
+    assert arc_length(fine) == pytest.approx(arc_length(points), rel=0.01)
 
 
 def _assignment_match(prev_modes, w, v):

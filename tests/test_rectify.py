@@ -6,10 +6,8 @@ from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
 from dsgdlab.manifold import ManifoldModel, PicardOptions, saddle_context
 from dsgdlab.rectify import (
-    approximate_eigenvalue_bound,
     autonomous_restriction,
     compare_flattening_limit,
-    distance_coordinates,
     dt_phi_decay_probe,
     eta,
     rectified_field_spectrum,
@@ -119,19 +117,6 @@ def test_phi_refuses_rows_psi_cannot_certify():
     assert rectify_phi(model, [0.0, 0.05], 2.0)[1] == 0.05
 
 
-def test_distance_slice_properties():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.standard_normal(5)
-        y = rng.standard_normal(5)
-        d = distance_coordinates(x, 2)
-        assert d >= 0
-        for c in (0.5, 2.0, 7.0):
-            assert distance_coordinates(c * x, 2) == pytest.approx(c * d)
-        assert abs(distance_coordinates(x, 2) - distance_coordinates(y, 2)) \
-            <= np.linalg.norm(x - y) + 1e-12
-
-
 def test_repulsion_quadratic_exact():
     model = quad2_model()
     rep = repulsion_check(model, sample_ball=0.05, epsilon_grid=[1e-3, 3e-3, 1e-2],
@@ -193,18 +178,6 @@ def test_rectified_jacobian_block_diagonal():
         coupling = max(np.max(np.abs(w_t[:n_u, n_u:])), np.max(np.abs(w_t[n_u:, :n_u])))
         diag_scale = np.max(np.abs(np.diag(w_t)))
         assert coupling <= 1e-4 * diag_scale
-
-
-def test_approximate_eigenvalue_utility():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = int(rng.integers(2, 7))
-        a = rng.standard_normal((m, m))
-        a = 0.5 * (a + a.T)
-        x = rng.standard_normal(m)
-        lam = float(rng.standard_normal())
-        eps, bound, actual = approximate_eigenvalue_bound(a, x, lam)
-        assert actual <= bound + 1e-12
 
 
 def test_autonomous_restriction_quadratic_flat():

@@ -4,10 +4,8 @@ import pytest
 from dsgdlab.errors import ScheduleError
 from dsgdlab.schedules import (
     ConstantGamma,
-    ElapsedClock,
     Schedule,
     elapsed_times,
-    gamma_condition_check,
     interpolate_gamma,
     validate,
 )
@@ -26,6 +24,11 @@ def test_validate_tau_gamma_too_small():
 def test_validate_tau_gamma_not_below_tau_alpha():
     with pytest.raises(ScheduleError, match="tau_gamma < tau_alpha"):
         validate(Schedule(1.0, 1.0, 1.0, 1.0))
+
+
+def test_validate_refuses_a_flat_gamma():
+    with pytest.raises(ScheduleError, match="tau_gamma"):
+        validate(Schedule(1.0, 1.0, 1.0, 0.0))
 
 
 def test_validate_tau_alpha_above_one():
@@ -49,10 +52,6 @@ def test_elapsed_clock_increments_are_the_step_sizes():
     # each recorded increment is alpha_{k}, up to summation round-off
     assert np.allclose(np.diff(zs), s.alpha(np.arange(1, 51)), rtol=0, atol=1e-13)
     assert np.all(np.diff(zs) > 0)
-    clock = ElapsedClock()
-    for k in range(1, 51):
-        clock.advance(s.alpha(k))
-    assert clock.zeta == pytest.approx(zs[-1])
 
 
 def test_interpolation_matches_at_integers():
@@ -72,28 +71,7 @@ def test_interpolation_derivative_matches_fd():
     assert gamma.derivative(t) == pytest.approx(fd, abs=1e-8)
 
 
-def test_gamma_condition_decreasing_tail():
-    s = Schedule(1.0, 1.0, 1.0, 0.6)
-    rep = gamma_condition_check(s, t0=1.0, alpha_decay=1.0, horizon=60.0)
-    assert rep.values[0] == 0.0  # empty integration interval at t = t0
-    assert rep.decreasing_tail
-    assert rep.terminal_below_initial
-    assert rep.values[-1] < 1e-3
-
-
-def test_gamma_condition_rejects_degenerate_inputs():
-    s = Schedule(1.0, 1.0, 1.0, 0.6)
-    with pytest.raises(ValueError):
-        gamma_condition_check(s, t0=1.0, alpha_decay=0.0, horizon=10.0)
-    with pytest.raises(ValueError):
-        gamma_condition_check(s, t0=5.0, alpha_decay=1.0, horizon=5.0)
-    # degenerate flat gamma is rejected upstream by validate
-    with pytest.raises(ScheduleError):
-        validate(Schedule(1.0, 1.0, 1.0, 0.0))
-
-
 def test_constant_gamma_helper():
     g = ConstantGamma(2.0)
     assert g(3.0) == pytest.approx(2.0)
     assert g.derivative(3.0) == pytest.approx(0.0)
-    assert g.antiderivative(3.0) == pytest.approx(6.0)
