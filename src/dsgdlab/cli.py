@@ -11,7 +11,13 @@ from pathlib import Path
 
 from .errors import ConfigError, DsgdLabError
 from .experiments import CampaignResult, load_config, prepare, run_experiment
-from .records import read_campaign, write_campaign, write_manifold_report, write_summary
+from .records import (
+    read_campaign,
+    read_manifold_report,
+    write_campaign,
+    write_manifold_report,
+    write_summary,
+)
 
 
 def _build_parser():
@@ -24,7 +30,7 @@ def _build_parser():
     p_run.add_argument("--output", help="override the [output] dir", default=None)
     p_val = sub.add_parser("validate", help="run a config's setup, echo the keys it read")
     p_val.add_argument("config")
-    p_rep = sub.add_parser("report", help="summarize a directory of result records")
+    p_rep = sub.add_parser("report", help="summarize a directory of results")
     p_rep.add_argument("result_dir")
     return parser
 
@@ -66,20 +72,32 @@ def _cmd_run(args, out, err):
 
 
 def _cmd_report(args, out, err):
+    """List every campaign (records.tsv, with its summary) and every manifold
+    report (report.txt, with each check's verdict) under the directory."""
     root = Path(args.result_dir)
-    files = sorted(root.glob("**/records.tsv"))
+    files = sorted(root.glob("**/records.tsv")) + sorted(root.glob("**/report.txt"))
     if not files:
-        raise ConfigError(f"no records.tsv files under {root}")
+        raise ConfigError(f"no records.tsv or report.txt files under {root}")
     hashes = set()
     for path in files:
         try:
-            meta, fields, records = read_campaign(path)
+            if path.name == "records.tsv":
+                meta, fields, records = read_campaign(path)
+            else:
+                meta, sections = read_manifold_report(path)
         except ValueError as exc:  # UnicodeDecodeError included
             raise ConfigError(f"{path}: {exc}") from exc
         hashes.add(meta.get("config-hash", "?"))
         if len(hashes) > 1:
             raise ConfigError(
                 f"mixed config hashes in {root}: {sorted(hashes)}; refusing to report")
+        if path.name == "report.txt":
+            out.write(f"{path}: manifold-verify, {sections.get('battery', {}).get('name', '?')}"
+                      f" battery, hash {meta.get('config-hash', '?')}\n")
+            for section, values in sections.items():
+                if "passed" in values:
+                    out.write(f"  {section}: {'pass' if values['passed'] == 'True' else 'FAIL'}\n")
+            continue
         out.write(f"{path}: {meta.get('experiment', '?')}, {len(records)} rows, "
                   f"hash {meta.get('config-hash', '?')}\n")
         summary = path.parent / "summary.txt"

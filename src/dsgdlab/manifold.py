@@ -17,7 +17,7 @@ a certified horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -228,12 +228,19 @@ class Frame:
     constant frame is one GEMM over all leading axes; a time-varying frame
     takes v of shape (batch, n, M) and is one batched matmul over the grid.
     Both write into `out` when given, a C-contiguous array of v's shape.
+    `transposed` holds U^T as a C-contiguous copy: a transposed view as
+    matmul's operand takes numpy's slow non-BLAS loop, with the same bits.
     """
 
     matrices: np.ndarray
+    transposed: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transposed",
+                           np.ascontiguousarray(self.matrices.swapaxes(-1, -2)))
 
     def rotate(self, v, out=None):
-        return self._right_multiply(v, self.matrices.swapaxes(-1, -2), out)
+        return self._right_multiply(v, self.transposed, out)
 
     def unrotate(self, v, out=None):
         return self._right_multiply(v, self.matrices, out)
@@ -398,12 +405,17 @@ class _PicardWork:
     Each substitution writes the remainder field into `g` (with `w` and `q`
     as its scratch) and the new iterate into one of `iterates`. The stable and
     unstable blocks share the padded scan buffer `scan` and the difference
-    buffer `diff`, which is also the scan's carry scratch.
+    buffer `diff`, which is also the scan's carry scratch. `gamma` is gamma_t
+    repeated along the M axis, so the penalty's product runs in long inner
+    loops; it is None when Q is zero and the penalty term vanishes.
     """
 
     def __init__(self, frame, batch):
         n, m = frame.lambdas.shape
         n_u = frame.n_u
+        self.gamma = None
+        if np.any(frame.context.qmat != 0.0):
+            self.gamma = np.repeat(frame.gamma_vals[:, None], m, axis=1)
         a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
         a_st, a_un = a_coef[:, n_u:], a_coef[:, :n_u]
         self.prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
@@ -575,7 +587,9 @@ class ManifoldModel:
         # g repeated along the rows: a contiguous operand, so the subtraction
         # runs in long inner loops rather than one per M-vector
         offset = stacked - np.repeat(g[:, None, :], stacked.shape[1], axis=1)
-        z = np.matmul(offset, modes.swapaxes(-1, -2),
+        # a C-contiguous U^T: a transposed view takes numpy's slow non-BLAS
+        # loop, with the same bits
+        z = np.matmul(offset, np.ascontiguousarray(modes.swapaxes(-1, -2)),
                       out=None if out is None else out.reshape(stacked.shape))
         return z.reshape(x.shape) if out is None else out
 
@@ -637,10 +651,12 @@ class ManifoldModel:
         w = frame.rotation.unrotate(z, out=work.w)
         np.add(w, frame.g_path, out=w)
         grad = ctx.loss.subgradient(w)
-        penalty = np.matmul(w, ctx.qmat, out=work.q)
-        np.multiply(frame.gamma_vals[:, None], penalty, out=penalty)
-        drive = np.negative(grad, out=w)
-        np.subtract(drive, penalty, out=drive)
+        if work.gamma is None:
+            drive = np.negative(grad, out=w)
+        else:
+            # Q (y + g) is read from w before w takes the drive
+            penalty = np.multiply(work.gamma, np.matmul(w, ctx.qmat, out=work.q), out=work.q)
+            drive = np.subtract(np.negative(grad, out=w), penalty, out=w)
         f_rot = frame.rotation.rotate(drive, out=work.g)
         # U A U^T z is diagonal in the rotated frame: just lambda * z
         np.subtract(f_rot, np.multiply(frame.lambdas, z, out=work.q), out=f_rot)
@@ -683,19 +699,19 @@ class ManifoldModel:
             np.negative(work.unstable.run(x, work.diff), out=out[:, :, :n_u])
         return g_all
 
-    def picard_solve(self, t0, a_s):
-        """Fixed-point iteration of the manifold integral equation.
+    def _iterate(self, t0, a_s):
+        """Fixed-point iteration of the manifold integral equation from t0,
+        with the tail check; a_s is 2-D, one stable initial condition per row.
 
-        a_s is one stable-block initial condition per row, each within a third
-        of the validity radius. Raises ContractionError when iterates diverge
-        and HorizonError when the certified truncation error exceeds tol.
-        Every iteration runs in one workspace allocated here.
+        Returns the frame, the workspace, the sup-norm change per iteration
+        and the tail bound. work.iterates holds the converged iterate first
+        and a spare buffer second. Raises ContractionError when iterates
+        diverge and HorizonError when the certified truncation error exceeds
+        TAIL_TOL.
         """
         opts = self.picard
-        ctx = self.context
-        a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
-        if a_s.shape[1] != ctx.n_s:
-            raise ValueError(f"a_s must have {ctx.n_s} stable components")
+        if a_s.shape[1] != self.context.n_s:
+            raise ValueError(f"a_s must have {self.context.n_s} stable components")
         if np.max(np.linalg.norm(a_s, axis=1)) > self.radius / 3.0 + 1e-12:
             raise ContractionError(
                 "stable initial condition outside the contraction radius (r/3)")
@@ -724,12 +740,12 @@ class ManifoldModel:
         else:
             raise ContractionError(
                 f"no convergence to {opts.tol:g} within {PICARD_MAX_ITERS} iterations")
+        work.iterates = u, new
 
-        # the tail bound uses the last iteration's field, which the
-        # resubstitution below overwrites
-        tail_start = int(round(opts.horizon / opts.dt))
+        # the tail bound uses the last iteration's field
         tail_est = 0.0
         if frame.n_u:
+            tail_start = int(round(opts.horizon / opts.dt))
             sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u]))
             g_tail_max = float(np.max(np.abs(g_all[:, tail_start:, : frame.n_u])))
             tail_est = g_tail_max / sigma_floor * float(np.exp(-sigma_floor * opts.tail))
@@ -737,17 +753,35 @@ class ManifoldModel:
             raise HorizonError(
                 f"truncated-tail bound {tail_est:.2e} exceeds the tolerance; "
                 "extend the tail window")
-        self._apply_integral_operator(u, a_s, frame, work, new)
-        residual = work.sup_change(new, u)
+        return frame, work, np.array(deltas), tail_est
+
+    def picard_solve(self, t0, a_s):
+        """Fixed-point iteration of the manifold integral equation, plus one
+        extra substitution that measures the residual.
+
+        a_s is one stable-block initial condition per row, each within a third
+        of the validity radius. Raises ContractionError when iterates diverge
+        and HorizonError when the certified truncation error exceeds tol.
+        Every iteration runs in one workspace allocated per solve.
+        """
+        a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
+        frame, work, deltas, tail_est = self._iterate(t0, a_s)
+        u, spare = work.iterates
+        self._apply_integral_operator(u, a_s, frame, work, spare)
+        residual = work.sup_change(spare, u)
+        tail_start = int(round(self.picard.horizon / self.picard.dt))
         return PicardSolution(frame.times[: tail_start + 1], u[:, : tail_start + 1, :],
-                              frame.n_u, np.array(deltas), residual, tail_est)
+                              frame.n_u, deltas, residual, tail_est)
 
     def psi(self, t0, z_s):
-        """Graph map of the manifold: unstable components over the stable block."""
+        """Graph map of the manifold: unstable components over the stable
+        block. The same bits as picard_solve(t0, z_s).psi, without the
+        residual's extra substitution."""
         z_s = np.atleast_2d(np.asarray(z_s, dtype=float))
         if self.psi_is_zero:
             return np.zeros((z_s.shape[0], self.context.n_u))
-        return self.picard_solve(t0, z_s).psi
+        _, work, _, _ = self._iterate(t0, z_s)
+        return work.iterates[0][:, 0, : self.context.n_u]
 
     # -- the certified region -------------------------------------------------
 

@@ -102,3 +102,25 @@ def write_manifold_report(report, path):
             fh.write(f"\n[{section}]\n")
             for key in sorted(report[section]):
                 fh.write(f"{key} = {_fmt(report[section][key])}\n")
+
+
+def read_manifold_report(path):
+    """(meta, sections) of a manifold report: the '# key: value' header lines,
+    and each [section]'s `key = value` lines as strings."""
+    meta, sections, current = {}, {}, None
+    with open(path) as fh:
+        if fh.readline().strip() != REPORT_MAGIC:
+            raise ValueError("not a manifold report file")
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, val = line[1:].partition(":")
+                meta[key.strip()] = val.strip()
+            elif line.startswith("[") and line.endswith("]"):
+                current = sections.setdefault(line[1:-1], {})
+            elif line:
+                key, sep, val = line.partition(" = ")
+                if current is None or not sep:
+                    raise ValueError(f"malformed report line {line!r}")
+                current[key] = val
+    return meta, sections

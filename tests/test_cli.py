@@ -489,3 +489,39 @@ def test_manifold_run_with_a_failed_solve_exits_2(tmp_path, monkeypatch):
     assert code == 2
     assert err == "experiment failed: ContractionError: stopped contracting\n"
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_report_reads_a_manifold_output_directory(tmp_path):
+    # a manifold-verify output holds report.txt and no records.tsv: report
+    # lists each check's verdict; a copy with a failed check shows FAIL
+    path = write_config(tmp_path, MANIFOLD_CONFIG, name="mv.ini", out_name="mv")
+    assert run_cli("run", str(path))[0] == 0
+    code, out, err = run_cli("report", str(tmp_path / "mv"))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{tmp_path / 'mv' / 'report.txt'}: manifold-verify, "
+                               "quadratic battery, hash ")
+    assert lines[1:] == [f"  {section}: pass" for section in
+                         ("comparison", "overall", "picard", "repulsion", "spectrum")]
+    text = (tmp_path / "mv" / "report.txt").read_text()
+    failed = tmp_path / "failed" / "report.txt"
+    failed.parent.mkdir()
+    failed.write_text(text.replace("[overall]\npassed = True", "[overall]\npassed = False"))
+    code, out, err = run_cli("report", str(failed.parent))
+    assert code == 0, err
+    assert "  overall: FAIL" in out.splitlines()
+
+
+@pytest.mark.parametrize("content", [
+    b"# not-a-report v0\n[overall]\npassed = True\n",
+    b"# dsgdlab-manifold-report v1\npassed = True\n",
+    b"# dsgdlab-manifold-report v1\n[overall]\n\xff\xfe\n",
+], ids=["bad-magic", "line-outside-a-section", "undecodable"])
+def test_report_malformed_manifold_report_is_config_error(tmp_path, content):
+    path = tmp_path / "r" / "report.txt"
+    path.parent.mkdir()
+    path.write_bytes(content)
+    code, out, err = run_cli("report", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err

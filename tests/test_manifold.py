@@ -1,4 +1,7 @@
+import copy
+import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -562,3 +565,53 @@ def test_local_linearization_matches_frame_row(make_model):
         # the grid and first order at its ends; a fixed frame's is exactly 0
         tol = 1e-5 if i in (0, last) else 1e-7
         assert np.max(np.abs(mode_rate - rate_i)) <= (0.0 if frame.mode_rate is None else tol)
+
+
+# the problems and Picard options of the three shipped manifold batteries
+@functools.lru_cache(maxsize=None)
+def battery_model(battery):
+    if battery == "quadratic":
+        ctx = saddle_context(quadratic_saddle([1.0, -1.0]), penalty_from_matrix(np.zeros((2, 2))),
+                             ConstantGamma(1.0), np.zeros(2))
+        return ManifoldModel(ctx, 1.0, 40.0, PicardOptions(horizon=8.0, dt=0.01, tail=4.0,
+                                                           tol=1e-10))
+    if battery == "cross-cubic":
+        return ManifoldModel(cross_cubic_context(), 1.0, 40.0,
+                             PicardOptions(horizon=10.0, dt=0.005, tail=5.0, tol=1e-10))
+    return ManifoldModel(rotating_context(), 4.0, 80.0,
+                         PicardOptions(horizon=8.0, dt=0.01, tail=8.0, tol=1e-10))
+
+
+@pytest.mark.parametrize("battery", ["quadratic", "cross-cubic", "shifted"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_psi_is_the_solve_without_its_residual_substitution(battery, data):
+    # psi stops at convergence and the tail check; picard_solve substitutes
+    # once more for the residual, which leaves u(t0)'s unstable block alone.
+    # The quadratic battery's psi is known to vanish; its solve path runs here
+    # with that shortcut switched off on a copy of the model
+    model = battery_model(battery)
+    if model.psi_is_zero:
+        model = copy.copy(model)
+        model.psi_is_zero = False
+    n_s, third = model.context.n_s, model.radius / 3.0
+    opts = model.picard
+    t0 = model.t_start + data.draw(st.floats(0.0, 0.5)) * (
+        model.t_end - model.t_start - opts.horizon - opts.tail)
+    batch = data.draw(st.integers(1, 4))
+    dirs = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=n_s, max_size=n_s)
+        .filter(lambda v: np.linalg.norm(v) > 1e-3), min_size=batch, max_size=batch)))
+    radii = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=batch,
+                                        max_size=batch)))
+    z_s = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * (third * radii)[:, None]
+
+    with mock.patch.object(model, "_apply_integral_operator",
+                           wraps=model._apply_integral_operator) as operator:
+        sol = model.picard_solve(t0, z_s)
+        solve_calls = operator.call_count
+        psi = model.psi(t0, z_s)
+    assert solve_calls == sol.iterations + 1
+    assert operator.call_count - solve_calls == solve_calls - 1
+    assert psi.shape == sol.psi.shape == (batch, model.context.n_u)
+    assert psi.tobytes() == sol.psi.tobytes()
