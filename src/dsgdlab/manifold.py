@@ -402,15 +402,18 @@ class _PicardWork:
     """One Picard solve's buffers and the operator's frame-only coefficients,
     allocated once per solve and reused by every substitution.
 
-    Each substitution writes the remainder field into `g` (with `w` and `q`
-    as its scratch) and the new iterate into one of `iterates`. The stable and
+    `start` is the stable block's initial condition propagated along the
+    grid, the same in every substitution. Each substitution writes the
+    remainder field into `g` (with `w` and `q` as its scratch) and the new
+    iterate into one of `iterates`. The stable and
     unstable blocks share the padded scan buffer `scan` and the difference
     buffer `diff`, which is also the scan's carry scratch. `gamma` is gamma_t
     repeated along the M axis, so the penalty's product runs in long inner
     loops; it is None when Q is zero and the penalty term vanishes.
     """
 
-    def __init__(self, frame, batch):
+    def __init__(self, frame, a_s):
+        batch = len(a_s)
         n, m = frame.lambdas.shape
         n_u = frame.n_u
         self.gamma = None
@@ -418,7 +421,8 @@ class _PicardWork:
             self.gamma = np.repeat(frame.gamma_vals[:, None], m, axis=1)
         a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
         a_st, a_un = a_coef[:, n_u:], a_coef[:, :n_u]
-        self.prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
+        prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
+        self.start = prop * a_s[:, None, :]
         self.phi_s = _phi1(a_st), _phi_tilde(a_st)
         self.phi_u = _phi1(-a_un), _phi_tilde(-a_un)
         self.stable = _BlockScan(a_st)
@@ -664,7 +668,7 @@ class ManifoldModel:
             np.add(f_rot, frame.mode_rate.rotate(z, out=work.q), out=f_rot)
         return f_rot
 
-    def _apply_integral_operator(self, u, a_s, frame, work, out):
+    def _apply_integral_operator(self, u, frame, work, out):
         """One substitution into the right-hand side of the integral equation,
         written into out; returns the remainder field minus the forcing."""
         n_u = frame.n_u
@@ -682,8 +686,7 @@ class ManifoldModel:
         np.multiply(gs[:, 1:, :], phi1, out=inc)
         np.subtract(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
         np.multiply(h, inc, out=inc)
-        new_s = np.multiply(work.prop, a_s[:, None, :], out=out[:, :, n_u:])
-        np.add(new_s, work.stable.run(x, work.diff), out=new_s)
+        np.add(work.start, work.stable.run(x, work.diff), out=out[:, :, n_u:])
 
         # unstable block: backward tail recursion k_i = inc_i + e^{-a_i} k_{i+1},
         # truncated at the grid end
@@ -716,14 +719,14 @@ class ManifoldModel:
             raise ContractionError(
                 "stable initial condition outside the contraction radius (r/3)")
         frame = self.frame(t0)
-        work = _PicardWork(frame, a_s.shape[0])
+        work = _PicardWork(frame, a_s)
         u, new = work.iterates
-        np.multiply(work.prop, a_s[:, None, :], out=u[:, :, frame.n_u:])
+        u[:, :, frame.n_u:] = work.start
 
         deltas = []
         grow = 0
         for _ in range(PICARD_MAX_ITERS):
-            g_all = self._apply_integral_operator(u, a_s, frame, work, new)
+            g_all = self._apply_integral_operator(u, frame, work, new)
             delta = work.sup_change(new, u)
             deltas.append(delta)
             u, new = new, u
@@ -767,7 +770,7 @@ class ManifoldModel:
         a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
         frame, work, deltas, tail_est = self._iterate(t0, a_s)
         u, spare = work.iterates
-        self._apply_integral_operator(u, a_s, frame, work, spare)
+        self._apply_integral_operator(u, frame, work, spare)
         residual = work.sup_change(spare, u)
         tail_start = int(round(self.picard.horizon / self.picard.dt))
         return PicardSolution(frame.times[: tail_start + 1], u[:, : tail_start + 1, :],
