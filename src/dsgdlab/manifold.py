@@ -399,17 +399,17 @@ def _decay_scan(log_decay, inc, reverse=False):
 
 
 class _PicardWork:
-    """One Picard solve's buffers and the operator's frame-only coefficients,
-    allocated once per solve and reused by every substitution.
+    """One Picard solve's buffers and the operator's coefficients that no
+    substitution changes, allocated once per solve and reused by every
+    substitution.
 
-    `start` is the stable block's initial condition propagated along the
-    grid, the same in every substitution. Each substitution writes the
-    remainder field into `g` (with `w` and `q` as its scratch) and the new
-    iterate into one of `iterates`. The stable and
+    Each substitution writes the remainder field into `g` (with `w` and `q`
+    as its scratch) and the new iterate into one of `iterates`. The stable and
     unstable blocks share the padded scan buffer `scan` and the difference
-    buffer `diff`, which is also the scan's carry scratch. `gamma` is gamma_t
-    repeated along the M axis, so the penalty's product runs in long inner
-    loops; it is None when Q is zero and the penalty term vanishes.
+    buffer `diff`, which is also the scan's carry scratch. `start` is the
+    stable block's initial condition propagated along the grid. `gamma` is
+    gamma_t repeated along the M axis, so the penalty's product runs in long
+    inner loops; it is None when Q is zero and the penalty term vanishes.
     """
 
     def __init__(self, frame, a_s):
