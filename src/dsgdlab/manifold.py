@@ -407,18 +407,13 @@ class _PicardWork:
     as its scratch) and the new iterate into one of `iterates`. The stable and
     unstable blocks share the padded scan buffer `scan` and the difference
     buffer `diff`, which is also the scan's carry scratch. `start` is the
-    stable block's initial condition propagated along the grid. `gamma` is
-    gamma_t repeated along the M axis, so the penalty's product runs in long
-    inner loops; it is None when Q is zero and the penalty term vanishes.
+    stable block's initial condition propagated along the grid.
     """
 
     def __init__(self, frame, a_s):
         batch = len(a_s)
         n, m = frame.lambdas.shape
         n_u = frame.n_u
-        self.gamma = None
-        if np.any(frame.context.qmat != 0.0):
-            self.gamma = np.repeat(frame.gamma_vals[:, None], m, axis=1)
         a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
         a_st, a_un = a_coef[:, n_u:], a_coef[:, :n_u]
         prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
@@ -445,6 +440,11 @@ class PicardOptions:
     dt: float = 0.01
     tail: float = 6.0
     tol: float = 1e-9           # fixed-point sup-norm tolerance
+
+    @property
+    def horizon_steps(self):
+        """Grid steps up to the horizon; the tail window follows them."""
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -655,12 +655,14 @@ class ManifoldModel:
         w = frame.rotation.unrotate(z, out=work.w)
         np.add(w, frame.g_path, out=w)
         grad = ctx.loss.subgradient(w)
-        if work.gamma is None:
+        if np.any(ctx.qmat):
+            penalty = np.matmul(w, ctx.qmat, out=work.q)
+            np.multiply(frame.gamma_vals[:, None], penalty, out=penalty)
             drive = np.negative(grad, out=w)
+            np.subtract(drive, penalty, out=drive)
         else:
-            # Q (y + g) is read from w before w takes the drive
-            penalty = np.multiply(work.gamma, np.matmul(w, ctx.qmat, out=work.q), out=work.q)
-            drive = np.subtract(np.negative(grad, out=w), penalty, out=w)
+            # gamma Q (y + g) vanishes with Q
+            drive = np.negative(grad, out=w)
         f_rot = frame.rotation.rotate(drive, out=work.g)
         # U A U^T z is diagonal in the rotated frame: just lambda * z
         np.subtract(f_rot, np.multiply(frame.lambdas, z, out=work.q), out=f_rot)
@@ -706,11 +708,10 @@ class ManifoldModel:
         """Fixed-point iteration of the manifold integral equation from t0,
         with the tail check; a_s is 2-D, one stable initial condition per row.
 
-        Returns the frame, the workspace, the sup-norm change per iteration
-        and the tail bound. work.iterates holds the converged iterate first
-        and a spare buffer second. Raises ContractionError when iterates
-        diverge and HorizonError when the certified truncation error exceeds
-        TAIL_TOL.
+        Returns the frame, the workspace, the converged iterate, the other
+        iterate buffer (spare), the sup-norm change per iteration and the tail
+        bound. Raises ContractionError when iterates diverge and HorizonError
+        when the certified truncation error exceeds TAIL_TOL.
         """
         opts = self.picard
         if a_s.shape[1] != self.context.n_s:
@@ -743,20 +744,18 @@ class ManifoldModel:
         else:
             raise ContractionError(
                 f"no convergence to {opts.tol:g} within {PICARD_MAX_ITERS} iterations")
-        work.iterates = u, new
 
         # the tail bound uses the last iteration's field
         tail_est = 0.0
         if frame.n_u:
-            tail_start = int(round(opts.horizon / opts.dt))
             sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u]))
-            g_tail_max = float(np.max(np.abs(g_all[:, tail_start:, : frame.n_u])))
+            g_tail_max = float(np.max(np.abs(g_all[:, opts.horizon_steps:, : frame.n_u])))
             tail_est = g_tail_max / sigma_floor * float(np.exp(-sigma_floor * opts.tail))
         if tail_est > TAIL_TOL:
             raise HorizonError(
                 f"truncated-tail bound {tail_est:.2e} exceeds the tolerance; "
                 "extend the tail window")
-        return frame, work, np.array(deltas), tail_est
+        return frame, work, u, new, np.array(deltas), tail_est
 
     def picard_solve(self, t0, a_s):
         """Fixed-point iteration of the manifold integral equation, plus one
@@ -768,13 +767,12 @@ class ManifoldModel:
         Every iteration runs in one workspace allocated per solve.
         """
         a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
-        frame, work, deltas, tail_est = self._iterate(t0, a_s)
-        u, spare = work.iterates
+        frame, work, u, spare, deltas, tail_est = self._iterate(t0, a_s)
         self._apply_integral_operator(u, frame, work, spare)
         residual = work.sup_change(spare, u)
-        tail_start = int(round(self.picard.horizon / self.picard.dt))
-        return PicardSolution(frame.times[: tail_start + 1], u[:, : tail_start + 1, :],
-                              frame.n_u, deltas, residual, tail_est)
+        end = self.picard.horizon_steps + 1
+        return PicardSolution(frame.times[:end], u[:, :end, :], frame.n_u, deltas,
+                              residual, tail_est)
 
     def psi(self, t0, z_s):
         """Graph map of the manifold: unstable components over the stable
@@ -783,8 +781,8 @@ class ManifoldModel:
         z_s = np.atleast_2d(np.asarray(z_s, dtype=float))
         if self.psi_is_zero:
             return np.zeros((z_s.shape[0], self.context.n_u))
-        _, work, _, _ = self._iterate(t0, z_s)
-        return work.iterates[0][:, 0, : self.context.n_u]
+        u = self._iterate(t0, z_s)[2]
+        return u[:, 0, : self.context.n_u]
 
     # -- the certified region -------------------------------------------------
 
