@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergedError
-from .graphs import consensus_penalty, constraint_rotation, laplacian
+from .graphs import consensus_penalty, laplacian
 
 DIVERGENCE_CEILING = 1e12
 
@@ -208,6 +208,7 @@ class Trajectory:
 
     @property
     def final_state(self):
+        """Test-only: the one-seed view of `BatchRun.final_states`."""
         return self.states[-1]
 
 
@@ -315,8 +316,8 @@ class BatchRun:
 
 
 def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
-              record="geometric", ceiling=DIVERGENCE_CEILING, rotation=None,
-              chunk=256, observer=None, n_agents=1, k_start=1):
+              record="geometric", ceiling=DIVERGENCE_CEILING, chunk=256,
+              observer=None, n_agents=1, k_start=1):
     """Run one seed per row of a vectorized batch of the general recursion.
 
     This is the one loop that iterates the recursion; `run` and
@@ -357,10 +358,8 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
         raise ValueError("state dimension must split evenly across agents")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    if rotation is None:
-        rotation = constraint_rotation(q)
     qm = q.matrix
-    stream = noise.start(n_agents, m // n_agents, rotation, seed=seeds)
+    stream = noise.start(n_agents, m // n_agents, q.rotation, seed=seeds)
 
     points = _record_points(steps, record)
     zeta0 = float(np.sum(schedule.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
@@ -425,7 +424,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     # once every row has diverged, stepping on would record its frozen states
     # again, and their metrics are those of the first record that holds them
     rec[rec_idx:] = x
-    cols = [checkpoint_metrics(xs, loss, rotation) for xs in rec[:rec_idx + 1]]
+    cols = [checkpoint_metrics(xs, loss, q.rotation) for xs in rec[:rec_idx + 1]]
     cols += cols[-1:] * (n_rec - len(cols))
     cons, grad, norm = (np.stack(col, axis=1) for col in zip(*cols))
     return BatchRun(seeds, np.asarray(points), zeta_all[points], cons, grad, norm,

@@ -25,7 +25,6 @@ from .errors import ConfigError, DsgdLabError
 from .graphs import (
     complete_graph,
     consensus_penalty,
-    constraint_rotation,
     laplacian,
     load_graph,
     path_graph,
@@ -302,7 +301,10 @@ class CampaignResult:
     version: str = __version__
 
     def recompute_aggregates(self):
-        """Aggregates must be a pure function of the per-seed records."""
+        """Aggregates must be a pure function of the per-seed records.
+
+        Test-only: the check that a result's aggregates follow from its records.
+        """
         return self.summarize(self.records)
 
 
@@ -434,14 +436,13 @@ def setup_seed_campaign(config):
         radius = config.get("tolerances", "coercivity_radius", 10.0, positive)
         if not check_coercivity(problem.assembled, radius, 500, seed=0).passed:
             raise ConfigError("loss fails the sampled coercivity check")
-    rotation = constraint_rotation(problem.q)
     inits = initial_states(config, problem, seeds)
     row_of = {seed: row for row, seed in enumerate(seeds)}
 
     def run_chunk(chunk_seeds):
         batch = run_batch(inits[[row_of[s] for s in chunk_seeds]], steps,
                           problem.assembled, problem.q, schedule, noise, chunk_seeds,
-                          rotation=rotation, n_agents=problem.n_agents)
+                          n_agents=problem.n_agents)
         return [{"seed": int(seed), **spec.record(batch, row, problem, tol),
                  "diverged_at": int(batch.diverged_at[row])}
                 for row, seed in enumerate(chunk_seeds)]

@@ -111,10 +111,11 @@ def laplacian(graph):
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
-    """Positive semidefinite penalty Q with nullspace of dimension constraint_dim."""
+    """Positive semidefinite penalty Q with the rotation that splits off its
+    nullspace, the constraint space."""
 
     matrix: np.ndarray
-    constraint_dim: int
+    rotation: ConstraintRotation
 
 
 def _zero_eig_split(eigvals):
@@ -133,20 +134,16 @@ def _zero_eig_split(eigvals):
 
 
 def penalty_from_matrix(matrix):
-    """Wrap a symmetric PSD matrix, computing its nullspace dimension."""
+    """Wrap a symmetric PSD matrix with its constraint rotation."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("penalty matrix must be square")
     if not np.allclose(m, m.T, atol=1e-12):
         raise ValueError("penalty matrix must be symmetric")
-    eigvals = np.linalg.eigvalsh(m)
-    scale = max(np.max(np.abs(eigvals)), 1.0)
-    if eigvals[0] < -1e-10 * scale:
-        raise ValueError(f"penalty matrix is not positive semidefinite (min eig {eigvals[0]:g})")
-    zero_idx = _zero_eig_split(eigvals)
-    if len(zero_idx) == 0:
+    rotation = constraint_rotation(m)
+    if rotation.constraint_dim == 0:
         raise ValueError("penalty matrix must have at least one zero eigenvalue")
-    return PenaltyMatrix(m, int(len(zero_idx)))
+    return PenaltyMatrix(m, rotation)
 
 
 def consensus_penalty(lap, agent_dim):
@@ -177,12 +174,6 @@ class ConstraintRotation:
         """Coordinates of x along the constraint space (rotated frame)."""
         return np.asarray(x) @ self.constraint_basis
 
-    def off_constraint_part(self, x):
-        return np.asarray(x) @ self.off_basis
-
-    def off_constraint_norm(self, x):
-        return np.linalg.norm(self.off_constraint_part(x), axis=-1)
-
 
 def _fix_eigvec_signs(vectors):
     # Largest-magnitude entry of each column made positive; ties break on the
@@ -193,15 +184,18 @@ def _fix_eigvec_signs(vectors):
     return vectors * signs
 
 
-def constraint_rotation(q):
-    """Eigendecompose Q into the (nullspace | positive-spectrum) block frame.
+def constraint_rotation(matrix):
+    """Eigendecompose a PSD matrix Q into the (nullspace | positive-spectrum)
+    block frame; a matrix with a negative eigenvalue beyond rounding is refused.
 
     Eigenvalues are sorted ascending so the zero block comes first; the rotated
     matrix R.T @ Q @ R is diag(0, ..., 0, lam_+) with a positive definite
     lower-right block.
     """
-    qm = q.matrix if isinstance(q, PenaltyMatrix) else np.asarray(q, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(qm)
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    scale = max(np.max(np.abs(eigvals)), 1.0)
+    if eigvals[0] < -1e-10 * scale:
+        raise ValueError(f"penalty matrix is not positive semidefinite (min eig {eigvals[0]:g})")
     zero_idx = _zero_eig_split(eigvals)
     if not np.array_equal(zero_idx, np.arange(len(zero_idx))):
         raise DegenerateSpectrumError("zero eigenvalues are not the smallest ones")

@@ -15,27 +15,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-SMOOTHNESS_ORDER = {"lipschitz": 0, "c1": 1, "c2": 2, "c3": 3}
-
 
 @dataclass(frozen=True)
 class LossOracle:
     """Evaluable objective with a Clarke subgradient selection.
 
-    hessian is present only where second derivatives exist everywhere;
-    zero_in_subdifferential, when present, certifies criticality structurally
-    (0 in the full subdifferential, not merely a zero selection).
+    hessian is present only where second derivatives exist everywhere, and
+    its presence is the oracle's one smoothness claim: saddle analysis
+    refuses a loss without it.
     """
 
     dim: int
     value: Callable
     subgradient: Callable
     hessian: Optional[Callable] = None
-    smoothness: str = "c1"
-    zero_in_subdifferential: Optional[Callable] = None
-
-    def is_smooth(self, order=1):
-        return SMOOTHNESS_ORDER.get(self.smoothness, 0) >= order
 
 
 @dataclass(frozen=True)
@@ -52,11 +45,6 @@ class SumLoss:
     @property
     def agent_dim(self):
         return self.components[0].dim
-
-    def split(self, x):
-        """View the stacked vector as (..., N, d) agent blocks."""
-        x = np.asarray(x)
-        return x.reshape(x.shape[:-1] + (self.n_agents, self.agent_dim))
 
 
 def sum_loss(components, stacked=None):
@@ -109,22 +97,12 @@ def sum_loss(components, stacked=None):
             raise ValueError("the stacked oracle must have the stacked dimension")
         value, subgradient, hessian = stacked.value, stacked.subgradient, stacked.hessian
 
-    smoothness = min((c.smoothness for c in components), key=lambda s: SMOOTHNESS_ORDER[s])
-    zero_fns = [c.zero_in_subdifferential for c in components]
-    zero_in = None
-    if all(f is not None for f in zero_fns):
-        def zero_in(x, tol=1e-9):
-            blocks = np.asarray(x, dtype=float).reshape(n, d)
-            return all(f(blocks[i], tol=tol) for i, f in enumerate(zero_fns))
-
-    assembled = LossOracle(m, value, subgradient, hessian, smoothness, zero_in)
-    return SumLoss(components, assembled)
+    return SumLoss(components, LossOracle(m, value, subgradient, hessian))
 
 
 def zero_loss(dim):
     return LossOracle(dim, lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.zeros(np.shape(x)),
-                      lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), "c3",
-                      zero_in_subdifferential=lambda x, tol=1e-9: True)
+                      lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)))
 
 
 def quadratic_saddle(curvatures):
@@ -159,15 +137,19 @@ def quadratic_form(hess, linear=None):
     def hessian(x):
         return np.broadcast_to(h, np.shape(x)[:-1] + h.shape).copy()
 
-    return LossOracle(dim, value, subgradient, hessian, "c3",
-                      zero_in_subdifferential=lambda x, tol=1e-9:
-                      bool(np.linalg.norm(np.asarray(x) @ h + b) <= tol))
+    return LossOracle(dim, value, subgradient, hessian)
 
 
 def shifted_quadratic(anchor):
-    """h(x) = 1/2 ||x - a||^2."""
+    """h(x) = 1/2 ||x - a||^2: the quadratic form with H = I and b = -a, whose
+    value carries the constant 1/2 ||a||^2."""
     a = np.asarray(anchor, dtype=float)
-    return quadratic_form(np.eye(len(a)), -a)
+    base = quadratic_form(np.eye(len(a)), -a)
+
+    def value(x):
+        return 0.5 * np.sum((np.asarray(x, dtype=float) - a) ** 2, axis=-1)
+
+    return LossOracle(len(a), value, base.subgradient, base.hessian)
 
 
 def _derivative_terms(exponents, coefficients, order):
@@ -229,11 +211,7 @@ def polynomial(exponents, coefficients):
     value, subgradient, hessian = (
         partial(_evaluate, _derivative_terms(exponents, coefficients, order),
                 tail=(dim,) * order, width=dim ** order) for order in range(3))
-
-    def zero_in(x, tol=1e-9):
-        return bool(np.linalg.norm(subgradient(x)) <= tol)
-
-    return LossOracle(dim, value, subgradient, hessian, "c3", zero_in)
+    return LossOracle(dim, value, subgradient, hessian)
 
 
 def separable_polynomial(coeffs, dim):
@@ -276,19 +254,7 @@ def l1_regularized(base, weight):
         x = np.asarray(x, dtype=float)
         return base.subgradient(x) + weight * np.sign(x)
 
-    zero_in = None
-    if base.is_smooth(1):
-        def zero_in(x, tol=1e-9):
-            # 0 in grad_base + weight * prod [d|x_i|]: off kinks the selection
-            # must vanish; at kinks the base gradient must sit inside the box.
-            x = np.asarray(x, dtype=float)
-            g = base.subgradient(x)
-            at_kink = x == 0.0
-            ok_kink = np.abs(g) <= weight + tol
-            ok_smooth = np.abs(g + weight * np.sign(x)) <= tol
-            return bool(np.all(np.where(at_kink, ok_kink, ok_smooth)))
-
-    return LossOracle(base.dim, value, subgradient, None, "lipschitz", zero_in)
+    return LossOracle(base.dim, value, subgradient)
 
 
 def relu_regression(inputs, targets, widths=()):
@@ -350,8 +316,7 @@ def relu_regression(inputs, targets, widths=()):
         out = np.array([one(t) for t in x.reshape(-1, dim)])
         return out.reshape(x.shape[:-1] + out.shape[1:])
 
-    return LossOracle(dim, partial(rowwise, value_one), partial(rowwise, subgradient_one),
-                      None, "lipschitz")
+    return LossOracle(dim, partial(rowwise, value_one), partial(rowwise, subgradient_one))
 
 
 @dataclass(frozen=True)

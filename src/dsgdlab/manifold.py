@@ -31,7 +31,7 @@ from .errors import (
     PartitionError,
     RegularityError,
 )
-from .graphs import PenaltyMatrix, _fix_eigvec_signs, constraint_rotation
+from .graphs import PenaltyMatrix, _fix_eigvec_signs
 
 GRAD_TOL = 1e-9
 MIN_RESTRICTED_EIG = 1e-6
@@ -56,7 +56,6 @@ class SaddleContext:
     q: PenaltyMatrix
     gamma: object       # callable t -> gamma_t with .derivative
     saddle: np.ndarray
-    rotation: object
     n_u: int
     n_s: int
 
@@ -69,7 +68,11 @@ class SaddleContext:
         return self.q.matrix
 
     def restricted_hessian(self):
-        basis = self.rotation.constraint_basis
+        """Hessian of the loss at the saddle, restricted to the constraint space.
+
+        Test-only: acceptance test_07 compares the spectrum with its eigenvalues.
+        """
+        basis = self.q.rotation.constraint_basis
         return basis.T @ self.loss.hessian(self.saddle) @ basis
 
 
@@ -81,9 +84,9 @@ def saddle_context(loss, q, gamma, saddle):
     every off-constraint direction stable for large t.
     """
     saddle = np.asarray(saddle, dtype=float)
-    if loss.hessian is None or not loss.is_smooth(2):
+    if loss.hessian is None:
         raise ValueError("saddle analysis needs a twice-differentiable loss near the point")
-    rotation = constraint_rotation(q)
+    rotation = q.rotation
     grad_c = rotation.constraint_part(loss.subgradient(saddle))
     if np.linalg.norm(grad_c) > GRAD_TOL:
         raise RegularityError(
@@ -96,7 +99,7 @@ def saddle_context(loss, q, gamma, saddle):
             f"restricted Hessian eigenvalue {eig_c[np.argmin(np.abs(eig_c))]:.2e} "
             "is too close to zero")
     n_u = int(np.sum(eig_c < 0))
-    return SaddleContext(loss, q, gamma, saddle, rotation, n_u, len(saddle) - n_u)
+    return SaddleContext(loss, q, gamma, saddle, n_u, len(saddle) - n_u)
 
 
 def _row_products(mats, v):
@@ -598,6 +601,10 @@ class ManifoldModel:
         return z.reshape(x.shape) if out is None else out
 
     def coordinate_change_inverse(self, z, t):
+        """x = U(t)^T z + g(gamma_t), the inverse of `coordinate_change`.
+
+        Test-only: the round trip of the coordinate change and eta's on-manifold points.
+        """
         z = np.asarray(z, dtype=float)
         g, modes = self._path_frames([t])
         return (np.matmul(z.reshape(1, -1, z.shape[-1]), modes) + g).reshape(z.shape)

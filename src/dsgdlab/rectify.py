@@ -229,7 +229,7 @@ def autonomous_restriction(context, picard):
     """Classical (constant-coefficient) manifold model of the flow restricted
     to the constraint space; its graph map is the limit object the
     time-varying flattening converges to."""
-    basis = context.rotation.constraint_basis
+    basis = context.q.rotation.constraint_basis
     saddle_c = np.asarray(context.saddle, dtype=float) @ basis
     loss = context.loss
 
@@ -242,7 +242,7 @@ def autonomous_restriction(context, picard):
     def hessian(y):
         return basis.T @ loss.hessian(np.asarray(y, dtype=float) @ basis.T) @ basis
 
-    restricted = LossOracle(basis.shape[1], value, subgradient, hessian, "c3")
+    restricted = LossOracle(basis.shape[1], value, subgradient, hessian)
     q_zero = penalty_from_matrix(np.zeros((basis.shape[1], basis.shape[1])))
     ctx_c = saddle_context(restricted, q_zero, ConstantGamma(0.0), saddle_c)
     return ManifoldModel(ctx_c, 0.0, AUTONOMOUS_SPAN, picard)
@@ -253,17 +253,13 @@ class FlatteningComparison:
     t0_grid: np.ndarray
     gaps: np.ndarray
 
-    @property
-    def decreasing(self):
-        return bool(np.all(np.diff(self.gaps) <= 1e-12 + 0.05 * self.gaps[:-1]))
-
 
 def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
                              sample_ball=0.05):
     """Gap between constraint components of the time-varying flattening and the
     autonomous one, on shared samples; shrinks as t0 grows."""
     ctx = model.context
-    d = ctx.rotation.constraint_dim
+    d = ctx.q.rotation.constraint_dim
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_samples, ctx.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -273,7 +269,7 @@ def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
     for t0 in np.asarray(t0_grid, dtype=float):
         z = model.coordinate_change(xs, t0)
         phi_full = rectify_phi(model, z, t0)[:, :d]
-        z_c = auto_model.coordinate_change(xs @ ctx.rotation.constraint_basis, 0.0)
+        z_c = auto_model.coordinate_change(xs @ ctx.q.rotation.constraint_basis, 0.0)
         phi_star = rectify_phi(auto_model, z_c, 0.0)
         gaps.append(float(np.max(np.linalg.norm(phi_full - phi_star, axis=1))))
     return FlatteningComparison(np.asarray(t0_grid, dtype=float), np.array(gaps))

@@ -36,15 +36,9 @@ class Schedule:
         return self.tau_alpha - self.tau_gamma
 
 
-@dataclass(frozen=True)
-class ScheduleInfo:
-    tau_beta: float
-
-
 def validate(schedule):
-    """Check the exponent chain 1/2 < tau_gamma < tau_alpha <= 1.
-
-    Returns the implied consensus-weight decay exponent tau_beta; raises
+    """Check the exponent chain 1/2 < tau_gamma < tau_alpha <= 1, which makes
+    the consensus-weight decay exponent `Schedule.tau_beta` positive; raises
     ScheduleError naming the violated inequality.
     """
     if schedule.alpha_scale <= 0:
@@ -62,7 +56,6 @@ def validate(schedule):
     tau_beta = schedule.tau_beta
     if not tau_beta > 0:
         raise ScheduleError(f"implied tau_beta = {tau_beta:g} is not positive")
-    return ScheduleInfo(tau_beta)
 
 
 def elapsed_times(schedule, k_max):

@@ -20,8 +20,8 @@ from dsgdlab.engine import (
 from dsgdlab.errors import DivergedError
 from dsgdlab.graphs import (
     Graph,
+    PenaltyMatrix,
     consensus_penalty,
-    constraint_rotation,
     laplacian,
     path_graph,
     penalty_from_matrix,
@@ -216,13 +216,12 @@ def test_noise_streams_are_zero_mean_with_directional_excitation():
 
 def test_noise_restricted_to_constraint_directions():
     q, losses = consensus_problem(3, 2)
-    from dsgdlab.graphs import constraint_rotation
-    rot = constraint_rotation(q)
+    rot = q.rotation
     noise = NoiseModel("gaussian", 1.0, seed=4, restrict_to_constraint=True)
     stream = noise.start(3, 2, rot)
     for _ in range(10):
         draw = stream.draw().ravel()
-        assert np.linalg.norm(rot.off_constraint_part(draw)) < 1e-12
+        assert np.linalg.norm(draw @ rot.off_basis) < 1e-12
 
 
 def test_boundedness_probe_coercive_and_anticoercive():
@@ -254,7 +253,7 @@ def test_network_mean_residual_identity_and_gap():
     n, d = 4, 2
     losses = sum_loss([shifted_quadratic(rng.standard_normal(d)) for _ in range(n)])
     g = path_graph(n)
-    rotation = constraint_rotation(consensus_penalty(laplacian(g), d))
+    rotation = consensus_penalty(laplacian(g), d).rotation
 
     def mean_recursion(x0, steps, noise):
         traj = run_agentwise(x0, steps, losses, g, SCHED, noise, record=1)
@@ -412,7 +411,7 @@ def test_run_batch_stops_once_every_row_diverged():
                                             ("gaussian", True), ("uniform-sphere", True)])
 def test_draw_chunk_matches_per_agent_reference(kind, restrict):
     n, d, scale, seed = 3, 2, 0.3, 11
-    rotation = constraint_rotation(consensus_penalty(laplacian(path_graph(n)), d))
+    rotation = consensus_penalty(laplacian(path_graph(n)), d).rotation
     basis = rotation.constraint_basis
     projector = basis @ basis.T
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
@@ -623,10 +622,10 @@ def test_run_batch_rejects_an_empty_chunk():
 @pytest.mark.parametrize("kind, restrict", [("gaussian", False), ("uniform-sphere", False),
                                             ("gaussian", True)])
 def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk):
-    # x(k+1) = x(k) - alpha_k xi(k+1) exactly: a zero loss and a zero penalty,
-    # with the path graph's rotation so that restricted noise is projected
+    # x(k+1) = x(k) - alpha_k xi(k+1) exactly: a zero loss and a zero penalty
+    # that carries the path graph's rotation, so that restricted noise is projected
     n, d, steps, ceiling = 2, 2, 300, 1.0
-    rotation = constraint_rotation(consensus_penalty(laplacian(path_graph(n)), d))
+    rotation = consensus_penalty(laplacian(path_graph(n)), d).rotation
     model = NoiseModel(kind, 0.3, 0, restrict)
     seeds = [3, 11, 0, 7, 5]
     # rows that start near the ceiling cross it within the run
@@ -640,8 +639,8 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
         return out
 
     monkeypatch.setattr(NoiseStream, "draw_chunk", spy)
-    batch = run_batch(x0, steps, zero_loss(n * d), penalty_from_matrix(np.zeros((4, 4))),
-                      SCHED, model, seeds, rotation=rotation, ceiling=ceiling, chunk=chunk,
+    batch = run_batch(x0, steps, zero_loss(n * d), PenaltyMatrix(np.zeros((4, 4)), rotation),
+                      SCHED, model, seeds, ceiling=ceiling, chunk=chunk,
                       n_agents=n, observer=per_step(lambda k, zeta, x, active:
                                                     calls.append(x.copy())))
     monkeypatch.undo()

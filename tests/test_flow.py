@@ -4,7 +4,7 @@ import pytest
 from dsgdlab.engine import NoiseModel, run
 from dsgdlab.errors import ClockMismatchError
 from dsgdlab.flow import discrete_vs_continuous_gap, integrate_dgf
-from dsgdlab.graphs import constraint_rotation, penalty_from_matrix
+from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import LossOracle, finite_difference_gradient, quadratic_form, zero_loss
 from dsgdlab.schedules import ConstantGamma, Schedule
 
@@ -126,7 +126,7 @@ def test_constraint_distance_decreasing_past_penalty_threshold():
     # start the integration after that threshold so the regime is non-vacuous
     loss = quadratic_form(np.diag([1.0, 1.0]), [-0.5, 0.4])
     q = penalty_from_matrix(np.diag([0.0, 1.0]))
-    rot = constraint_rotation(q)
+    off_basis = q.rotation.off_basis
     eps = 0.1
 
     def gamma(t):
@@ -136,7 +136,7 @@ def test_constraint_distance_decreasing_past_penalty_threshold():
     sol = integrate_dgf(loss, q, gamma, [0.8, 0.9], t0, t0 + 2.0, step=1e-3)
     drive_bound = float(np.max(np.linalg.norm(loss.subgradient(sol.states), axis=1)))
     assert gamma(t0) * 1.0 * eps > 2.0 * drive_bound  # threshold already passed
-    dists = rot.off_constraint_norm(sol.states)
+    dists = np.linalg.norm(sol.states @ off_basis, axis=-1)
     assert dists[0] > eps
     outside = dists[:-1] > eps
     assert np.any(outside)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsgdlab.errors import DegenerateSpectrumError
 from dsgdlab.graphs import (
@@ -59,13 +61,13 @@ def test_graph_rejects_self_loop():
 def test_consensus_penalty_path2_d1():
     q = consensus_penalty(laplacian(path_graph(2)), 1)
     assert np.array_equal(q.matrix, [[1, -1], [-1, 1]])
-    assert q.constraint_dim == 1
+    assert q.rotation.constraint_dim == 1
 
 
 def test_consensus_penalty_path2_d2_nullspace():
     q = consensus_penalty(laplacian(path_graph(2)), 2)
     assert q.matrix.shape == (4, 4)
-    assert q.constraint_dim == 2
+    assert q.rotation.constraint_dim == 2
     # brute-force nullspace solve: Q x = 0 has the replicated-pair basis
     for basis_vec in ([1, 0, 1, 0], [0, 1, 0, 1]):
         assert np.linalg.norm(q.matrix @ basis_vec) < 1e-12
@@ -83,7 +85,7 @@ def test_consensus_penalty_zero_eig_count_matches_agent_dim():
         q = consensus_penalty(laplacian(g), d)
         w = np.linalg.eigvalsh(q.matrix)
         assert np.sum(np.abs(w) < 1e-9 * np.max(np.abs(w))) == d
-        assert q.constraint_dim == d
+        assert q.rotation.constraint_dim == d
 
 
 def test_consensus_penalty_rejects_bad_agent_dim():
@@ -93,14 +95,14 @@ def test_consensus_penalty_rejects_bad_agent_dim():
 
 def test_rotation_identity_when_already_diagonal():
     q = penalty_from_matrix(np.diag([0.0, 1.0, 3.0]))
-    rot = constraint_rotation(q)
+    rot = q.rotation
     assert rot.constraint_dim == 1
     assert np.allclose(np.abs(rot.rotation), np.eye(3))
 
 
 def test_rotation_path2():
     q = consensus_penalty(laplacian(path_graph(2)), 1)
-    rot = constraint_rotation(q)
+    rot = q.rotation
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(np.abs(rot.rotation[:, 0]), [s, s])
     assert np.allclose(np.abs(rot.rotation[:, 1]), [s, s])
@@ -112,7 +114,7 @@ def test_rotation_random_graph_off_block_positive_definite():
     rng = np.random.default_rng(11)
     g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     q = consensus_penalty(laplacian(g), 2)
-    rot = constraint_rotation(q)
+    rot = q.rotation
     rotated = rot.rotation.T @ q.matrix @ rot.rotation
     off_block = rotated[rot.constraint_dim:, rot.constraint_dim:]
     assert np.min(np.linalg.eigvalsh(off_block)) > 0
@@ -127,9 +129,10 @@ def test_rotation_random_graph_off_block_positive_definite():
 
 def test_rotation_deterministic():
     q = consensus_penalty(laplacian(star_graph(5)), 2)
-    r1 = constraint_rotation(q).rotation
-    r2 = constraint_rotation(q).rotation
+    r1 = constraint_rotation(q.matrix).rotation
+    r2 = constraint_rotation(q.matrix).rotation
     assert np.array_equal(r1, r2)
+    assert np.array_equal(q.rotation.rotation, r1)
 
 
 def test_degenerate_spectrum_rejected():
@@ -141,6 +144,38 @@ def test_degenerate_spectrum_rejected():
 def test_penalty_requires_zero_eigenvalue():
     with pytest.raises(ValueError):
         penalty_from_matrix(np.eye(3))
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    (np.zeros((2, 3)), ValueError, "must be square"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), ValueError, "must be symmetric"),
+    # a negative eigenvalue is a PSD refusal, not an unclassifiable spectrum
+    (np.diag([-1.0, 0.0, 1.0]), ValueError, "not positive semidefinite"),
+    # an eigenvalue in the ambiguity band right above the zero threshold
+    (np.diag([0.0, 1.0, 5e-8]), DegenerateSpectrumError, "ambiguity band"),
+    (np.eye(3), ValueError, "at least one zero eigenvalue"),
+], ids=["non-square", "non-symmetric", "negative-eigenvalue", "ambiguity-band", "no-zero"])
+def test_penalty_refusals(matrix, error, message):
+    with pytest.raises(Exception, match=message) as exc:
+        penalty_from_matrix(matrix)
+    assert type(exc.value) is error
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 6), data=st.data())
+def test_penalty_carries_the_rotation_of_its_matrix(dim, data):
+    # Q = U.T diag(lam) U with k zero eigenvalues and the rest well above the
+    # zero threshold, for a random orthogonal U
+    k = data.draw(st.integers(1, dim))
+    positive = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim - k, max_size=dim - k))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    u, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    matrix = u.T @ np.diag([0.0] * k + positive) @ u
+    rotation = penalty_from_matrix(matrix).rotation
+    assert rotation.constraint_dim == k
+    want = constraint_rotation(matrix)
+    assert rotation.rotation.tobytes() == want.rotation.tobytes()
+    assert rotation.constraint_dim == want.constraint_dim
 
 
 def test_edge_list_roundtrip(tmp_path):

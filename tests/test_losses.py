@@ -65,7 +65,6 @@ def test_l1_basic():
 def test_l1_kink_selection_is_zero():
     loss = l1_regularized(zero_loss(1), 1.0)
     assert loss.subgradient(np.array([0.0]))[0] == 0.0
-    assert loss.zero_in_subdifferential(np.array([0.0]))
 
 
 def test_l1_with_quadratic_base():
@@ -125,6 +124,17 @@ def test_relu_gradient_matches_fd_at_smooth_point():
 def test_relu_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         relu_regression(inputs=[[1.0, 2.0]], targets=[0.0, 1.0])
+
+
+def test_shifted_quadratic_value_is_half_the_squared_distance():
+    anchor = np.array([1.0, -2.0])
+    loss = shifted_quadratic(anchor)
+    assert loss.value(anchor) == 0.0
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((20, 2)) * 3.0
+    want = 0.5 * np.linalg.norm(xs - anchor, axis=1) ** 2
+    assert np.max(np.abs(loss.value(xs) - want)) < 1e-12
+    assert np.array_equal(loss.subgradient(xs), xs @ np.eye(2) - anchor)
 
 
 def test_sum_loss_blockwise_assembly():
@@ -222,7 +232,7 @@ def test_coercivity_quartic_dominates():
         x = np.asarray(x, dtype=float)
         return saddle.subgradient(x) + 4.0 * np.sum(x ** 2, axis=-1, keepdims=True) * x
 
-    loss = LossOracle(2, value, subgradient, smoothness="c3")
+    loss = LossOracle(2, value, subgradient)
     rep = check_coercivity(loss, radius=10.0, sample_count=2000, seed=1)
     assert rep.passed
     # dense sampling on the inner sphere itself, the worst case

@@ -15,7 +15,13 @@ from dsgdlab.errors import (
     RegularityError,
 )
 from dsgdlab.graphs import penalty_from_matrix
-from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
+from dsgdlab.losses import (
+    l1_regularized,
+    monomial_loss,
+    quadratic_saddle,
+    relu_regression,
+    separable_polynomial,
+)
 from dsgdlab.manifold import (
     MATCH_OVERLAP_FLOOR,
     SCAN_SPAN,
@@ -101,6 +107,16 @@ def test_context_rejects_noncritical_point():
     q = penalty_from_matrix(np.zeros((2, 2)))
     with pytest.raises(RegularityError):
         saddle_context(loss, q, ConstantGamma(1.0), np.zeros(2))
+
+
+@pytest.mark.parametrize("loss", [
+    l1_regularized(quadratic_saddle([1.0, -1.0]), 0.1),
+    relu_regression([[1.0, 0.5], [-0.3, 2.0]], [1.0, 0.0], widths=(2,)),
+], ids=["l1", "relu"])
+def test_context_refuses_a_loss_without_a_hessian(loss):
+    q = penalty_from_matrix(np.zeros((loss.dim, loss.dim)))
+    with pytest.raises(ValueError, match="twice-differentiable"):
+        saddle_context(loss, q, ConstantGamma(1.0), np.zeros(loss.dim))
 
 
 def perturbed_path(ctx, gamma_grid):

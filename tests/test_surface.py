@@ -9,6 +9,12 @@ References inside the definition's own body do not count. The unreached
 definitions must be exactly TEST_ONLY, and each one's docstring must carry the
 line `Test-only: <reason>` with its pinned reason.
 
+The methods and properties of every class that is not itself test-only are
+scanned the same way, by `Class.member`: a member counts as reached when its
+name is referenced outside its own body (other members of its class count).
+Dunder methods are reached by the language and are not scanned. The unreached
+members must be exactly TEST_ONLY_MEMBERS, each with its `Test-only:` line.
+
 The scan matches names, not bindings, so a definition whose name is also used
 for something else counts as reached. `engine.run` is such a case: its name
 collides with the method `manifold._BlockScan.run` (and with `subprocess.run`
@@ -18,6 +24,7 @@ the tests only `run_agentwise` calls it.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +42,16 @@ TEST_ONLY = {
     "finite_difference_gradient": "the oracle that subgradients are checked against.",
     "_decay_scan": "the seam that checks the scan against the sequential recursion.",
     "eta": "the paper's distance functional, checked on and off the manifold.",
+}
+
+TEST_ONLY_MEMBERS = {
+    "SaddleContext.restricted_hessian":
+        "acceptance test_07 compares the spectrum with its eigenvalues.",
+    "ManifoldModel.coordinate_change_inverse":
+        "the round trip of the coordinate change and eta's on-manifold points.",
+    "CampaignResult.recompute_aggregates":
+        "the check that a result's aggregates follow from its records.",
+    "Trajectory.final_state": "the one-seed view of `BatchRun.final_states`.",
 }
 
 
@@ -62,19 +79,50 @@ def _references(node):
             yield sub.value
 
 
+def _trees():
+    """The parsed modules of src/dsgdlab and of the harness (its tests excluded)."""
+    src = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "dsgdlab").glob("*.py"))]
+    harness = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")]
+    return src, harness
+
+
 def _scan():
     """(definitions by name, names referenced from outside their own body)."""
     definitions, referenced = {}, set()
-    for path in sorted((ROOT / "src" / "dsgdlab").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    src, harness = _trees()
+    for tree in src:
+        for node in tree.body:
             own = _definitions(node)
             for name in own:
-                definitions[name] = (path.stem, node)
+                definitions[name] = node
             referenced.update(set(_references(node)) - set(own))
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        if not path.name.startswith("test_"):
-            referenced.update(_references(ast.parse(path.read_text())))
+    for tree in harness:
+        referenced.update(_references(tree))
     return definitions, referenced
+
+
+def _members():
+    """(methods and properties of each class that is not test-only, by
+    `Class.member`, names of those referenced from outside their own body)."""
+    definitions, _ = _scan()
+    members = {f"{cls}.{node.name}": node
+               for cls, class_node in definitions.items()
+               if isinstance(class_node, ast.ClassDef) and cls not in TEST_ONLY
+               for node in class_node.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    counts = Counter()
+    for tree in sum(_trees(), []):
+        counts.update(_references(tree))
+    reached = {name for name, node in members.items()
+               if counts[node.name] > Counter(_references(node))[node.name]}
+    return members, reached
+
+
+def _says_why(node, reason):
+    doc = ast.get_docstring(node) or ""
+    return f"Test-only: {reason}" in [line.strip() for line in doc.splitlines()]
 
 
 def test_unreached_definitions_are_the_pinned_test_only_surface():
@@ -85,6 +133,15 @@ def test_unreached_definitions_are_the_pinned_test_only_surface():
 def test_each_test_only_definition_says_why():
     definitions, _ = _scan()
     for name, reason in TEST_ONLY.items():
-        doc = ast.get_docstring(definitions[name][1]) or ""
-        lines = [line.strip() for line in doc.splitlines()]
-        assert f"Test-only: {reason}" in lines, name
+        assert _says_why(definitions[name], reason), name
+
+
+def test_unreached_members_are_the_pinned_test_only_members():
+    members, reached = _members()
+    assert set(members) - reached == set(TEST_ONLY_MEMBERS)
+
+
+def test_each_test_only_member_says_why():
+    members, _ = _members()
+    for name, reason in TEST_ONLY_MEMBERS.items():
+        assert _says_why(members[name], reason), name
