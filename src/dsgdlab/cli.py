@@ -125,7 +125,7 @@ def main(argv=None, stdout=None, stderr=None):
     except ConfigError as exc:
         err.write(f"config error: {exc}\n")
         return 1
-    except (DsgdLabError, OSError) as exc:
+    except (DsgdLabError, OSError, MemoryError) as exc:
         err.write(f"experiment failed: {type(exc).__name__}: {exc}\n")
         return 2
 

@@ -16,7 +16,7 @@ It steps each chunk once and serves it to one observer call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,10 +198,7 @@ class Trajectory:
     state_norm: np.ndarray
     states: np.ndarray
     sup_state_norm: float
-    mode: str = "general"
-    noise_kind: str = "none"
-    n_agents: int = 1
-    agent_dim: int = 0
+    noise_kind: str
 
     def __len__(self):
         return len(self.steps)
@@ -246,8 +243,7 @@ def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geomet
         raise DivergedError(int(batch.diverged_at[0]))
     return Trajectory(batch.steps, batch.zeta, batch.consensus_error[0],
                       batch.grad_norm[0], batch.state_norm[0], batch.states[0],
-                      float(batch.sup_state_norm[0]), "general", noise.kind, n_agents,
-                      len(x0) // n_agents)
+                      float(batch.sup_state_norm[0]), noise.kind)
 
 
 def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseModel(),
@@ -259,12 +255,11 @@ def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseMod
     """
     states = np.asarray(initial_states, dtype=float)
     n, d = states.shape
-    if n != losses.n_agents or d != losses.agent_dim:
+    if n != len(losses.components) or d != losses.components[0].dim:
         raise ValueError("initial states disagree with the loss stack")
-    traj = run(states.ravel(), steps, losses.assembled,
+    return run(states.ravel(), steps, losses.assembled,
                consensus_penalty(laplacian(graph), d), schedule, noise, record=record,
                n_agents=n)
-    return replace(traj, mode="agentwise")
 
 
 def per_step(callback):

@@ -772,12 +772,11 @@ def setup_manifold_verification(config):
             auto = autonomous_restriction(model.context, model.picard)
             ts = np.linspace(t0, model.t_end - model.picard.horizon
                              - model.picard.tail - 1.0, 4)
-            comp = compare_flattening_limit(model, auto, ts, n_samples=16,
-                                            sample_ball=0.04)
+            gaps = compare_flattening_limit(model, auto, ts, n_samples=16, sample_ball=0.04)
             probe = dt_phi_decay_probe(model, ts)
-            out = {"gap_initial": float(comp.gaps[0]), "gap_final": float(comp.gaps[-1]),
+            out = {"gap_initial": float(gaps[0]), "gap_final": float(gaps[-1]),
                    "dt_phi_final": float(probe.dt_phi_norm[-1])}
-            out["passed"] = bool(comp.gaps[-1] <= comp.gaps[0] + 1e-12)
+            out["passed"] = bool(gaps[-1] <= gaps[0] + 1e-12)
             return out
 
         checks = (("picard", picard_check), ("repulsion", repulsion),

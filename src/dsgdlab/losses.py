@@ -38,14 +38,6 @@ class SumLoss:
     components: tuple
     assembled: LossOracle
 
-    @property
-    def n_agents(self):
-        return len(self.components)
-
-    @property
-    def agent_dim(self):
-        return self.components[0].dim
-
 
 def sum_loss(components, stacked=None):
     """Stack per-agent oracles into the assembled block-separable oracle.
@@ -324,7 +316,6 @@ class CoercivityReport:
     c1_hat: float
     c2_hat: float
     passed: bool
-    samples: int
 
 
 def check_coercivity(loss, radius, sample_count=2000, seed=0):
@@ -347,12 +338,11 @@ def check_coercivity(loss, radius, sample_count=2000, seed=0):
     vnorm = np.linalg.norm(vs, axis=1)
     nonzero = vnorm > 0
     if not np.any(nonzero):
-        return CoercivityReport(1.0, 0.0, True, sample_count)
+        return CoercivityReport(1.0, 0.0, True)
     cos = np.einsum("ij,ij->i", xs[nonzero], vs[nonzero]) / (radii[nonzero] * vnorm[nonzero])
     c1_hat = float(np.min(cos))
     c2_hat = float(np.max(vnorm / radii))
-    return CoercivityReport(c1_hat, c2_hat, bool(c1_hat > 0 and np.isfinite(c2_hat)),
-                            sample_count)
+    return CoercivityReport(c1_hat, c2_hat, bool(c1_hat > 0 and np.isfinite(c2_hat)))
 
 
 def finite_difference_gradient(loss, x, step=1e-5):

@@ -144,7 +144,6 @@ class SpectralSplit:
     Test-only: the split that acceptance test_07 inspects.
     """
 
-    t: float
     a_matrix: np.ndarray
     modes: np.ndarray
     lambdas: np.ndarray
@@ -218,7 +217,7 @@ def linearize(context, t, g_at_t, reference_modes=None):
     """
     jac, w, modes = _splits(context, [t], np.asarray(g_at_t, dtype=float)[None],
                             None if reference_modes is None else reference_modes[None])
-    return SpectralSplit(float(t), -jac[0], modes[0], w[0], int(np.sum(w[0] > 0)))
+    return SpectralSplit(-jac[0], modes[0], w[0], int(np.sum(w[0] > 0)))
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,12 @@ def evolution_operator(frame, t1, t2, which):
     """Block-diagonal evolution operator exp(int_{t1}^{t2} Lambda_block).
 
     The stable operator propagates forward (t2 >= t1), the unstable one
-    backward (t2 <= t1); both directions are contractions.
+    backward (t2 <= t1); both directions are contractions. Both times must
+    lie on the frame's grid span.
     """
+    if not (frame.times[0] <= min(t1, t2) and max(t1, t2) <= frame.times[-1]):
+        raise ValueError(f"times {t1:g} and {t2:g} must lie in the frame's grid span "
+                         f"[{frame.times[0]:g}, {frame.times[-1]:g}]")
     m = frame.lambdas.shape[1]
     n_u = frame.n_u
     if which == "stable":
@@ -407,10 +410,12 @@ class _PicardWork:
     substitution.
 
     Each substitution writes the remainder field into `g` (with `w` and `q`
-    as its scratch) and the new iterate into one of `iterates`. The stable and
-    unstable blocks share the padded scan buffer `scan` and the difference
-    buffer `diff`, which is also the scan's carry scratch. `start` is the
-    stable block's initial condition propagated along the grid.
+    as its scratch) and the new iterate into one of `iterates`. `blocks`
+    holds each block's columns, weights (phi1, phi_tilde) and scan: stable
+    forward on a_i, unstable (absent when n_u = 0) backward on -a_i. They
+    share the padded scan buffer `scan` and the difference buffer `diff`,
+    also the scan's carry scratch. `start` is the stable block's initial
+    condition propagated along the grid.
     """
 
     def __init__(self, frame, a_s):
@@ -418,17 +423,17 @@ class _PicardWork:
         n, m = frame.lambdas.shape
         n_u = frame.n_u
         a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
-        a_st, a_un = a_coef[:, n_u:], a_coef[:, :n_u]
         prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
         self.start = prop * a_s[:, None, :]
-        self.phi_s = _phi1(a_st), _phi_tilde(a_st)
-        self.phi_u = _phi1(-a_un), _phi_tilde(-a_un)
-        self.stable = _BlockScan(a_st)
-        self.unstable = _BlockScan(-a_un, reverse=True)
+        sides = [(slice(n_u, m), a_coef[:, n_u:], False)]
+        if n_u:
+            sides.append((slice(0, n_u), -a_coef[:, :n_u], True))
+        self.blocks = [(cols, (_phi1(a), _phi_tilde(a)), _BlockScan(a, reverse))
+                       for cols, a, reverse in sides]
         self.iterates = np.zeros((batch, n, m)), np.zeros((batch, n, m))
         self.g, self.w, self.q = np.empty((3, batch, n, m))
-        self.scan = np.empty(max(math.prod(s.buffer_shape(batch))
-                                 for s in (self.stable, self.unstable)))
+        self.scan = np.empty(max(math.prod(scan.buffer_shape(batch))
+                                 for _, _, scan in self.blocks))
         self.diff = np.empty(batch * (n - 1) * max(n_u, m - n_u))
 
     def sup_change(self, new, old):
@@ -641,10 +646,11 @@ class ManifoldModel:
         g_path, lam, modes, forcing = self._track(times)
         cumlam = np.zeros((n, ctx.dim))
         cumlam[1:] = np.cumsum(0.5 * (lam[1:] + lam[:-1]) * opts.dt, axis=0)
-        rotation, mode_rate = Frame(modes[0]), None
-        if np.any(modes != modes[0]):
+        if self.fixed_frame is None:
             rotation = Frame(modes)
             mode_rate = Frame(np.gradient(modes, opts.dt, axis=0) @ modes.swapaxes(1, 2))
+        else:
+            rotation, mode_rate = Frame(self.fixed_frame), None
         return PicardFrame(times, opts.dt, ctx.n_u, lam, rotation, cumlam,
                            np.asarray(ctx.gamma(times), dtype=float), g_path, forcing,
                            mode_rate, ctx)
@@ -679,36 +685,29 @@ class ManifoldModel:
 
     def _apply_integral_operator(self, u, frame, work, out):
         """One substitution into the right-hand side of the integral equation,
-        written into out; returns the remainder field minus the forcing."""
-        n_u = frame.n_u
-        h = frame.dt
+        written into out; returns the remainder field minus the forcing.
+
+        Each block runs the exponential-trapezoid recursion x <- e^{a_i} x +
+        h (near phi1 - (near - far) phi_tilde), near being the field at the
+        end the step moves to. The stable integral runs forward from zero and
+        adds the propagated initial condition; the unstable tail integral runs
+        backward from the truncated grid end and is negated.
+        """
         g_all = self.remainder_field(u, frame, work)
         np.subtract(g_all, frame.forcing, out=g_all)
-
-        # stable block: forward propagation of the initial condition plus the
-        # exponential-trapezoid integral recursion j_{i+1} = e^{a_i} j_i + inc_i
-        gs = g_all[:, :, n_u:]
-        phi1, phi_tilde = work.phi_s
-        x = _view(work.scan, work.stable.buffer_shape(len(u)))
-        inc = work.stable.increments(x)
-        dg = np.subtract(gs[:, 1:, :], gs[:, :-1, :], out=_view(work.diff, inc.shape))
-        np.multiply(gs[:, 1:, :], phi1, out=inc)
-        np.subtract(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
-        np.multiply(h, inc, out=inc)
-        np.add(work.start, work.stable.run(x, work.diff), out=out[:, :, n_u:])
-
-        # unstable block: backward tail recursion k_i = inc_i + e^{-a_i} k_{i+1},
-        # truncated at the grid end
-        if n_u:
-            gu = g_all[:, :, :n_u]
-            phi1, phi_tilde = work.phi_u
-            x = _view(work.scan, work.unstable.buffer_shape(len(u)))
-            inc = work.unstable.increments(x)
-            dg = np.subtract(gu[:, 1:, :], gu[:, :-1, :], out=_view(work.diff, inc.shape))
-            np.multiply(gu[:, :-1, :], phi1, out=inc)
-            np.add(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
-            np.multiply(h, inc, out=inc)
-            np.negative(work.unstable.run(x, work.diff), out=out[:, :, :n_u])
+        for cols, (phi1, phi_tilde), scan in work.blocks:
+            g = g_all[:, :, cols]
+            near, far = (g[:, :-1], g[:, 1:]) if scan.reverse else (g[:, 1:], g[:, :-1])
+            x = _view(work.scan, scan.buffer_shape(len(u)))
+            inc = scan.increments(x)
+            dg = np.subtract(near, far, out=_view(work.diff, inc.shape))
+            np.multiply(near, phi1, out=inc)
+            np.subtract(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
+            np.multiply(frame.dt, inc, out=inc)
+            if scan.reverse:
+                np.negative(scan.run(x, work.diff), out=out[:, :, cols])
+            else:
+                np.add(work.start, scan.run(x, work.diff), out=out[:, :, cols])
         return g_all
 
     def _iterate(self, t0, a_s):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonError, OutOfBallError
+from .errors import OutOfBallError
 from .graphs import penalty_from_matrix
 from .losses import LossOracle
 from .manifold import ManifoldModel, saddle_context
@@ -26,8 +26,6 @@ from .schedules import ConstantGamma
 # eta_before quantile below which points count as on the manifold when fitting
 # the repulsion rate c2
 RATE_FLOOR_QUANTILE = 0.05
-INVERSE_TOL = 1e-11           # flattening-map inversion: sup-norm residual
-INVERSE_MAX_ITER = 30
 FD_STEP = 1e-4                # central differences of psi and the rectified field
 DRIFT_FD_STEP = 1e-3          # central differences of the flattening drift probe
 AUTONOMOUS_SPAN = 40.0        # time span of the autonomous restriction's model
@@ -39,39 +37,35 @@ def _as_batch(z):
     return (z[None, :] if single else z), single
 
 
-def rectify_phi(model, z, t):
-    """Flattening map in rotated coordinates: (z_u - psi(t, z_s); z_s).
-
-    Input points must lie where psi is certified: inside the validity ball
+def _certified_psi(model, z, t):
+    """psi(t, z_s) at the rows of z (2-D, rotated coordinates), after checking
+    that every row lies where psi is certified: inside the validity ball
     (rotated-frame norm), and when psi is solved, with the stable block
-    inside the contraction radius too (`ManifoldModel.certified`).
-    """
-    zb, single = _as_batch(z)
-    inside = np.linalg.norm(zb, axis=1) <= model.radius + 1e-12 if model.psi_is_zero \
-        else model.certified(zb)
+    inside the contraction radius too (`ManifoldModel.certified`)."""
+    inside = np.linalg.norm(z, axis=1) <= model.radius + 1e-12 if model.psi_is_zero \
+        else model.certified(z)
     if not np.all(inside):
         raise OutOfBallError("point outside the region where the manifold map is certified")
+    return model.psi(t, z[:, model.context.n_u:])
+
+
+def rectify_phi(model, z, t):
+    """Flattening map in rotated coordinates: (z_u - psi(t, z_s); z_s), for
+    points where psi is certified (`_certified_psi`)."""
+    zb, single = _as_batch(z)
     out = zb.copy()
-    n_u = model.context.n_u
-    out[:, :n_u] -= model.psi(t, zb[:, n_u:])
+    out[:, : model.context.n_u] -= _certified_psi(model, zb, t)
     return out[0] if single else out
 
 
 def rectify_phi_inverse(model, w, t):
-    """Invert the flattening map by fixed-point iteration, one point per row
-    of w.
-
-    The Jacobian is identity plus the O(|z|) graph slope, so x <- x - (Phi(x)-w)
-    contracts near the origin.
-    """
-    w = np.asarray(w, dtype=float)
-    x = w.copy()
-    for _ in range(INVERSE_MAX_ITER):
-        r = rectify_phi(model, x, t) - w
-        x = x - r
-        if np.max(np.abs(r)) < INVERSE_TOL:
-            return x
-    raise NewtonError("flattening-map inversion did not converge")
+    """Inverse of the flattening map, one point per row of w: Phi keeps the
+    stable block, so Phi^-1(w) = (w_u + psi(t, w_s); w_s), for w where psi
+    is certified."""
+    wb, single = _as_batch(w)
+    out = wb.copy()
+    out[:, : model.context.n_u] += _certified_psi(model, wb, t)
+    return out[0] if single else out
 
 
 def eta(model, x, t):
@@ -165,6 +159,18 @@ def moving_frame_field(model, z, t):
     return model.drive_field(w, t) @ modes.T + z @ mode_rate.T - forcing
 
 
+def _psi_slopes(model, t, z_s, h):
+    """Central differences with step h of psi at the rows of z_s: the slope
+    in the stable block, (rows, n_u, n_s), and the time slope, (rows, n_u)."""
+    rows, n_s = z_s.shape
+    # psi at z_s + h e_j, then at z_s - h e_j, for each stable direction j
+    stencil = [z_s + sign * e for e in h * np.eye(n_s) for sign in (1.0, -1.0)]
+    pairs = model.psi(t, np.concatenate(stencil, axis=0)).reshape(n_s, 2, rows, -1)
+    dpsi = np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, -1).copy()
+    dpsi_dt = (model.psi(t + h, z_s) - model.psi(t - h, z_s)) / (2.0 * h)
+    return dpsi, dpsi_dt
+
+
 def rectified_field(model, w, t):
     """Vector field governing Phi-coordinates: D_x Phi H + D_t Phi at Phi^-1(w),
     one point per row of w; derivatives of psi are central differences with
@@ -172,17 +178,7 @@ def rectified_field(model, w, t):
     n_u = model.context.n_u
     x = rectify_phi_inverse(model, w, t)
     h_val = moving_frame_field(model, x, t)
-    b = len(x)
-    n_s = model.context.n_s
-    # graph-slope block of D_x Phi by central differences in the stable block:
-    # psi at x_s + h e_j, then at x_s - h e_j, for each stable direction j
-    stencil = [x[:, n_u:] + sign * e for e in FD_STEP * np.eye(n_s) for sign in (1.0, -1.0)]
-    pairs = model.psi(t, np.concatenate(stencil, axis=0)).reshape(n_s, 2, b, n_u)
-    dpsi = np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * FD_STEP), 0, -1).copy()
-    # time slope of the graph at the stable components
-    psi_p = model.psi(t + FD_STEP, x[:, n_u:])
-    psi_m = model.psi(t - FD_STEP, x[:, n_u:])
-    dpsi_dt = (psi_p - psi_m) / (2.0 * FD_STEP)
+    dpsi, dpsi_dt = _psi_slopes(model, t, x[:, n_u:], FD_STEP)
     out = h_val.copy()
     out[:, :n_u] -= np.einsum("bus,bs->bu", dpsi, h_val[:, n_u:]) + dpsi_dt
     return out
@@ -248,16 +244,10 @@ def autonomous_restriction(context, picard):
     return ManifoldModel(ctx_c, 0.0, AUTONOMOUS_SPAN, picard)
 
 
-@dataclass(frozen=True)
-class FlatteningComparison:
-    t0_grid: np.ndarray
-    gaps: np.ndarray
-
-
 def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
                              sample_ball=0.05):
     """Gap between constraint components of the time-varying flattening and the
-    autonomous one, on shared samples; shrinks as t0 grows."""
+    autonomous one, on shared samples, one per t0; shrinks as t0 grows."""
     ctx = model.context
     d = ctx.q.rotation.constraint_dim
     rng = np.random.default_rng(seed)
@@ -265,19 +255,18 @@ def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = sample_ball * rng.random(n_samples) ** (1.0 / ctx.dim)
     xs = ctx.saddle + dirs * radii[:, None]
+    # the autonomous flattening does not depend on t0
+    z_c = auto_model.coordinate_change(xs @ ctx.q.rotation.constraint_basis, 0.0)
+    phi_star = rectify_phi(auto_model, z_c, 0.0)
     gaps = []
     for t0 in np.asarray(t0_grid, dtype=float):
-        z = model.coordinate_change(xs, t0)
-        phi_full = rectify_phi(model, z, t0)[:, :d]
-        z_c = auto_model.coordinate_change(xs @ ctx.q.rotation.constraint_basis, 0.0)
-        phi_star = rectify_phi(auto_model, z_c, 0.0)
+        phi_full = rectify_phi(model, model.coordinate_change(xs, t0), t0)[:, :d]
         gaps.append(float(np.max(np.linalg.norm(phi_full - phi_star, axis=1))))
-    return FlatteningComparison(np.asarray(t0_grid, dtype=float), np.array(gaps))
+    return np.array(gaps)
 
 
 @dataclass(frozen=True)
 class FlatteningDriftProbe:
-    times: np.ndarray
     dt_phi_norm: np.ndarray
     dx_phi_gap: np.ndarray       # ||D_x Phi(0, t) - I||
 
@@ -285,18 +274,11 @@ class FlatteningDriftProbe:
 def dt_phi_decay_probe(model, t_grid):
     """Finite-difference time and space derivatives of the flattening at the
     origin; both drift terms decay as the penalty grows."""
-    n_s = model.context.n_s
-    t_grid = np.asarray(t_grid, dtype=float)
     dt_norm = np.empty(len(t_grid))
     dx_gap = np.empty(len(t_grid))
-    zero_s = np.zeros((1, n_s))
-    h = DRIFT_FD_STEP
+    zero_s = np.zeros((1, model.context.n_s))
     for i, t in enumerate(t_grid):
-        p_plus = model.psi(t + h, zero_s)
-        p_minus = model.psi(t - h, zero_s)
-        dt_norm[i] = float(np.linalg.norm((p_plus - p_minus) / (2.0 * h)))
-        stencil = np.concatenate([h * np.eye(n_s), -h * np.eye(n_s)])
-        psis = model.psi(t, stencil)
-        dpsi = (psis[:n_s] - psis[n_s:]).T / (2.0 * h)
-        dx_gap[i] = float(np.linalg.norm(dpsi))
-    return FlatteningDriftProbe(t_grid, dt_norm, dx_gap)
+        dpsi, dpsi_dt = _psi_slopes(model, t, zero_s, DRIFT_FD_STEP)
+        dt_norm[i] = float(np.linalg.norm(dpsi_dt))
+        dx_gap[i] = float(np.linalg.norm(dpsi[0]))
+    return FlatteningDriftProbe(dt_norm, dx_gap)

@@ -17,7 +17,6 @@ from dsgdlab.graphs import (
     Graph,
     consensus_penalty,
     laplacian,
-    path_graph,
     penalty_from_matrix,
 )
 from dsgdlab.losses import (
@@ -26,7 +25,6 @@ from dsgdlab.losses import (
     quadratic_form,
     quadratic_saddle,
     relu_regression,
-    separable_polynomial,
     shifted_quadratic,
     sum_loss,
 )

@@ -491,6 +491,16 @@ def test_manifold_run_with_a_failed_solve_exits_2(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "report.txt").exists()
 
 
+def test_unallocatable_step_count_exits_2(tmp_path):
+    # the checkpoint grid of 10^18 steps asks for 6.9 EiB at once, which no
+    # allocator grants, so the run fails before it touches any memory
+    path = write_config(tmp_path, GOOD_CONFIG.replace("steps = 2000",
+                                                      "steps = 1000000000000000000"))
+    code, _, err = run_cli("run", str(path))
+    assert code == 2
+    assert err.startswith("experiment failed: MemoryError: ")
+
+
 def test_report_reads_a_manifold_output_directory(tmp_path):
     # a manifold-verify output holds report.txt and no records.tsv: report
     # lists each check's verdict; a copy with a failed check shows FAIL

@@ -275,6 +275,21 @@ def test_evolution_operator_identity_and_scalar_decay():
     assert v_u[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-6)
 
 
+def test_evolution_operator_refuses_times_off_the_frame_grid():
+    # interpolation would hold the grid's end values: e^-15 for the first
+    # call where e^-25 is due, and 1 for the second where e^-3 is due
+    frame = battery_model("cross-cubic").frame(5.0)
+    assert (frame.times[0], frame.times[-1]) == (5.0, 20.0)
+    with pytest.raises(ValueError, match="grid span"):
+        evolution_operator(frame, 5.0, 30.0, "stable")
+    with pytest.raises(ValueError, match="grid span"):
+        evolution_operator(frame, 2.0, 5.0, "stable")
+    with pytest.raises(ValueError, match="grid span"):
+        evolution_operator(frame, 30.0, 5.0, "unstable")
+    v = evolution_operator(frame, 5.0, 20.0, "stable")
+    assert v[1, 1] == pytest.approx(np.exp(-15.0), rel=1e-6)
+
+
 def test_evolution_decay_envelope_fit():
     ctx = quad_context()
     model = ManifoldModel(ctx, 4.0, 40.0, PicardOptions(horizon=8.0, dt=0.01, tail=4.0))

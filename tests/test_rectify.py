@@ -81,6 +81,33 @@ def test_phi_inverse_roundtrip():
     assert np.max(np.abs(back - w)) < 1e-9
 
 
+def test_phi_inverse_is_closed_form_with_one_psi_solve(monkeypatch):
+    # Phi keeps the stable block, so Phi^-1(w) = (w_u + psi(t, w_s); w_s)
+    model = cross_model()
+    w = 0.05 * np.random.default_rng(1).standard_normal((6, 2))
+    psi = model.psi(4.0, w[:, 1:])
+    calls = []
+
+    def counted(t, z_s):
+        calls.append(len(z_s))
+        return ManifoldModel.psi(model, t, z_s)
+
+    monkeypatch.setattr(model, "psi", counted)
+    z = rectify_phi_inverse(model, w, 4.0)
+    assert calls == [6]
+    assert np.array_equal(z[:, 1:], w[:, 1:])
+    assert np.array_equal(z[:, :1], w[:, :1] + psi)
+    assert np.array_equal(rectify_phi_inverse(model, w[0], 4.0), z[0])
+
+
+def test_phi_inverse_refuses_uncertified_points():
+    model = cross_model()
+    with pytest.raises(OutOfBallError):
+        rectify_phi_inverse(model, np.array([[0.0, 0.2]]), 4.0)  # |w_s| > r/3
+    with pytest.raises(OutOfBallError):
+        rectify_phi_inverse(model, np.array([0.5, 0.0]), 4.0)  # |w| > r
+
+
 def test_phi_jacobian_identity_at_origin():
     model = cross_model()
     step = 1e-5
@@ -199,10 +226,10 @@ def test_autonomous_restriction_cross_cubic_residual():
 def test_flattening_limit_comparison():
     model = shifted_model()
     auto = autonomous_restriction(model.context, picard=FAST)
-    comp = compare_flattening_limit(model, auto, [10.0, 20.0, 40.0, 60.0],
+    gaps = compare_flattening_limit(model, auto, [10.0, 20.0, 40.0, 60.0],
                                     n_samples=16, seed=4, sample_ball=0.04)
-    assert np.all(np.diff(comp.gaps) <= 1e-12 + 0.05 * comp.gaps[:-1])
-    assert comp.gaps[-1] < comp.gaps[0]
+    assert np.all(np.diff(gaps) <= 1e-12 + 0.05 * gaps[:-1])
+    assert gaps[-1] < gaps[0]
 
 
 def test_psi_second_differences_bounded_and_scale_consistent():
