@@ -272,7 +272,7 @@ class PicardFrame:
     gamma_vals: np.ndarray
     g_path: np.ndarray         # (n, M)
     forcing: np.ndarray        # (n, M): U(t) g'(gamma_t) gammadot_t
-    mode_rate: Frame | None    # Udot U^T; None when the frame does not move
+    mode_rate: Frame | None    # Udot U^T; None for the model's fixed frame
     context: SaddleContext
 
     @property
