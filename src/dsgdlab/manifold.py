@@ -264,7 +264,6 @@ class PicardFrame:
     """Everything the integral equation needs on a uniform grid from t0."""
 
     times: np.ndarray
-    dt: float
     n_u: int
     lambdas: np.ndarray        # (n, M), unstable block first
     rotation: Frame            # U(t)
@@ -273,7 +272,6 @@ class PicardFrame:
     g_path: np.ndarray         # (n, M)
     forcing: np.ndarray        # (n, M): U(t) g'(gamma_t) gammadot_t
     mode_rate: Frame | None    # Udot U^T; None for the model's fixed frame
-    context: SaddleContext
 
     @property
     def t0(self):
@@ -651,9 +649,9 @@ class ManifoldModel:
             mode_rate = Frame(np.gradient(modes, opts.dt, axis=0) @ modes.swapaxes(1, 2))
         else:
             rotation, mode_rate = Frame(self.fixed_frame), None
-        return PicardFrame(times, opts.dt, ctx.n_u, lam, rotation, cumlam,
+        return PicardFrame(times, ctx.n_u, lam, rotation, cumlam,
                            np.asarray(ctx.gamma(times), dtype=float), g_path, forcing,
-                           mode_rate, ctx)
+                           mode_rate)
 
     # -- the integral equation ----------------------------------------------
 
@@ -664,7 +662,7 @@ class ManifoldModel:
         z has shape (batch, n, M): F-rotated(z, t) = U F(U^T z, t) + Udot U^T z
         with F(y, t) = -grad h(y + g) - gamma Q (y + g) - A(t) y.
         """
-        ctx = frame.context
+        ctx = self.context
         w = frame.rotation.unrotate(z, out=work.w)
         np.add(w, frame.g_path, out=w)
         grad = ctx.loss.subgradient(w)
@@ -703,7 +701,7 @@ class ManifoldModel:
             dg = np.subtract(near, far, out=_view(work.diff, inc.shape))
             np.multiply(near, phi1, out=inc)
             np.subtract(inc, np.multiply(dg, phi_tilde, out=dg), out=inc)
-            np.multiply(frame.dt, inc, out=inc)
+            np.multiply(self.picard.dt, inc, out=inc)
             if scan.reverse:
                 np.negative(scan.run(x, work.diff), out=out[:, :, cols])
             else:

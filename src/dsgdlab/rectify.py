@@ -31,12 +31,6 @@ DRIFT_FD_STEP = 1e-3          # central differences of the flattening drift prob
 AUTONOMOUS_SPAN = 40.0        # time span of the autonomous restriction's model
 
 
-def _as_batch(z):
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    return (z[None, :] if single else z), single
-
-
 def _certified_psi(model, z, t):
     """psi(t, z_s) at the rows of z (2-D, rotated coordinates), after checking
     that every row lies where psi is certified: inside the validity ball
@@ -50,36 +44,33 @@ def _certified_psi(model, z, t):
 
 
 def rectify_phi(model, z, t):
-    """Flattening map in rotated coordinates: (z_u - psi(t, z_s); z_s), for
-    points where psi is certified (`_certified_psi`)."""
-    zb, single = _as_batch(z)
-    out = zb.copy()
-    out[:, : model.context.n_u] -= _certified_psi(model, zb, t)
-    return out[0] if single else out
+    """Flattening map in rotated coordinates, one point per row of z:
+    (z_u - psi(t, z_s); z_s), for points where psi is certified
+    (`_certified_psi`)."""
+    out = np.array(z, dtype=float)
+    out[:, : model.context.n_u] -= _certified_psi(model, out, t)
+    return out
 
 
 def rectify_phi_inverse(model, w, t):
     """Inverse of the flattening map, one point per row of w: Phi keeps the
     stable block, so Phi^-1(w) = (w_u + psi(t, w_s); w_s), for w where psi
     is certified."""
-    wb, single = _as_batch(w)
-    out = wb.copy()
-    out[:, : model.context.n_u] += _certified_psi(model, wb, t)
-    return out[0] if single else out
+    out = np.array(w, dtype=float)
+    out[:, : model.context.n_u] += _certified_psi(model, out, t)
+    return out
 
 
 def eta(model, x, t):
-    """Distance-to-manifold functional in original coordinates.
+    """Distance-to-manifold functional in original coordinates, one point per
+    row of x.
 
     eta(x, t) = || unstable components of Phi(U(t)(x - g(gamma_t)), t) ||.
 
     Test-only: the paper's distance functional, checked on and off the manifold.
     """
-    xb, single = _as_batch(x)
-    z = model.coordinate_change(xb, t)
-    phi = rectify_phi(model, z, t)
-    val = np.linalg.norm(phi[:, : model.context.n_u], axis=1)
-    return float(val[0]) if single else val
+    phi = rectify_phi(model, model.coordinate_change(x, t), t)
+    return np.linalg.norm(phi[:, : model.context.n_u], axis=1)
 
 
 @dataclass(frozen=True)
@@ -159,16 +150,10 @@ def moving_frame_field(model, z, t):
     return model.drive_field(w, t) @ modes.T + z @ mode_rate.T - forcing
 
 
-def _psi_slopes(model, t, z_s, h):
-    """Central differences with step h of psi at the rows of z_s: the slope
-    in the stable block, (rows, n_u, n_s), and the time slope, (rows, n_u)."""
-    rows, n_s = z_s.shape
-    # psi at z_s + h e_j, then at z_s - h e_j, for each stable direction j
-    stencil = [z_s + sign * e for e in h * np.eye(n_s) for sign in (1.0, -1.0)]
-    pairs = model.psi(t, np.concatenate(stencil, axis=0)).reshape(n_s, 2, rows, -1)
-    dpsi = np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, -1).copy()
-    dpsi_dt = (model.psi(t + h, z_s) - model.psi(t - h, z_s)) / (2.0 * h)
-    return dpsi, dpsi_dt
+def _psi_time_slope(model, t, z_s, h):
+    """Central difference with step h of psi in time at the rows of z_s,
+    (rows, n_u)."""
+    return (model.psi(t + h, z_s) - model.psi(t - h, z_s)) / (2.0 * h)
 
 
 def rectified_field(model, w, t):
@@ -178,9 +163,16 @@ def rectified_field(model, w, t):
     n_u = model.context.n_u
     x = rectify_phi_inverse(model, w, t)
     h_val = moving_frame_field(model, x, t)
-    dpsi, dpsi_dt = _psi_slopes(model, t, x[:, n_u:], FD_STEP)
+    z_s = x[:, n_u:]
+    rows, n_s = z_s.shape
+    # psi at z_s + h e_j, then at z_s - h e_j, for each stable direction j
+    stencil = [z_s + sign * e for e in FD_STEP * np.eye(n_s) for sign in (1.0, -1.0)]
+    pairs = model.psi(t, np.concatenate(stencil, axis=0)).reshape(n_s, 2, rows, -1)
+    # the stable-block slope, (rows, n_u, n_s)
+    dpsi = np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * FD_STEP), 0, -1).copy()
     out = h_val.copy()
-    out[:, :n_u] -= np.einsum("bus,bs->bu", dpsi, h_val[:, n_u:]) + dpsi_dt
+    out[:, :n_u] -= (np.einsum("bus,bs->bu", dpsi, h_val[:, n_u:])
+                     + _psi_time_slope(model, t, z_s, FD_STEP))
     return out
 
 
@@ -265,20 +257,10 @@ def compare_flattening_limit(model, auto_model, t0_grid, n_samples=32, seed=0,
     return np.array(gaps)
 
 
-@dataclass(frozen=True)
-class FlatteningDriftProbe:
-    dt_phi_norm: np.ndarray
-    dx_phi_gap: np.ndarray       # ||D_x Phi(0, t) - I||
-
-
 def dt_phi_decay_probe(model, t_grid):
-    """Finite-difference time and space derivatives of the flattening at the
-    origin; both drift terms decay as the penalty grows."""
-    dt_norm = np.empty(len(t_grid))
-    dx_gap = np.empty(len(t_grid))
+    """||D_t Phi(0, t)|| = ||d/dt psi(t, 0)|| at each time of t_grid, by
+    central differences with step DRIFT_FD_STEP; this drift term decays as
+    the penalty grows."""
     zero_s = np.zeros((1, model.context.n_s))
-    for i, t in enumerate(t_grid):
-        dpsi, dpsi_dt = _psi_slopes(model, t, zero_s, DRIFT_FD_STEP)
-        dt_norm[i] = float(np.linalg.norm(dpsi_dt))
-        dx_gap[i] = float(np.linalg.norm(dpsi[0]))
-    return FlatteningDriftProbe(dt_norm, dx_gap)
+    return np.array([np.linalg.norm(_psi_time_slope(model, t, zero_s, DRIFT_FD_STEP))
+                     for t in t_grid])

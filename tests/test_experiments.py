@@ -408,6 +408,20 @@ def test_manifold_verification_cross_cubic_battery():
     assert report["picard"]["tangency_slope"] == pytest.approx(2.0, abs=0.2)
 
 
+def test_manifold_verification_quadratic_penalized_battery():
+    # the penalized quadratic's psi vanishes on a fixed frame under a growing
+    # penalty; no shipped config runs this battery
+    cfg = make_config("manifold-verify", problem={"battery": "quadratic-penalized"},
+                      schedule=SCHED, manifold={"n_samples": 20})
+    report = run_experiment(cfg)
+    assert report["battery"]["psi_is_zero"]
+    assert report["overall"]["passed"]
+
+
+# psi solves (ManifoldModel._iterate calls) per 20-sample battery
+BATTERY_PSI_SOLVES = {"cross-cubic": 97, "quadratic": 2, "shifted": 96}
+
+
 def _pinned(got, want, where):
     """got matches want: numbers (also inside space-separated strings) within
     1e-12 relative, everything else exactly."""
@@ -436,6 +450,14 @@ def test_manifold_battery_report_is_pinned(battery, monkeypatch):
         return solve(model, t0, a_s)
 
     monkeypatch.setattr(experiments.ManifoldModel, "picard_solve", counted)
+    iterate = experiments.ManifoldModel._iterate
+    solves = []
+
+    def counted_iterate(model, t0, a_s):
+        solves.append(t0)
+        return iterate(model, t0, a_s)
+
+    monkeypatch.setattr(experiments.ManifoldModel, "_iterate", counted_iterate)
     pinned = json.loads((DATA / "manifold_reports_n20.json").read_text())[battery]
     cfg = make_config("manifold-verify", problem={"battery": battery},
                       schedule=SCHED, manifold={"n_samples": 20})
@@ -444,6 +466,7 @@ def test_manifold_battery_report_is_pinned(battery, monkeypatch):
     a_scale = 0.1 * 0.3   # a tenth of the batteries' validity radius
     e_1 = np.eye(1, starts[0].shape[1])
     assert sum(np.array_equal(a_s, a_scale * e_1) for a_s in starts) == 1
+    assert len(solves) == BATTERY_PSI_SOLVES[battery]
     if battery == "shifted":
         # the full battery on the moving eigenframe of the forced saddle path,
         # which offsets the graph, psi(t0, 0) != 0; the tangency fit measures

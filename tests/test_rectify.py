@@ -6,6 +6,7 @@ from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
 from dsgdlab.manifold import ManifoldModel, PicardOptions, saddle_context
 from dsgdlab.rectify import (
+    DRIFT_FD_STEP,
     autonomous_restriction,
     compare_flattening_limit,
     dt_phi_decay_probe,
@@ -65,11 +66,11 @@ def test_phi_flattens_manifold_points():
     model = cross_model()
     zs = np.array([0.05])
     psi_val = model.psi(3.0, zs[None, :])[0]
-    point = np.concatenate([psi_val, zs])
-    phi = rectify_phi(model, point, 3.0)
+    point = np.concatenate([psi_val, zs])[None, :]
+    phi = rectify_phi(model, point, 3.0)[0]
     assert abs(phi[0]) < 1e-9
     assert phi[1] == pytest.approx(0.05)
-    assert eta(model, model.coordinate_change_inverse(point, 3.0), 3.0) < 1e-9
+    assert eta(model, model.coordinate_change_inverse(point, 3.0), 3.0)[0] < 1e-9
 
 
 def test_phi_inverse_roundtrip():
@@ -97,10 +98,6 @@ def test_phi_inverse_is_closed_form_with_one_psi_solve(monkeypatch):
     assert calls == [6]
     assert np.array_equal(z[:, 1:], w[:, 1:])
     assert np.array_equal(z[:, :1], w[:, :1] + psi)
-    # a 1-D point is one row; its solve may differ from the batch's in the
-    # last bits, since a row's psi depends on the other rows
-    single = rectify_phi_inverse(model, w[0], 4.0)
-    assert single.shape == (2,) and np.allclose(single, z[0], rtol=0.0, atol=1e-9)
 
 
 def test_phi_inverse_refuses_uncertified_points():
@@ -108,7 +105,7 @@ def test_phi_inverse_refuses_uncertified_points():
     with pytest.raises(OutOfBallError):
         rectify_phi_inverse(model, np.array([[0.0, 0.2]]), 4.0)  # |w_s| > r/3
     with pytest.raises(OutOfBallError):
-        rectify_phi_inverse(model, np.array([0.5, 0.0]), 4.0)  # |w| > r
+        rectify_phi_inverse(model, np.array([[0.5, 0.0]]), 4.0)  # |w| > r
 
 
 def test_phi_jacobian_identity_at_origin():
@@ -116,24 +113,24 @@ def test_phi_jacobian_identity_at_origin():
     step = 1e-5
     jac = np.empty((2, 2))
     for j in range(2):
-        e = np.zeros(2)
-        e[j] = step
-        jac[:, j] = (rectify_phi(model, e, 5.0) - rectify_phi(model, -e, 5.0)) / (2 * step)
+        e = np.zeros((1, 2))
+        e[0, j] = step
+        jac[:, j] = (rectify_phi(model, e, 5.0) - rectify_phi(model, -e, 5.0))[0] / (2 * step)
     assert np.max(np.abs(jac - np.eye(2))) < 1e-6
 
 
 def test_eta_quadratic_unstable_coordinate():
     model = quad2_model()
     # unstable direction is the negative-curvature coordinate (second one)
-    x = np.array([0.05, 0.3])
-    val = eta(model, x, 5.0)
+    x = np.array([[0.05, 0.3]])
+    val = eta(model, x, 5.0)[0]
     assert val == pytest.approx(0.3, abs=1e-12)
 
 
 def test_eta_out_of_ball():
     model = quad2_model()
     with pytest.raises(OutOfBallError):
-        eta(model, np.array([5.0, 5.0]), 5.0)
+        eta(model, np.array([[5.0, 5.0]]), 5.0)
 
 
 def test_phi_refuses_rows_psi_cannot_certify():
@@ -141,10 +138,10 @@ def test_phi_refuses_rows_psi_cannot_certify():
     # r/3 of a solved psi: the map refuses the row before the solver does
     model = cross_model()
     with pytest.raises(OutOfBallError):
-        rectify_phi(model, [0.0, 0.2], 2.0)
+        rectify_phi(model, [[0.0, 0.2]], 2.0)
     with pytest.raises(OutOfBallError):
         rectify_phi(model, np.array([[0.0, 0.05], [0.0, 0.2]]), 2.0)
-    assert rectify_phi(model, [0.0, 0.05], 2.0)[1] == 0.05
+    assert rectify_phi(model, [[0.0, 0.05]], 2.0)[0, 1] == 0.05
 
 
 def test_repulsion_quadratic_exact():
@@ -260,28 +257,38 @@ def test_eta_positive_off_manifold():
     t = 4.0
     for _ in range(10):
         zs = 0.04 * (2.0 * rng.random(1) - 1.0)
-        on_point = np.concatenate([model.psi(t, zs[None, :])[0], zs])
+        on_point = np.concatenate([model.psi(t, zs[None, :])[0], zs])[None, :]
         off = on_point.copy()
-        off[0] += 1e-3 * (1 if rng.random() < 0.5 else -1)
+        off[0, 0] += 1e-3 * (1 if rng.random() < 0.5 else -1)
         x_on = model.coordinate_change_inverse(on_point, t)
         x_off = model.coordinate_change_inverse(off, t)
-        assert eta(model, x_on, t) < 1e-9
-        assert eta(model, x_off, t) >= 1e-3 - 1e-9
+        assert eta(model, x_on, t)[0] < 1e-9
+        assert eta(model, x_off, t)[0] >= 1e-3 - 1e-9
+
+
+def dx_phi_gap(model, t_grid):
+    """||D_x Phi(0, t) - I|| = ||d/dz_s psi(t, 0)|| at each time, by central
+    differences with step DRIFT_FD_STEP."""
+    stencil = DRIFT_FD_STEP * np.eye(model.context.n_s)
+    return np.array([np.linalg.norm(model.psi(t, stencil) - model.psi(t, -stencil))
+                     / (2.0 * DRIFT_FD_STEP) for t in t_grid])
 
 
 def test_dt_phi_probe_zero_for_stationary_quadratic():
     model = quad_model()
-    probe = dt_phi_decay_probe(model, np.linspace(6.0, 20.0, 4))
-    assert np.allclose(probe.dt_phi_norm, 0.0)
-    assert np.allclose(probe.dx_phi_gap, 0.0)
+    t_grid = np.linspace(6.0, 20.0, 4)
+    assert np.allclose(dt_phi_decay_probe(model, t_grid), 0.0)
+    assert np.allclose(dx_phi_gap(model, t_grid), 0.0)
 
 
 def test_dt_phi_probe_decays_for_shifted_path():
     model = shifted_model()
-    probe = dt_phi_decay_probe(model, np.array([8.0, 16.0, 32.0, 60.0]))
-    assert probe.dt_phi_norm[0] > 1e-6  # genuinely time-varying flattening
-    assert np.all(np.diff(probe.dt_phi_norm) < 0)
-    assert probe.dt_phi_norm[-1] < 0.1 * probe.dt_phi_norm[0]
+    t_grid = np.array([8.0, 16.0, 32.0, 60.0])
+    dt_phi_norm = dt_phi_decay_probe(model, t_grid)
+    assert dt_phi_norm[0] > 1e-6  # genuinely time-varying flattening
+    assert np.all(np.diff(dt_phi_norm) < 0)
+    assert dt_phi_norm[-1] < 0.1 * dt_phi_norm[0]
     # the graph slope at the origin also drains away as the penalty grows
-    assert np.all(np.diff(probe.dx_phi_gap) < 0)
-    assert probe.dx_phi_gap[-1] < 0.1 * probe.dx_phi_gap[0]
+    gap = dx_phi_gap(model, t_grid)
+    assert np.all(np.diff(gap) < 0)
+    assert gap[-1] < 0.1 * gap[0]
