@@ -11,11 +11,20 @@ drawn from one sub-stream per agent, spawned from the master seed, so stacked
 and agentwise runs can consume identical realizations. `run_batch` is the one
 loop that iterates the recursion; `run` and `run_agentwise` are its one-seed
 views, and `general_step`/`agentwise_step` are the single-step references.
-It steps each chunk once and serves it to one observer call.
+It steps each chunk once and serves it to one observer call. A run's noise is
+drawn one chunk ahead by a forked child process (`os.fork`, so POSIX only)
+into a shared step-major buffer, while the parent steps the chunk before.
 """
 
 from __future__ import annotations
 
+import gc
+import math
+import mmap
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,42 +97,155 @@ class NoiseStream:
         """
         return self.draw_chunk(1)[0]
 
-    def draw_chunk(self, count):
-        """count consecutive events, shape (count,) + the event shape.
+    def draw_chunk(self, count, out=None):
+        """count consecutive events as one C-contiguous array of shape
+        (count,) + the event shape, step-major; written into `out` when given.
 
         Each (seed, agent) generator fills its (count, agent_dim) block of one
         contiguous (rows, n_agents, count, agent_dim) buffer, which is scaled
-        once and returned as a strided view. Chunked draws consume each
-        generator exactly as repeated single draws do, so chunking never
-        changes realizations.
+        once; one transposing copy then moves the buffer to the step-major
+        layout, a whole agent_dim-wide event at a time, where restricted
+        draws are projected. Chunked draws consume each generator exactly as
+        repeated single draws do, so chunking never changes realizations.
         """
         rows = self.rows or 1
+        n, d = self.n_agents, self.agent_dim
+        shape = (count,) + ((rows,) if self.rows else ()) + (n, d)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {shape}")
         if self.kind == "none":
-            out = np.zeros((count, rows, self.n_agents, self.agent_dim))
-            return out if self.rows else out[:, 0]
-        out = np.empty((rows, self.n_agents, count, self.agent_dim))
-        for gen, block in zip(self._gens, out.reshape(rows * self.n_agents, count,
-                                                      self.agent_dim)):
+            out[...] = 0.0
+            return out
+        buf = np.empty((rows, n, count, d))
+        for gen, block in zip(self._gens, buf.reshape(rows * n, count, d)):
             gen.standard_normal(out=block)
         if self.kind == "uniform-sphere":
-            norms = np.linalg.norm(out, axis=-1, keepdims=True)
+            norms = np.linalg.norm(buf, axis=-1, keepdims=True)
             norms[norms == 0.0] = 1.0
-            out *= self.scale
-            out /= norms
+            buf *= self.scale
+            buf /= norms
         else:
-            out *= self.scale
-        if self.projector is None:
-            out = out.transpose(2, 0, 1, 3)
-        else:
+            buf *= self.scale
+        # one cell per event: with d = 2 an element-wise copy's inner loop is
+        # 2 long, and the transposing copy costs several times as much
+        cell = np.dtype((np.void, 8 * d))
+        np.copyto(out.view(cell)[..., 0].reshape(count, rows, n),
+                  buf.view(cell)[..., 0].transpose(2, 0, 1))
+        if self.projector is not None:
             # a product summed row by row, so a draw's projection does not
             # depend on the chunk size (a BLAS product's summation order can)
-            flat = out.transpose(0, 2, 1, 3).reshape(rows, count,
-                                                     self.n_agents * self.agent_dim)
-            for block in flat:
-                block[...] = (block[:, :, None] * self.projector.T).sum(axis=1)
-            out = flat.reshape(rows, count, self.n_agents,
-                               self.agent_dim).transpose(1, 0, 2, 3)
-        return out if self.rows else out[:, 0]
+            flat = out.reshape(count, rows, n * d)
+            for r in range(rows):
+                flat[:, r] = (flat[:, r, :, None] * self.projector.T).sum(axis=1)
+        return out
+
+
+class _NoiseProducer:
+    """A run's noise chunks, drawn one chunk ahead by a forked child.
+
+    The child owns the stream and draws chunk i into slot i % 2 of an
+    anonymous shared mmap while the parent steps chunk i - 1. It reports
+    each chunk with a byte on the `ready` pipe and, before it reuses a slot,
+    waits for the parent's byte on the `free` pipe. It calls no BLAS, so the
+    fork is safe alongside OpenBLAS's threads. It exits with `os._exit`
+    after its last chunk, or on EOF or EPIPE once the parent is gone; a
+    failure while drawing is pickled down `ready` and raised in the parent.
+    POSIX only (`os.fork`).
+    """
+
+    def __init__(self, stream, spans):
+        self.spans = spans
+        self.received = 0
+        shape = (max(spans), stream.rows, stream.n_agents, stream.agent_dim)
+        size = 8 * math.prod(shape)
+        shared = mmap.mmap(-1, 2 * size)
+        self.slots = [np.ndarray(shape, buffer=shared, offset=i * size) for i in (0, 1)]
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on any fork in a multi-threaded process;
+                # here the only other threads are OpenBLAS's, and the child
+                # never calls into BLAS, so it cannot deadlock on their locks
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(ready_r)
+            os.close(free_w)
+            self._produce(stream, ready_w, free_r)
+        os.close(ready_w)
+        os.close(free_r)
+        self._ready, self._free = ready_r, free_w
+
+    def _produce(self, stream, ready, free):
+        """The child's whole life: draw every chunk, then exit."""
+        gc.disable()  # a collection would write to, and so copy, the parent's pages
+        code = 0
+        try:
+            for i, span in enumerate(self.spans):
+                if i >= 2 and not os.read(free, 1):
+                    break
+                stream.draw_chunk(span, out=self.slots[i % 2][:span])
+                os.write(ready, b"\0")
+        except BrokenPipeError:
+            pass
+        except BaseException as exc:
+            code = 1
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)  # the parent must be able to rebuild it
+            except Exception:
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            try:
+                with os.fdopen(ready, "wb") as pipe:
+                    pipe.write(b"\1" + payload)
+            except OSError:
+                pass
+        finally:
+            os._exit(code)
+
+    def chunk(self, i):
+        """Chunk i's noise, (span,) + the event shape; valid until release(i)."""
+        tag = os.read(self._ready, 1)
+        if tag != b"\0":
+            raise self._failure(tag)
+        self.received += 1
+        return self.slots[i % 2][:self.spans[i]]
+
+    def release(self, i):
+        """Hand chunk i's slot back to the child, if it still has a chunk to
+        draw there."""
+        if i + 2 < len(self.spans):
+            try:
+                os.write(self._free, b"\0")
+            except BrokenPipeError:
+                pass  # the child has failed; the next chunk() raises its error
+
+    def _failure(self, tag):
+        if tag == b"\1":
+            payload = b"".join(iter(lambda: os.read(self._ready, 1 << 16), b""))
+            return pickle.loads(payload)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return RuntimeError("the noise producer exited with status "
+                            f"{os.waitstatus_to_exitcode(status)} before its last chunk")
+
+    def close(self):
+        """Reap the child, killing it first unless it has delivered every chunk."""
+        os.close(self._ready)
+        os.close(self._free)
+        if self.pid is not None:
+            if self.received < len(self.spans):
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def row_norms(x):
@@ -319,8 +441,11 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     `run_agentwise` are its one-row views. Each seed draws from its own
     spawned streams, so row s reproduces `run` with that seed up to the BLAS
     summation order of the wider batch; one `draw_chunk` call draws every
-    row's noise for a chunk of steps. Each checkpoint keeps every row's state
-    (`BatchRun.states`), copied from the chunk buffer, and its metrics come
+    row's noise for a chunk of steps, in a child forked before the loop that
+    draws chunk i + 1 while this process steps chunk i (`_NoiseProducer`).
+    A failure in the child is raised here, and the child is reaped on every
+    path, so no process outlives the call. Each checkpoint keeps every row's
+    state (`BatchRun.states`), copied from the chunk buffer, and its metrics come
     from `checkpoint_metrics` on those states. Diverged rows are frozen at
     their last state below the ceiling and recorded, not fatal; once every row
     has diverged the loop stops, and the remaining checkpoints repeat the
@@ -384,38 +509,52 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
         return np.subtract(x, alphas[count - 1] * drive, out=out)
 
     states = np.empty((min(chunk, steps), s_count, m))
-    k = 1
-    while k <= steps and active.any():
-        span = min(chunk, steps - k + 1)
-        xs = states[:span]
-        xi = [None] * span if noise.kind == "none" else stream.draw_chunk(span)
-        start = x.copy()
-        frozen = None if active.all() else ~active
-        for j in range(span):
-            x = step(x, k + j, xi[j], out=xs[j])
-            if frozen is not None:
-                x[frozen] = start[frozen]
-        # each active row's first step past the ceiling (NaN included), or span
-        norms = row_norms(xs)
-        crossed = active & ~(norms <= ceiling)
-        hit = crossed.any(axis=0)
-        cross = np.where(hit, crossed.argmax(axis=0), span)
-        live = active & (np.arange(span)[:, None] < cross)
-        if hit.any():
-            diverged_at[hit] = k_start + k + cross[hit] - 1
-            # from its crossing on, a row keeps its last state below the ceiling
-            last = np.where((cross > 0)[:, None], xs[cross - 1, np.arange(s_count)], start)
-            np.copyto(xs, last, where=~live[:, :, None])
-            active &= ~hit
-        np.maximum(sup_norm, np.max(norms, axis=0, where=live, initial=0.0), out=sup_norm)
-        # every step while a row is live: the steps before the last crossing
-        served = int(np.count_nonzero(live.any(axis=1)))
-        if observer is not None and served:
-            observer(k_start + k - 1, zeta_all[k:k + served], xs[:served], live[:served])
-        while rec_idx < n_rec and points[rec_idx] < k + served:
-            rec[rec_idx] = xs[points[rec_idx] - k]
-            rec_idx += 1
-        k += span
+    spans = [min(chunk, steps - k + 1) for k in range(1, steps + 1, chunk)]
+    # with no rows or no steps there is nothing to draw, and no child to fork
+    producer = (_NoiseProducer(stream, spans) if noise.kind != "none" and s_count and spans
+                else None)
+    try:
+        k = 1
+        for i, span in enumerate(spans):
+            if not active.any():
+                break
+            xs = states[:span]
+            xi = [None] * span if producer is None else producer.chunk(i)
+            start = x.copy()
+            frozen = None if active.all() else ~active
+            for j in range(span):
+                x = step(x, k + j, xi[j], out=xs[j])
+                if frozen is not None:
+                    x[frozen] = start[frozen]
+            if producer is not None:
+                producer.release(i)
+            # each active row's first step past the ceiling (NaN included), or span
+            norms = row_norms(xs)
+            crossed = active & ~(norms <= ceiling)
+            hit = crossed.any(axis=0)
+            cross = np.where(hit, crossed.argmax(axis=0), span)
+            live = active & (np.arange(span)[:, None] < cross)
+            if hit.any():
+                diverged_at[hit] = k_start + k + cross[hit] - 1
+                # from its crossing on, a row keeps its last state below the ceiling
+                last = np.where((cross > 0)[:, None], xs[cross - 1, np.arange(s_count)],
+                                start)
+                np.copyto(xs, last, where=~live[:, :, None])
+                active &= ~hit
+            np.maximum(sup_norm, np.max(norms, axis=0, where=live, initial=0.0),
+                       out=sup_norm)
+            # every step while a row is live: the steps before the last crossing
+            served = int(np.count_nonzero(live.any(axis=1)))
+            if observer is not None and served:
+                observer(k_start + k - 1, zeta_all[k:k + served], xs[:served],
+                         live[:served])
+            while rec_idx < n_rec and points[rec_idx] < k + served:
+                rec[rec_idx] = xs[points[rec_idx] - k]
+                rec_idx += 1
+            k += span
+    finally:
+        if producer is not None:
+            producer.close()
     # once every row has diverged, stepping on would record its frozen states
     # again, and their metrics are those of the first record that holds them
     rec[rec_idx:] = x

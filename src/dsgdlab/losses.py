@@ -134,14 +134,17 @@ def quadratic_form(hess, linear=None):
 
 def shifted_quadratic(anchor):
     """h(x) = 1/2 ||x - a||^2: the quadratic form with H = I and b = -a, whose
-    value carries the constant 1/2 ||a||^2."""
+    value carries the constant 1/2 ||a||^2. Its gradient is x - a, computed
+    as such rather than as a product with I."""
     a = np.asarray(anchor, dtype=float)
-    base = quadratic_form(np.eye(len(a)), -a)
 
     def value(x):
         return 0.5 * np.sum((np.asarray(x, dtype=float) - a) ** 2, axis=-1)
 
-    return LossOracle(len(a), value, base.subgradient, base.hessian)
+    def subgradient(x):
+        return np.asarray(x, dtype=float) - a
+
+    return LossOracle(len(a), value, subgradient, quadratic_form(np.eye(len(a))).hessian)
 
 
 def _derivative_terms(exponents, coefficients, order):

@@ -1,4 +1,12 @@
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +17,7 @@ from dsgdlab.engine import (
     BatchRun,
     NoiseModel,
     NoiseStream,
+    _NoiseProducer,
     agentwise_step,
     general_step,
     per_step,
@@ -441,6 +450,7 @@ def test_draw_chunk_matches_per_agent_reference(kind, restrict):
     draws = [chunked.draw_chunk(c) for c in (5, 0, 9, 1)]
     for got in draws:
         assert got.shape == (len(got), n, d)
+        assert got.flags.c_contiguous
         want = reference(len(got))
         assert got.tobytes() == want.tobytes()
     singles = np.stack([single.draw() for _ in range(15)])
@@ -631,14 +641,15 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
     # rows that start near the ceiling cross it within the run
     x0 = np.array([0.0, 0.99, 0.2, 0.995, 0.0])[:, None] * np.array([0.5, 0.5, 0.5, 0.5])
     draws, calls = [], []
-    draw_chunk = NoiseStream.draw_chunk
+    chunk_of = _NoiseProducer.chunk
 
-    def spy(stream, count):
-        out = draw_chunk(stream, count)
+    # the draws happen in the producer's child; spy on the chunks the parent receives
+    def spy(producer, i):
+        out = chunk_of(producer, i)
         draws.append(out.copy())
         return out
 
-    monkeypatch.setattr(NoiseStream, "draw_chunk", spy)
+    monkeypatch.setattr(_NoiseProducer, "chunk", spy)
     batch = run_batch(x0, steps, zero_loss(n * d), PenaltyMatrix(np.zeros((4, 4)), rotation),
                       SCHED, model, seeds, ceiling=ceiling, chunk=chunk,
                       n_agents=n, observer=per_step(lambda k, zeta, x, active:
@@ -667,3 +678,124 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
         frozen = calls[diverged[row] - 1:] if diverged[row] > 0 else []
         assert all(c[row].tobytes() == x.tobytes() for c in frozen)
         assert batch.final_states[row].tobytes() == x.tobytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_batch_whose_rows_all_diverge_in_the_first_chunk_leaves_no_producer():
+    batch, _, spans = _anti_quadratic_batch([1.0, 3.0], 5000, 256, 200.0, GAUSS)
+    assert len(spans) == 1
+    assert np.all((batch.diverged_at > 0) & (batch.diverged_at <= 256))
+    _assert_no_child_left()
+
+
+def test_run_batch_with_no_rows_forks_no_producer(monkeypatch):
+    def no_fork():
+        raise AssertionError("a run with no rows forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    batch, calls, _ = _anti_quadratic_batch([], 600, 256, 1e6, GAUSS)
+    assert batch.states.shape == (0, len(batch.steps), 4) and calls == []
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_run_batch_raises_the_producers_failure(monkeypatch, failure):
+    # the draw fails in the child, on its third chunk, while the parent steps
+    draw_chunk, drawn = NoiseStream.draw_chunk, []
+
+    def failing(stream, count, out=None):
+        if len(drawn) == 2:
+            if failure == "exits":
+                os._exit(3)
+            raise ValueError("no noise for this chunk")
+        drawn.append(count)
+        return draw_chunk(stream, count, out)
+
+    monkeypatch.setattr(NoiseStream, "draw_chunk", failing)
+    error, match = ((ValueError, "no noise for this chunk") if failure == "raises"
+                    else (RuntimeError, "exited with status 3"))
+    with pytest.raises(error, match=match):
+        _anti_quadratic_batch([0.01], 1000, 16, 1e6, GAUSS)
+    _assert_no_child_left()
+
+
+def test_run_batch_forks_without_the_multithreaded_fork_warning(monkeypatch):
+    # Python 3.12+ warns on a fork in a process with threads (OpenBLAS's count);
+    # that warning, and only that one, is silenced around the producer's fork
+    fork = os.fork
+
+    def warning_fork(message):
+        def forked():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return fork()
+        return forked
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(os, "fork", warning_fork(
+            "This process (pid=1) is multi-threaded, use of fork() may lead to "
+            "deadlocks in the child."))
+        _anti_quadratic_batch([0.01], 40, 16, 1e6, GAUSS)
+        monkeypatch.setattr(os, "fork", warning_fork("fork() is deprecated"))
+        with pytest.raises(DeprecationWarning, match="fork"):
+            _anti_quadratic_batch([0.01], 40, 16, 1e6, GAUSS)
+    _assert_no_child_left()
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_a_killed_run_leaves_no_producer():
+    # the run prints its producer's pid, then a line once it steps; killed
+    # there, it leaves the producer blocked on a pipe whose other end is gone
+    script = textwrap.dedent("""
+        import os
+        import numpy as np
+        from dsgdlab.engine import NoiseModel, run_batch
+        from dsgdlab.graphs import consensus_penalty, laplacian, path_graph
+        from dsgdlab.losses import zero_loss
+        from dsgdlab.schedules import Schedule
+
+        fork = os.fork
+
+        def announced_fork():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+
+        os.fork = announced_fork
+
+        def observer(k_first, zetas, states, active):
+            print("stepping", flush=True)
+
+        run_batch(np.zeros((50, 4)), 10**6, zero_loss(4),
+                  consensus_penalty(laplacian(path_graph(2)), 2), Schedule(1.0, 1.0, 0.5, 0.6),
+                  NoiseModel("gaussian", 0.1), range(50), n_agents=2, observer=observer)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    try:
+        producer = int(proc.stdout.readline())
+        assert proc.stdout.readline() == "stepping\n"
+        assert _running(producer)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while _running(producer) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(producer)
+    _assert_no_child_left()

@@ -137,6 +137,36 @@ def test_shifted_quadratic_value_is_half_the_squared_distance():
     assert np.array_equal(loss.subgradient(xs), xs @ np.eye(2) - anchor)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 1.5, -2.0])), min_size=1, max_size=6))
+def test_shifted_quadratic_gradient_matches_the_product_with_identity(pairs):
+    # x - a has the bits of the quadratic form's x @ I + (-a) on finite rows,
+    # except where x_k = -0 and a_k = +0: the product sums from +0, so it gives
+    # +0 there, and x - a gives -0
+    x, a = (np.array(col) for col in zip(*pairs))
+    got = shifted_quadratic(a).subgradient(x)
+    want = quadratic_form(np.eye(len(a)), -a).subgradient(x)
+    assert got.tobytes() == (x - a).tobytes()
+    zero_gap = (x == 0.0) & np.signbit(x) & (a == 0.0) & ~np.signbit(a)
+    assert np.all(np.signbit(got[zero_gap])) and not np.any(np.signbit(want[zero_gap]))
+    assert got[~zero_gap].tobytes() == want[~zero_gap].tobytes()
+
+
+def test_shifted_quadratic_gradient_keeps_a_non_finite_entry_in_its_slot():
+    # the product with I spreads inf and NaN across the row (inf * 0 is NaN);
+    # x - a leaves every other entry finite
+    a = np.array([0.0, 1.5, -2.0])
+    x = np.array([[np.inf, 1.0, 2.0], [1.0, np.nan, 2.0]])
+    got = shifted_quadratic(a).subgradient(x)
+    with np.errstate(invalid="ignore"):
+        want = quadratic_form(np.eye(3), -a).subgradient(x)
+    assert got.tobytes() == (x - a).tobytes()
+    assert np.isnan(want).all(axis=1).tolist() == [False, True]
+    assert np.isnan(want[0, 1:]).all() and want[0, 0] == np.inf
+    assert np.isfinite(got).sum(axis=1).tolist() == [2, 2]
+
+
 def test_sum_loss_blockwise_assembly():
     rng = np.random.default_rng(1)
     comps = [shifted_quadratic(rng.standard_normal(3)) for _ in range(4)]
