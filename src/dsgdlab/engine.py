@@ -483,12 +483,28 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
 
     points = _record_points(steps, record)
     zeta0 = float(np.sum(schedule.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
-    ks = np.arange(k_start, k_start + steps)
-    alphas = schedule.alpha(ks)
-    gammas = schedule.gamma(ks)
-    zeta_all = zeta0 + np.concatenate([[0.0], np.cumsum(alphas)])
-
     n_rec = len(points)
+    zeta_rec = np.empty(n_rec)
+    zeta_rec[0] = zeta0 + 0.0
+    elapsed = 0.0   # the sum of alpha over the steps so far, zeta0 left out
+    zeta_idx = 1
+
+    def weights(k, span):
+        """The schedule indices, alpha and the elapsed time zeta after each of
+        steps k .. k + span - 1 of this run; the checkpoints among them keep
+        their zeta. The running sum of alpha is carried from call to call, so
+        it adds in step order, as one cumsum over the whole run would."""
+        nonlocal elapsed, zeta_idx
+        ks = np.arange(k_start + k - 1, k_start + k - 1 + span)
+        alphas = schedule.alpha(ks)
+        sums = np.cumsum(np.concatenate(([elapsed], alphas)))
+        elapsed = sums[-1]
+        zetas = zeta0 + sums[1:]
+        while zeta_idx < n_rec and points[zeta_idx] < k + span:
+            zeta_rec[zeta_idx] = zetas[points[zeta_idx] - k]
+            zeta_idx += 1
+        return ks, alphas, zetas
+
     # checkpoint-major: the metrics read each checkpoint as one C-ordered (rows, m) block
     rec = np.empty((n_rec, s_count, m))
     rec[0] = x
@@ -497,19 +513,25 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     active = np.ones(s_count, dtype=bool)
     rec_idx = 1
 
-    def step(x, count, xi, out=None):
-        """The update of every row at step `count` of this run (1-based);
-        xi is the step's (rows, n_agents, agent_dim) noise, or None."""
-        drive = x @ qm
-        drive *= gammas[count - 1]
-        drive += loss.subgradient(x)
+    drive = np.empty((s_count, m))
+    # a view, as drive is C-ordered: one step's noise adds to it in place
+    drive_blocks = drive.reshape((s_count, n_agents, m // n_agents))
+
+    def step(x, alpha, gamma, xi, out):
+        """The update of every row at one step, written into out; xi is the
+        step's (rows, n_agents, agent_dim) noise, or None."""
+        np.matmul(x, qm, out=drive)
+        np.multiply(drive, gamma, out=drive)
+        np.add(drive, loss.subgradient(x), out=drive)
         if xi is not None:
-            blocks = drive.reshape(xi.shape)  # a view: matmul returns a C-ordered array
-            blocks += xi
-        return np.subtract(x, alphas[count - 1] * drive, out=out)
+            np.add(drive_blocks, xi, out=drive_blocks)
+        np.multiply(drive, alpha, out=drive)
+        return np.subtract(x, drive, out=out)
 
     states = np.empty((min(chunk, steps), s_count, m))
-    spans = [min(chunk, steps - k + 1) for k in range(1, steps + 1, chunk)]
+    # one span per chunk, the last one cut short; a step count too large to
+    # run fails here, as numpy refuses the allocation with a MemoryError
+    spans = np.minimum(chunk, steps - np.arange(0, steps, chunk)).tolist()
     # with no rows or no steps there is nothing to draw, and no child to fork
     producer = (_NoiseProducer(stream, spans) if noise.kind != "none" and s_count and spans
                 else None)
@@ -520,10 +542,12 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
                 break
             xs = states[:span]
             xi = [None] * span if producer is None else producer.chunk(i)
+            ks, alphas, zetas = weights(k, span)
+            gammas = schedule.gamma(ks)
             start = x.copy()
             frozen = None if active.all() else ~active
             for j in range(span):
-                x = step(x, k + j, xi[j], out=xs[j])
+                x = step(x, alphas[j], gammas[j], xi[j], xs[j])
                 if frozen is not None:
                     x[frozen] = start[frozen]
             if producer is not None:
@@ -546,7 +570,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             # every step while a row is live: the steps before the last crossing
             served = int(np.count_nonzero(live.any(axis=1)))
             if observer is not None and served:
-                observer(k_start + k - 1, zeta_all[k:k + served], xs[:served],
+                observer(k_start + k - 1, zetas[:served], xs[:served],
                          live[:served])
             while rec_idx < n_rec and points[rec_idx] < k + served:
                 rec[rec_idx] = xs[points[rec_idx] - k]
@@ -555,11 +579,17 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     finally:
         if producer is not None:
             producer.close()
+    # once every row has diverged, the checkpoints left still take their
+    # zeta, walked in longer spans (the sums do not depend on the span)
+    while zeta_idx < n_rec:
+        span = min(max(chunk, 1 << 16), steps - k + 1)
+        weights(k, span)
+        k += span
     # once every row has diverged, stepping on would record its frozen states
     # again, and their metrics are those of the first record that holds them
     rec[rec_idx:] = x
     cols = [checkpoint_metrics(xs, loss, q.rotation) for xs in rec[:rec_idx + 1]]
     cols += cols[-1:] * (n_rec - len(cols))
     cons, grad, norm = (np.stack(col, axis=1) for col in zip(*cols))
-    return BatchRun(seeds, np.asarray(points), zeta_all[points], cons, grad, norm,
+    return BatchRun(seeds, np.asarray(points), zeta_rec, cons, grad, norm,
                     rec.transpose(1, 0, 2), sup_norm, diverged_at)

@@ -9,6 +9,7 @@ for the absolute value and ReLU'(0)=0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -167,29 +168,153 @@ def _derivative_terms(exponents, coefficients, order):
     return powers, terms
 
 
-def _evaluate(plan, x, *, tail, width):
-    """Sum a plan's terms at x of shape (..., d) into shape (...) + tail,
-    whose product is width.
+def _progression(seq):
+    """The slice that picks the indices seq if they form an increasing
+    arithmetic progression, else None."""
+    step = seq[1] - seq[0] if len(seq) > 1 else 1
+    if step < 1 or any(b - a != step for a, b in zip(seq, seq[1:])):
+        return None
+    return slice(seq[0], seq[-1] + 1, step)
 
-    Each slot sums from zero in term order and each monomial multiplies its
-    factors in coordinate order, as a term-by-term loop does. Powers come from
-    repeated multiplication, so x**2 is x * x exactly as numpy's square, and
-    no power goes through pow.
+
+_ONE = np.ones((1, 1))
+
+
+class _Kernel:
+    """One derivative order of a polynomial, compiled from its plan into
+    power levels and rounds of numpy calls. Called on x of shape (..., d), it
+    returns shape (...) + tail; a 1-D x gives a scalar value.
+
+    It works on x as the d columns of its (rows, d) view. Its output and its
+    workspace (the levels, a term and the scratch) are column-major too, so
+    a coordinate, a power or a slot is an index on the leading axis. Level q
+    holds x_i**q, as level q - 1 times x_i, for just the coordinates the plan
+    needs at q: one multiply when they and their places in level q - 1 form
+    progressions, else one per coordinate. Level 1 is x itself and level 0
+    the constant 1.0. So x * x is numpy's square exactly, no power goes
+    through pow, and no unneeded power can overflow.
+
+    Round r holds the r-th term of every slot that has one, so each slot sums
+    in its own term order. Round 0 writes its terms into the output, each
+    later round adds its terms to their slots, and one add of +0.0 over the
+    whole output ends the sum. That gives the bits of a sum from +0.0: the
+    two differ only while every term so far is -0.0, and then only in the
+    sign of that zero, which the final +0.0 settles. A round of two or more
+    terms whose monomials are each one factor of one level, at a progression
+    of places, and whose slots form a progression takes one multiply by its
+    coefficients, tiled to the rows, and (after round 0) one add into a
+    slice of the output; over all of x and all slots, both run on contiguous
+    memory. Any other round goes term by term, each monomial multiplying its
+    factors in coordinate order.
     """
-    needed, terms = plan
-    x = np.asarray(x, dtype=float)
-    powers = {}
-    for i, p in needed:
-        powers[i, p] = x[..., i] if p == 1 else powers[i, p - 1] * x[..., i]
-    out = np.zeros(x.shape[:-1] + (width,))
-    term = np.empty(x.shape[:-1])
-    for slot, c, factors in terms:
-        mono = powers[factors[0]] if factors else 1.0
-        for f in factors[1:]:
-            mono = np.multiply(mono, powers[f], out=term)
-        column = out[..., slot]
-        np.add(column, np.multiply(c, mono, out=term), out=column)
-    return out.reshape(x.shape[:-1] + tail)[()]
+
+    def __init__(self, plan, dim, order):
+        needed, terms = plan
+        self.tail, self.width = (dim,) * order, dim ** order
+        coords = {}
+        for i, q in needed:
+            coords.setdefault(q, []).append(i)
+        place = {(i, 1): i for i in range(dim)}
+        self.levels, top = [], 1   # workspace row 0 is the term, rows 1.. the levels
+        for q in range(2, len(coords) + 1):
+            below = [place[i, q - 1] for i in coords[q]]
+            place.update(((i, q), k) for k, i in enumerate(coords[q]))
+            runs = _progression(coords[q]), _progression(below)
+            steps = ([(slice(None), *runs)] if len(below) > 1 and None not in runs
+                     else list(zip(range(len(below)), coords[q], below)))
+            self.levels.append((slice(top, top + len(below)), steps))
+            top += len(below)
+        by_slot = {}
+        for slot, c, factors in terms:
+            by_slot.setdefault(slot, []).append(
+                (c, [(p, place[i, p]) for i, p in factors] or [(0, 0)]))
+        rounds = [[(slot, *by_slot[slot][r]) for slot in sorted(by_slot)
+                   if len(by_slot[slot]) > r]
+                  for r in range(max(map(len, by_slot.values()), default=0))]
+        wide = [_wide(terms) for terms in rounds]
+        self.rounds = [_round(terms, shape, r == 0, top)
+                       for r, (terms, shape) in enumerate(zip(rounds, wide))]
+        # scratch rows for the products of the wide rounds after the first
+        self.depth = top + max([len(terms) for terms, shape in zip(rounds[1:], wide[1:])
+                                if shape], default=0)
+        # a slot with no term is never written, so it must start at zero
+        self.fresh = np.empty if len(by_slot) == self.width else np.zeros
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        lead = x.shape[:-1]
+        rows = math.prod(lead)
+        cols = x.reshape(rows, x.shape[-1]).T
+        work = np.empty((self.depth, rows))
+        blocks = [_ONE, cols]
+        for at, steps in self.levels:
+            level = work[at]
+            for k, i, b in steps:
+                np.multiply(blocks[-1][b], cols[i], level[k])
+            blocks.append(level)
+        out = self.fresh((rows, self.width))
+        columns = out.T
+        for run in self.rounds:
+            run(blocks, columns, work, rows)
+        if self.rounds:
+            np.add(out, 0.0, out)
+        out = out.reshape(lead + self.tail)
+        return out[()] if out.ndim == 0 else out
+
+
+def _wide(terms):
+    """(slots, places, level) of a round of two or more terms that are each
+    one factor of one level, at a progression of places, in a progression of
+    slots; else None."""
+    levels = {factors[0][0] for _, _, factors in terms}
+    if len(terms) < 2 or len(levels) > 1 or any(len(f) != 1 for _, _, f in terms):
+        return None
+    slots = _progression([slot for slot, _, _ in terms])
+    places = _progression([factors[0][1] for _, _, factors in terms])
+    return (slots, places, levels.pop()) if slots and places else None
+
+
+def _round(terms, wide, first, top):
+    """One round of a `_Kernel`, its (slot, coefficient, factors) terms, as a
+    function of the levels, the output's columns, the workspace (row 0 the
+    term, rows from `top` on the scratch) and the row count. The first round
+    writes its terms; later rounds add them. A round with a `_wide` shape
+    runs as two calls."""
+    if wide is None:
+        flat = [(slot, c, *factors[0], factors[1:]) for slot, c, factors in terms]
+
+        def run(blocks, cols, work, rows):
+            term = work[0]
+            for slot, c, q, p, rest in flat:
+                mono = blocks[q][p]
+                for q, p in rest:
+                    mono = np.multiply(mono, blocks[q][p], term)
+                if first:
+                    np.multiply(c, mono, cols[slot])
+                else:
+                    column = cols[slot]
+                    np.add(column, np.multiply(c, mono, term), column)
+        return run
+
+    coef = np.array([c for _, c, _ in terms])
+    (slots, places, level), scratch = wide, slice(top, top + len(terms))
+    tile = coef[:, None]
+
+    def run(blocks, cols, work, rows):
+        # the coefficients repeated over the rows, laid out as the product's
+        # destination (the output's columns, or the scratch rows) and kept
+        # while the row count holds
+        nonlocal tile
+        tiles = tile
+        if tiles.shape[1] != rows:
+            tiles = tile = (np.tile(coef, (rows, 1)).T if first
+                            else np.repeat(coef, rows).reshape(len(coef), rows))
+        if first:
+            np.multiply(tiles, blocks[level][places], cols[slots])
+        else:
+            column = cols[slots]
+            np.add(column, np.multiply(tiles, blocks[level][places], work[scratch]), column)
+    return run
 
 
 def polynomial(exponents, coefficients):
@@ -204,8 +329,8 @@ def polynomial(exponents, coefficients):
         raise ValueError("exponents must be nonnegative")
     dim = exponents.shape[1]
     value, subgradient, hessian = (
-        partial(_evaluate, _derivative_terms(exponents, coefficients, order),
-                tail=(dim,) * order, width=dim ** order) for order in range(3))
+        _Kernel(_derivative_terms(exponents, coefficients, order), dim, order)
+        for order in range(3))
     return LossOracle(dim, value, subgradient, hessian)
 
 

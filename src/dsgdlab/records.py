@@ -16,6 +16,12 @@ REPORT_MAGIC = "# dsgdlab-manifold-report v1"
 
 
 def _fmt(x):
+    # exact types first: the common Python float and int skip the isinstance
+    # chain, and a bool (an int subclass) or numpy scalar falls through to it
+    if type(x) is float:
+        return "%.17g" % x
+    if type(x) is int:
+        return str(x)
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (int, np.integer)):

@@ -492,7 +492,7 @@ def test_manifold_run_with_a_failed_solve_exits_2(tmp_path, monkeypatch):
 
 
 def test_unallocatable_step_count_exits_2(tmp_path):
-    # the checkpoint grid of 10^18 steps asks for 6.9 EiB at once, which no
+    # the chunk spans of 10^18 steps ask for 28 PiB at once, which no
     # allocator grants, so the run fails before it touches any memory
     path = write_config(tmp_path, GOOD_CONFIG.replace("steps = 2000",
                                                       "steps = 1000000000000000000"))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -626,6 +627,45 @@ def test_run_batch_steps_each_chunk_once(chunk):
 def test_run_batch_rejects_an_empty_chunk():
     with pytest.raises(ValueError, match="chunk"):
         _anti_quadratic_batch([1.0], 10, 0, 1e6, NoiseModel())
+
+
+@pytest.mark.parametrize("k_start, steps, chunk", [(1, 3000, 256), (250, 750, 256),
+                                                   (2000, 6000, 256), (250, 750, 7),
+                                                   (3, 2000, 1000)])
+def test_run_batch_elapsed_times_are_one_cumsum_over_the_run(k_start, steps, chunk):
+    # each chunk's weights carry the running sum of the steps before it, so
+    # every checkpoint's zeta has the bits of one cumsum over the whole run
+    # offset by zeta0; k_start = 3 with 2000 steps is the "all-diverge" case,
+    # whose checkpoints past the last crossing take the rest of the schedule
+    scales = [1.0, 3.0] if k_start == 3 else [0.01]
+    batch, _, _ = _anti_quadratic_batch(scales, steps, chunk, 200.0, NoiseModel(),
+                                        k_start=k_start, record=1)
+    assert np.all(batch.diverged_at > 0) == (k_start == 3)
+    ks = np.arange(k_start, k_start + steps)
+    zeta0 = float(np.sum(SCHED.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
+    want = zeta0 + np.concatenate([[0.0], np.cumsum(SCHED.alpha(ks))])
+    assert batch.zeta.tobytes() == want.tobytes()
+
+
+def test_run_batch_allocates_its_schedule_weights_per_chunk():
+    # a 10**7-step run holds no whole-run array of weights (one would be
+    # 80 MB): up to the first chunk's observer call, allocations stay small
+    class Stop(Exception):
+        pass
+
+    def observer(*_):
+        raise Stop
+
+    q = consensus_penalty(laplacian(path_graph(2)), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            run_batch(np.ones((4, 4)), 10 ** 7, zero_loss(4), q, SCHED, NoiseModel(),
+                      range(4), n_agents=2, observer=observer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsgdlab import experiments
 from dsgdlab.engine import run_batch
@@ -17,7 +19,7 @@ from dsgdlab.experiments import (
     parse_vectors,
     run_experiment,
 )
-from dsgdlab.records import read_campaign, write_campaign, write_summary
+from dsgdlab.records import _fmt, read_campaign, write_campaign, write_summary
 
 DATA = Path(__file__).parent / "data"
 
@@ -338,6 +340,17 @@ def test_seed_campaign_records_are_pinned(tmp_path, name):
     for part in ("records.tsv", "summary.txt"):
         pinned = DATA / "seed_records" / name / part
         assert (tmp_path / part).read_bytes() == pinned.read_bytes(), part
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans()))
+def test_record_fields_format_alike_as_python_and_numpy_scalars(value):
+    # Python's float and int take the fast path; bool is an int but stays
+    # True/False; numpy's scalars of each kind give the same text
+    want = "%.17g" % value if type(value) is float else str(value)
+    numpy_value = {float: np.float64, int: np.int64, bool: np.bool_}[type(value)](value)
+    assert _fmt(value) == _fmt(numpy_value) == want
+    assert _fmt(np.float32(0.1)) == "%.17g" % float(np.float32(0.1))
 
 
 def test_drift_solved_psi_censors_rows_past_contraction_radius(monkeypatch):

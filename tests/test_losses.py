@@ -1,3 +1,6 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from dsgdlab.losses import (
     LossOracle,
+    _derivative_terms,
     check_coercivity,
     finite_difference_gradient,
     l1_regularized,
@@ -340,6 +344,102 @@ def test_polynomial_matches_term_loop_and_differences(terms, seed):
     assert np.allclose(loss.subgradient(point), finite_difference_gradient(loss, point),
                        rtol=1e-6, atol=1e-6)
     assert np.allclose(hess[0, 0], fd_hessian(loss, point), rtol=1e-5, atol=1e-5)
+
+
+def _reference_evaluate(plan, x, *, tail, width):
+    """Sum a plan's terms at x of shape (..., d) into shape (...) + tail,
+    whose product is width: the interpreted evaluator that the compiled
+    kernels replaced, kept as their reference.
+
+    Each slot sums from zero in term order and each monomial multiplies its
+    factors in coordinate order, as a term-by-term loop does. Powers come from
+    repeated multiplication, so x**2 is x * x exactly as numpy's square, and
+    no power goes through pow.
+    """
+    needed, terms = plan
+    x = np.asarray(x, dtype=float)
+    powers = {}
+    for i, p in needed:
+        powers[i, p] = x[..., i] if p == 1 else powers[i, p - 1] * x[..., i]
+    out = np.zeros(x.shape[:-1] + (width,))
+    term = np.empty(x.shape[:-1])
+    for slot, c, factors in terms:
+        mono = powers[factors[0]] if factors else 1.0
+        for f in factors[1:]:
+            mono = np.multiply(mono, powers[f], out=term)
+        column = out[..., slot]
+        np.add(column, np.multiply(c, mono, out=term), out=column)
+    return out.reshape(x.shape[:-1] + tail)[()]
+
+
+def _reference_polynomial(exponents, coefficients):
+    exponents = np.asarray(exponents, dtype=int)
+    coefficients = np.asarray(coefficients, dtype=float)
+    d = exponents.shape[1]
+    return LossOracle(d, *(partial(_reference_evaluate,
+                                   _derivative_terms(exponents, coefficients, order),
+                                   tail=(d,) * order, width=d ** order)
+                           for order in range(3)))
+
+
+def _assert_same_bits(got, want, x):
+    """got has want's type, shape and bits. Where x holds both a NaN and an
+    infinity, NaNs of both signs occur (the input's, and the negative one that
+    inf * 0 or inf - inf makes); where two meet, numpy keeps one or the other
+    by where the element falls in a SIMD vector, so that the reference gives
+    the same row different NaN signs at different places in a batch. There
+    only where the NaNs are is pinned, and every other entry's bits."""
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    got, want = np.asarray(got), np.asarray(want)
+    if np.isnan(x).any() and np.isinf(x).any():
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    assert got.tobytes() == want.tobytes()
+
+
+ENTRIES = st.one_of(st.floats(-3.0, 3.0),
+                    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def _polynomial_cases(draw):
+    d = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                         min_size=1, max_size=6))
+    coefs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                          min_size=len(exps), max_size=len(exps)))
+    shape = draw(st.sampled_from([(d,), (5, d), (4, 3, d)]))
+    flat = draw(st.lists(ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(exps), coefs, np.array(flat).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomial_cases())
+def test_compiled_polynomial_has_the_reference_bits(case):
+    # value, gradient and Hessian, on random exponent matrices with zero
+    # coefficients, signed zeros, infinities and NaNs, for one point, a batch
+    # and a 2-D batch; and a component shared by two agents through sum_loss
+    exps, coefs, x = case
+    loss, ref = polynomial(exps, coefs), _reference_polynomial(exps, coefs)
+    shared, ref_shared = (sum_loss([oracle] * 2).assembled for oracle in (loss, ref))
+    pair = np.concatenate([x, x[..., ::-1]], axis=-1)
+    with np.errstate(all="ignore"):
+        for method in ("value", "subgradient", "hessian"):
+            _assert_same_bits(getattr(loss, method)(x), getattr(ref, method)(x), x)
+            _assert_same_bits(getattr(shared, method)(pair), getattr(ref_shared, method)(pair),
+                              pair)
+
+
+def test_polynomial_builds_only_the_powers_it_needs():
+    # x0 appears only linearly, so x0 = 1e300 overflows nothing: no x0**2 is
+    # formed for the x1**4 term's sake
+    loss = polynomial([[1, 0], [0, 4]], [1.0, 1.0])
+    for x in (np.array([1e300, 2.0]), np.array([[1e300, 2.0], [-1e300, 0.5]])):
+        with np.errstate(over="raise"):
+            value, grad, hess = loss.value(x), loss.subgradient(x), loss.hessian(x)
+        assert np.all(value == x[..., 0] + x[..., 1] ** 4)
+        assert np.all(grad[..., 0] == 1.0) and np.all(grad[..., 1] == 4.0 * x[..., 1] ** 3)
+        assert np.all(hess[..., 0, :] == 0.0) and np.all(hess[..., 1, 1] == 12.0 * x[..., 1] ** 2)
 
 
 def test_polynomial_rejects_bad_exponents():
