@@ -579,12 +579,12 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     finally:
         if producer is not None:
             producer.close()
-    # once every row has diverged, the checkpoints left still take their
-    # zeta, walked in longer spans (the sums do not depend on the span)
-    while zeta_idx < n_rec:
-        span = min(max(chunk, 1 << 16), steps - k + 1)
-        weights(k, span)
-        k += span
+    # a checkpoint without its zeta means every row diverged before span i
+    # ran; the checkpoints left take theirs from the spans not run
+    if zeta_idx < n_rec:
+        for span in spans[i:]:
+            weights(k, span)
+            k += span
     # once every row has diverged, stepping on would record its frozen states
     # again, and their metrics are those of the first record that holds them
     rec[rec_idx:] = x

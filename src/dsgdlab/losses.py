@@ -182,16 +182,15 @@ _ONE = np.ones((1, 1))
 
 class _Kernel:
     """One derivative order of a polynomial, compiled from its plan into
-    power levels and rounds of numpy calls. Called on x of shape (..., d), it
+    power steps and rounds of numpy calls. Called on x of shape (..., d), it
     returns shape (...) + tail; a 1-D x gives a scalar value.
 
     It works on x as the d columns of its (rows, d) view. Its output and its
-    workspace (the levels, a term and the scratch) are column-major too, so
-    a coordinate, a power or a slot is an index on the leading axis. Level q
-    holds x_i**q, as level q - 1 times x_i, for just the coordinates the plan
-    needs at q: one multiply when they and their places in level q - 1 form
-    progressions, else one per coordinate. Level 1 is x itself and level 0
-    the constant 1.0. So x * x is numpy's square exactly, no power goes
+    workspace (a term row, then one row per stored power) are column-major
+    too, so a coordinate, a power or a slot is an index on the leading axis.
+    x_i**1 is x's column i and x_i**0 the constant 1.0. The workspace stores
+    each power x_i**q, q >= 2, that the plan needs, in increasing q, as
+    x_i**(q - 1) times x_i. So x * x is numpy's square exactly, no power goes
     through pow, and no unneeded power can overflow.
 
     Round r holds the r-th term of every slot that has one, so each slot sums
@@ -199,44 +198,32 @@ class _Kernel:
     later round adds its terms to their slots, and one add of +0.0 over the
     whole output ends the sum. That gives the bits of a sum from +0.0: the
     two differ only while every term so far is -0.0, and then only in the
-    sign of that zero, which the final +0.0 settles. A round of two or more
-    terms whose monomials are each one factor of one level, at a progression
-    of places, and whose slots form a progression takes one multiply by its
-    coefficients, tiled to the rows, and (after round 0) one add into a
-    slice of the output; over all of x and all slots, both run on contiguous
-    memory. Any other round goes term by term, each monomial multiplying its
-    factors in coordinate order.
+    sign of that zero, which the final +0.0 settles. When round 0 has two or
+    more terms whose monomials are each one power, at a progression of rows
+    of x's columns or of the workspace, and whose slots form a progression,
+    it is one multiply by its coefficient vector into a slice of the output.
+    Any other round goes term by term, each monomial multiplying its factors
+    in coordinate order.
     """
 
     def __init__(self, plan, dim, order):
         needed, terms = plan
         self.tail, self.width = (dim,) * order, dim ** order
-        coords = {}
-        for i, q in needed:
-            coords.setdefault(q, []).append(i)
-        place = {(i, 1): i for i in range(dim)}
-        self.levels, top = [], 1   # workspace row 0 is the term, rows 1.. the levels
-        for q in range(2, len(coords) + 1):
-            below = [place[i, q - 1] for i in coords[q]]
-            place.update(((i, q), k) for k, i in enumerate(coords[q]))
-            runs = _progression(coords[q]), _progression(below)
-            steps = ([(slice(None), *runs)] if len(below) > 1 and None not in runs
-                     else list(zip(range(len(below)), coords[q], below)))
-            self.levels.append((slice(top, top + len(below)), steps))
-            top += len(below)
+        # x_i**p is row j of array a: 0 the constant, 1 x's columns, 2 the workspace
+        where = {(i, 1): (1, i) for i in range(dim)}
+        self.powers = []   # (workspace row, i, where x_i**(q - 1) is)
+        for i, q in sorted(needed, key=lambda iq: iq[::-1]):
+            if q > 1:
+                self.powers.append((len(self.powers) + 1, i, where[i, q - 1]))
+                where[i, q] = (2, len(self.powers))
+        self.depth = len(self.powers) + 1   # and row 0, the term
         by_slot = {}
         for slot, c, factors in terms:
-            by_slot.setdefault(slot, []).append(
-                (c, [(p, place[i, p]) for i, p in factors] or [(0, 0)]))
+            by_slot.setdefault(slot, []).append((c, [where[f] for f in factors] or [(0, 0)]))
         rounds = [[(slot, *by_slot[slot][r]) for slot in sorted(by_slot)
                    if len(by_slot[slot]) > r]
                   for r in range(max(map(len, by_slot.values()), default=0))]
-        wide = [_wide(terms) for terms in rounds]
-        self.rounds = [_round(terms, shape, r == 0, top)
-                       for r, (terms, shape) in enumerate(zip(rounds, wide))]
-        # scratch rows for the products of the wide rounds after the first
-        self.depth = top + max([len(terms) for terms, shape in zip(rounds[1:], wide[1:])
-                                if shape], default=0)
+        self.rounds = [_round(terms, r == 0) for r, terms in enumerate(rounds)]
         # a slot with no term is never written, so it must start at zero
         self.fresh = np.empty if len(by_slot) == self.width else np.zeros
 
@@ -246,16 +233,13 @@ class _Kernel:
         rows = math.prod(lead)
         cols = x.reshape(rows, x.shape[-1]).T
         work = np.empty((self.depth, rows))
-        blocks = [_ONE, cols]
-        for at, steps in self.levels:
-            level = work[at]
-            for k, i, b in steps:
-                np.multiply(blocks[-1][b], cols[i], level[k])
-            blocks.append(level)
+        arrays = (_ONE, cols, work)
+        for row, i, (a, j) in self.powers:
+            np.multiply(arrays[a][j], cols[i], work[row])
         out = self.fresh((rows, self.width))
-        columns = out.T
+        columns, term = out.T, work[0]
         for run in self.rounds:
-            run(blocks, columns, work, rows)
+            run(arrays, columns, term)
         if self.rounds:
             np.add(out, 0.0, out)
         out = out.reshape(lead + self.tail)
@@ -263,57 +247,46 @@ class _Kernel:
 
 
 def _wide(terms):
-    """(slots, places, level) of a round of two or more terms that are each
-    one factor of one level, at a progression of places, in a progression of
+    """(slots, array, rows) of a round of two or more terms that are each
+    one factor, at a progression of rows of one array, in a progression of
     slots; else None."""
-    levels = {factors[0][0] for _, _, factors in terms}
-    if len(terms) < 2 or len(levels) > 1 or any(len(f) != 1 for _, _, f in terms):
+    arrays = {factors[0][0] for _, _, factors in terms}
+    if len(terms) < 2 or len(arrays) > 1 or any(len(f) != 1 for _, _, f in terms):
         return None
     slots = _progression([slot for slot, _, _ in terms])
-    places = _progression([factors[0][1] for _, _, factors in terms])
-    return (slots, places, levels.pop()) if slots and places else None
+    rows = _progression([factors[0][1] for _, _, factors in terms])
+    return (slots, arrays.pop(), rows) if slots and rows else None
 
 
-def _round(terms, wide, first, top):
+def _round(terms, first):
     """One round of a `_Kernel`, its (slot, coefficient, factors) terms, as a
-    function of the levels, the output's columns, the workspace (row 0 the
-    term, rows from `top` on the scratch) and the row count. The first round
-    writes its terms; later rounds add them. A round with a `_wide` shape
-    runs as two calls."""
-    if wide is None:
-        flat = [(slot, c, *factors[0], factors[1:]) for slot, c, factors in terms]
+    function of the arrays the factors index, the output's columns and a
+    term row. The first round writes its terms; later rounds add them. A
+    first round with a `_wide` shape is one multiply."""
+    wide = _wide(terms) if first else None
+    if wide is not None:
+        coef = np.array([c for _, c, _ in terms])[:, None]
+        slots, a, rows = wide
 
-        def run(blocks, cols, work, rows):
-            term = work[0]
-            for slot, c, q, p, rest in flat:
-                mono = blocks[q][p]
-                for q, p in rest:
-                    mono = np.multiply(mono, blocks[q][p], term)
-                if first:
-                    np.multiply(c, mono, cols[slot])
-                else:
-                    column = cols[slot]
-                    np.add(column, np.multiply(c, mono, term), column)
+        def run(arrays, cols, term):
+            # C order walks each slot's rows in the inner loop, where the
+            # coefficient is a scalar; numpy's own order would put the few
+            # slots innermost
+            np.multiply(coef, arrays[a][rows], cols[slots], order="C")
         return run
 
-    coef = np.array([c for _, c, _ in terms])
-    (slots, places, level), scratch = wide, slice(top, top + len(terms))
-    tile = coef[:, None]
+    flat = [(slot, c, factors[0], factors[1:]) for slot, c, factors in terms]
 
-    def run(blocks, cols, work, rows):
-        # the coefficients repeated over the rows, laid out as the product's
-        # destination (the output's columns, or the scratch rows) and kept
-        # while the row count holds
-        nonlocal tile
-        tiles = tile
-        if tiles.shape[1] != rows:
-            tiles = tile = (np.tile(coef, (rows, 1)).T if first
-                            else np.repeat(coef, rows).reshape(len(coef), rows))
-        if first:
-            np.multiply(tiles, blocks[level][places], cols[slots])
-        else:
-            column = cols[slots]
-            np.add(column, np.multiply(tiles, blocks[level][places], work[scratch]), column)
+    def run(arrays, cols, term):
+        for slot, c, (a, j), rest in flat:
+            mono = arrays[a][j]
+            for a, j in rest:
+                mono = np.multiply(mono, arrays[a][j], term)
+            if first:
+                np.multiply(c, mono, cols[slot])
+            else:
+                column = cols[slot]
+                np.add(column, np.multiply(c, mono, term), column)
     return run
 
 

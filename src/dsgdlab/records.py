@@ -16,18 +16,14 @@ REPORT_MAGIC = "# dsgdlab-manifold-report v1"
 
 
 def _fmt(x):
-    # exact types first: the common Python float and int skip the isinstance
-    # chain, and a bool (an int subclass) or numpy scalar falls through to it
-    if type(x) is float:
-        return "%.17g" % x
-    if type(x) is int:
-        return str(x)
+    # floats first, the commonest field; a bool is no float, and is checked
+    # before int, whose subclass it is
+    if isinstance(x, (float, np.floating)):
+        return "%.17g" % float(x)
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return "%.17g" % float(x)
     return str(x)
 
 

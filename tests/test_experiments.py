@@ -345,8 +345,8 @@ def test_seed_campaign_records_are_pinned(tmp_path, name):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans()))
 def test_record_fields_format_alike_as_python_and_numpy_scalars(value):
-    # Python's float and int take the fast path; bool is an int but stays
-    # True/False; numpy's scalars of each kind give the same text
+    # bool is an int but stays True/False; numpy's scalars of each kind give
+    # the same text as Python's
     want = "%.17g" % value if type(value) is float else str(value)
     numpy_value = {float: np.float64, int: np.int64, bool: np.bool_}[type(value)](value)
     assert _fmt(value) == _fmt(numpy_value) == want

@@ -406,6 +406,12 @@ def _polynomial_cases(draw):
     d = draw(st.integers(1, 4))
     exps = draw(st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d),
                          min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # separable, one power shared by each run of d terms over the d
+        # coordinates, so that a derivative's first round is often one power
+        # of every coordinate: the shape that runs as one multiply
+        exps = [[exps[t - t % d][0] if j == t % d else 0 for j in range(d)]
+                for t in range(len(exps))]
     coefs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
                           min_size=len(exps), max_size=len(exps)))
     shape = draw(st.sampled_from([(d,), (5, d), (4, 3, d)]))
