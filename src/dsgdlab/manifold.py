@@ -42,7 +42,6 @@ MATCH_OVERLAP_FLOOR = 0.7
 UNIQUE_MATCH_OVERLAP = np.sqrt(0.5) + 1e-9
 NEWTON_MAX_ITER = 50
 REF_POINTS = 256            # reference-track times over the model span
-MODE_RATE_STEP = 1e-4       # central-difference step of the local mode rate
 PICARD_MAX_ITERS = 60
 TAIL_TOL = 1e-6             # certified truncated-tail budget
 
@@ -207,6 +206,12 @@ def _splits(context, times, points, reference_modes):
         lambdas[k:k + 1], modes[k:k + 1] = _match_to_previous(
             modes[k - 1:k], w[k:k + 1], v[k:k + 1])
     return jac, lambdas, modes
+
+
+def _mode_rates(modes, h):
+    """The mode rate Udot U^T at the inner rows of frames tracked at spacing
+    h: a central difference, (n, M, M) from (n + 2, M, M) frames."""
+    return (modes[2:] - modes[:-2]) / (2.0 * h) @ modes[1:-1].swapaxes(1, 2)
 
 
 def linearize(context, t, g_at_t, reference_modes=None):
@@ -434,10 +439,10 @@ class _PicardWork:
                                  for _, _, scan in self.blocks))
         self.diff = np.empty(batch * (n - 1) * max(n_u, m - n_u))
 
-    def sup_change(self, new, old):
-        """max |new - old|, computed in the scratch buffer w."""
+    def row_changes(self, new, old):
+        """Each row's max |new - old|, computed in the scratch buffer w."""
         change = np.subtract(new, old, out=self.w)
-        return float(np.max(np.abs(change, out=change)))
+        return np.max(np.abs(change, out=change), axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -620,11 +625,11 @@ class ManifoldModel:
 
     def local_linearization(self, t):
         """(lambdas, modes, mode rate, forcing, path point) at a single time.
-        The mode rate is a central difference of the frames at t +- MODE_RATE_STEP."""
-        h = MODE_RATE_STEP
+        The mode rate is the frame's: a central difference of the frames at
+        t +- the Picard grid step."""
+        h = self.picard.dt
         g, lam, modes, forcing = self._track([t - h, t, t + h])
-        mode_rate = ((modes[2] - modes[0]) / (2.0 * h)) @ modes[1].T
-        return lam[1], modes[1], mode_rate, forcing[1], g[1]
+        return lam[1], modes[1], _mode_rates(modes, h)[0], forcing[1], g[1]
 
     # -- frames --------------------------------------------------------------
 
@@ -638,15 +643,17 @@ class ManifoldModel:
         if t0 < self.t_start - 1e-9:
             raise ValueError(f"t0={t0:g} is before the model span")
         n = int(round((opts.horizon + opts.tail) / opts.dt)) + 1
-        times = t0 + opts.dt * np.arange(n)
+        # one tracked row beyond each end of the grid, for the mode rate
+        tracked = t0 + opts.dt * np.arange(-1, n + 1)
+        times = tracked[1:-1]
         if times[-1] > self.t_end + 1e-9:
             raise ValueError("frame grid exceeds the model span; extend t_end")
-        g_path, lam, modes, forcing = self._track(times)
+        g_path, lam, modes, forcing = self._track(tracked)
+        g_path, lam, forcing = g_path[1:-1], lam[1:-1], forcing[1:-1]
         cumlam = np.zeros((n, ctx.dim))
         cumlam[1:] = np.cumsum(0.5 * (lam[1:] + lam[:-1]) * opts.dt, axis=0)
         if self.fixed_frame is None:
-            rotation = Frame(modes)
-            mode_rate = Frame(np.gradient(modes, opts.dt, axis=0) @ modes.swapaxes(1, 2))
+            rotation, mode_rate = Frame(modes[1:-1]), Frame(_mode_rates(modes, opts.dt))
         else:
             rotation, mode_rate = Frame(self.fixed_frame), None
         return PicardFrame(times, ctx.n_u, lam, rotation, cumlam,
@@ -712,10 +719,15 @@ class ManifoldModel:
         """Fixed-point iteration of the manifold integral equation from t0,
         with the tail check; a_s is 2-D, one stable initial condition per row.
 
+        Each row stops on its own: once its change is below tol it keeps that
+        iterate, and the growth check and the tail bound look at each row's
+        own iterations, so a row's bits do not depend on the other rows.
+
         Returns the frame, the workspace, the converged iterate, the other
-        iterate buffer (spare), the sup-norm change per iteration and the tail
-        bound. Raises ContractionError when iterates diverge and HorizonError
-        when the certified truncation error exceeds TAIL_TOL.
+        iterate buffer (spare), the largest row change per iteration and the
+        largest row tail bound. Raises ContractionError when a row's iterates
+        diverge and HorizonError when a row's certified truncation error
+        exceeds TAIL_TOL.
         """
         opts = self.picard
         if a_s.shape[1] != self.context.n_s:
@@ -729,32 +741,40 @@ class ManifoldModel:
         u[:, :, frame.n_u:] = work.start
 
         deltas = []
-        grow = 0
+        live = np.ones(len(a_s), dtype=bool)
+        grow = np.zeros(len(a_s), dtype=int)
+        last = np.full(len(a_s), np.inf)
+        limit = 1e6 * (1.0 + np.max(np.abs(a_s), axis=1))
+        g_tail = np.zeros(len(a_s))
         for _ in range(PICARD_MAX_ITERS):
             g_all = self._apply_integral_operator(u, frame, work, new)
-            delta = work.sup_change(new, u)
-            deltas.append(delta)
+            new[~live] = u[~live]   # a converged row keeps its iterate
+            change = work.row_changes(new, u)
+            deltas.append(float(np.max(change)))
             u, new = new, u
-            if delta < opts.tol:
+            done = live & (change < opts.tol)
+            # a row's tail bound uses its last iteration's field
+            g_tail[done] = np.max(np.abs(g_all[done, opts.horizon_steps:, : frame.n_u]),
+                                  axis=(1, 2), initial=0.0)
+            live &= ~done
+            if not live.any():
                 break
-            if len(deltas) > 1 and delta > deltas[-2]:
-                grow += 1
-                if grow >= 3 or delta > 1e6 * (1.0 + float(np.max(np.abs(a_s)))):
-                    raise ContractionError(
-                        "integral-equation iterates stopped contracting; "
-                        "shrink the initial condition or the radius")
-            else:
-                grow = 0
+            grew = live & (change > last)
+            grow = np.where(grew, grow + 1, 0)
+            if np.any(grow >= 3) or np.any(grew & (change > limit)):
+                raise ContractionError(
+                    "integral-equation iterates stopped contracting; "
+                    "shrink the initial condition or the radius")
+            last = change
         else:
             raise ContractionError(
                 f"no convergence to {opts.tol:g} within {PICARD_MAX_ITERS} iterations")
 
-        # the tail bound uses the last iteration's field
         tail_est = 0.0
         if frame.n_u:
             sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u]))
-            g_tail_max = float(np.max(np.abs(g_all[:, opts.horizon_steps:, : frame.n_u])))
-            tail_est = g_tail_max / sigma_floor * float(np.exp(-sigma_floor * opts.tail))
+            tail_est = float(np.max(g_tail)) / sigma_floor \
+                * float(np.exp(-sigma_floor * opts.tail))
         if tail_est > TAIL_TOL:
             raise HorizonError(
                 f"truncated-tail bound {tail_est:.2e} exceeds the tolerance; "
@@ -773,7 +793,7 @@ class ManifoldModel:
         a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
         frame, work, u, spare, deltas, tail_est = self._iterate(t0, a_s)
         self._apply_integral_operator(u, frame, work, spare)
-        residual = work.sup_change(spare, u)
+        residual = float(np.max(work.row_changes(spare, u)))
         end = self.picard.horizon_steps + 1
         return PicardSolution(frame.times[:end], u[:, :end, :], frame.n_u, deltas,
                               residual, tail_est)

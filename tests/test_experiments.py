@@ -402,6 +402,45 @@ def test_drift_solved_psi_censors_rows_past_contraction_radius(monkeypatch):
     assert refused > 0
 
 
+def test_drift_solved_psi_record_does_not_depend_on_the_other_seeds(monkeypatch):
+    # each step solves psi for every live row at once. Each row's psi has the
+    # bits of its solve alone, so a seed's S series, and the record fields
+    # that it alone sets, are the same beside 7 or 8 other seeds
+    restart_series = experiments._restart_series
+    seen, solves = {}, []
+
+    def recording(problem, schedule, noise, model, seeds, k0, factor):
+        assert not model.psi_is_zero
+        psi = model.psi
+
+        def checked(t, z_s):
+            together = psi(t, z_s)
+            solves.append(together.tobytes()
+                          == np.concatenate([psi(t, z[None]) for z in z_s]).tobytes())
+            return together
+
+        monkeypatch.setattr(model, "psi", checked)
+        seen[len(seeds)] = restart_series(problem, schedule, noise, model, seeds, k0, factor)
+        return seen[len(seeds)]
+
+    monkeypatch.setattr(experiments, "_restart_series", recording)
+    records = {}
+    for seeds in ("0:8", "0:9"):
+        cfg = drift_config(seeds=seeds)
+        cfg.sections["problem"]["loss"] = "saddle_quartic"
+        cfg.sections["noise"]["scale"] = "8.0"
+        cfg.sections["drift"].update(k0_grid="2000", window_factor="1.01", t_end="25")
+        records[seeds] = run_experiment(cfg).records
+    assert len(solves) == 40 and all(solves)
+    (series, censor), (wider, wider_censor) = seen[8], seen[9]
+    assert np.all(np.isfinite(series))
+    assert series.tobytes() == wider[:8].tobytes()
+    assert np.array_equal(censor, wider_censor[:8])
+    for short, long in zip(records["0:8"], records["0:9"]):
+        assert (short["seed"], short["sup_s"], short["censored_at"]) \
+            == (long["seed"], long["sup_s"], long["censored_at"])
+
+
 def test_manifold_verification_quadratic_battery():
     cfg = make_config("manifold-verify", problem={"battery": "quadratic"},
                       schedule=SCHED, manifold={"n_samples": 200})

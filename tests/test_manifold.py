@@ -591,11 +591,26 @@ def test_local_linearization_matches_frame_row(make_model):
             # a tracked row's stacked split is the one-point split of its point
             split = linearize(model.context, frame.times[i], g_t, reference_modes=modes_i)
             assert np.array_equal(split.lambdas, lam) and np.array_equal(split.modes, modes_i)
-        rate_i = 0.0 if frame.mode_rate is None else frame.mode_rate.matrices[i]
-        # the frame's rate is a difference of step dt, second order inside
-        # the grid and first order at its ends; a fixed frame's is exactly 0
-        tol = 1e-5 if i in (0, last) else 1e-7
-        assert np.max(np.abs(mode_rate - rate_i)) <= (0.0 if frame.mode_rate is None else tol)
+        # one central difference at the grid step gives both rates; t +- dt
+        # may round apart from the neighbouring grid times. A fixed frame's
+        # rate is exactly 0
+        rate = 0.0 if frame.mode_rate is None else frame.mode_rate.matrices
+        rate_i = 0.0 if frame.mode_rate is None else rate[i]
+        assert np.max(np.abs(mode_rate - rate_i)) <= 1e-12 * np.max(np.abs(rate))
+
+
+def test_frame_mode_rate_is_central_at_both_grid_ends():
+    # the grid's first and last rows get a central difference too, from one
+    # tracked row beyond each end: within 1e-8 of a finer difference there
+    model = ManifoldModel(rotating_context(), 4.0, 80.0,
+                          PicardOptions(horizon=8.0, dt=0.01, tail=8.0))
+    frame = model.frame(6.0)
+    h = 1e-4
+    for i in (0, len(frame.times) - 1):
+        t = frame.times[i]
+        modes = model._track([t - h, t, t + h])[2]
+        finer = (modes[2] - modes[0]) / (2.0 * h) @ modes[1].T
+        assert np.max(np.abs(frame.mode_rate.matrices[i] - finer)) <= 1e-8
 
 
 # the problems and Picard options of the three shipped manifold batteries
@@ -646,3 +661,20 @@ def test_psi_is_the_solve_without_its_residual_substitution(battery, data):
     assert operator.call_count - solve_calls == solve_calls - 1
     assert psi.shape == sol.psi.shape == (batch, model.context.n_u)
     assert psi.tobytes() == sol.psi.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_psi_row_is_its_solo_solve(data):
+    # each row stops iterating on its own, so a row's psi from any batch has
+    # the bits of its solve alone
+    model = battery_model("cross-cubic")
+    opts = model.picard
+    t0 = model.t_start + data.draw(st.floats(0.0, 0.5)) * (
+        model.t_end - model.t_start - opts.horizon - opts.tail)
+    batch = data.draw(st.integers(2, 12))
+    z_s = (model.radius / 3.0) * np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=batch, max_size=batch)))[:, None]
+    together = model.psi(t0, z_s)
+    for row, z in zip(together, z_s):
+        assert row.tobytes() == model.psi(t0, z[None]).tobytes()
