@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DivergedError
 from .graphs import consensus_penalty, laplacian
+from .schedules import elapsed_times
 
 DIVERGENCE_CEILING = 1e12
 
@@ -482,24 +483,23 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     stream = noise.start(n_agents, m // n_agents, q.rotation, seed=seeds)
 
     points = _record_points(steps, record)
-    zeta0 = float(np.sum(schedule.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
     n_rec = len(points)
     zeta_rec = np.empty(n_rec)
-    zeta_rec[0] = zeta0 + 0.0
-    elapsed = 0.0   # the sum of alpha over the steps so far, zeta0 left out
+    # the sum of alpha over the schedule's steps so far, from step 1
+    elapsed = zeta_rec[0] = elapsed_times(schedule, k_start - 1)[-1]
     zeta_idx = 1
 
     def weights(k, span):
         """The schedule indices, alpha and the elapsed time zeta after each of
         steps k .. k + span - 1 of this run; the checkpoints among them keep
         their zeta. The running sum of alpha is carried from call to call, so
-        it adds in step order, as one cumsum over the whole run would."""
+        it adds in step order, and each zeta has the bits of `elapsed_times`."""
         nonlocal elapsed, zeta_idx
         ks = np.arange(k_start + k - 1, k_start + k - 1 + span)
         alphas = schedule.alpha(ks)
         sums = np.cumsum(np.concatenate(([elapsed], alphas)))
         elapsed = sums[-1]
-        zetas = zeta0 + sums[1:]
+        zetas = sums[1:]
         while zeta_idx < n_rec and points[zeta_idx] < k + span:
             zeta_rec[zeta_idx] = zetas[points[zeta_idx] - k]
             zeta_idx += 1

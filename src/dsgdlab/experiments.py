@@ -723,18 +723,19 @@ def setup_manifold_verification(config):
         decay = model.picard_solve(t0, a_scale * np.eye(1, model.context.n_s))
 
         def picard_check():
-            zeros = np.zeros((1, model.context.n_s))
             if model.psi_is_zero:
-                sol = model.picard_solve(t0, zeros)
+                sol = model.picard_solve(t0, np.zeros((1, model.context.n_s)))
                 return {"iterations": sol.iterations, "residual": sol.residual,
                         "max_u": float(np.max(np.abs(sol.u))),
                         "passed": sol.iterations <= 1 and sol.residual == 0.0}
             ratios = decay.contraction_ratios()
             sizes = np.geomspace(0.1 * a_scale, a_scale, 5)
-            stacked = np.zeros((5, model.context.n_s))
-            stacked[:, 0] = sizes
+            # z_s = 0, then the sizes along e_1, in one solve
+            stacked = np.zeros((6, model.context.n_s))
+            stacked[1:, 0] = sizes
+            psis = model.psi(t0, stacked)
             # measured from the graph over z_s = 0, which a moving saddle path offsets
-            psis = np.linalg.norm(model.psi(t0, stacked) - model.psi(t0, zeros), axis=1)
+            psis = np.linalg.norm(psis[1:] - psis[0], axis=1)
             good = psis > 1e-13
             fit = np.sum(good) >= 3
             slope = float(np.polyfit(np.log(sizes[good]), np.log(psis[good]), 1)[0]) \

@@ -31,33 +31,23 @@ DRIFT_FD_STEP = 1e-3          # central differences of the flattening drift prob
 AUTONOMOUS_SPAN = 40.0        # time span of the autonomous restriction's model
 
 
-def _certified_psi(model, z, t):
-    """psi(t, z_s) at the rows of z (2-D, rotated coordinates), after checking
-    that every row lies where psi is certified: inside the validity ball
-    (rotated-frame norm), and when psi is solved, with the stable block
-    inside the contraction radius too (`ManifoldModel.certified`)."""
+def _certify(model, z):
+    """Check that every row of z (2-D, rotated coordinates) lies where psi is
+    certified: inside the validity ball (rotated-frame norm), and when psi is
+    solved, with the stable block inside the contraction radius too
+    (`ManifoldModel.certified`)."""
     inside = np.linalg.norm(z, axis=1) <= model.radius + 1e-12 if model.psi_is_zero \
         else model.certified(z)
     if not np.all(inside):
         raise OutOfBallError("point outside the region where the manifold map is certified")
-    return model.psi(t, z[:, model.context.n_u:])
 
 
 def rectify_phi(model, z, t):
     """Flattening map in rotated coordinates, one point per row of z:
-    (z_u - psi(t, z_s); z_s), for points where psi is certified
-    (`_certified_psi`)."""
+    (z_u - psi(t, z_s); z_s), for points where psi is certified (`_certify`)."""
     out = np.array(z, dtype=float)
-    out[:, : model.context.n_u] -= _certified_psi(model, out, t)
-    return out
-
-
-def rectify_phi_inverse(model, w, t):
-    """Inverse of the flattening map, one point per row of w: Phi keeps the
-    stable block, so Phi^-1(w) = (w_u + psi(t, w_s); w_s), for w where psi
-    is certified."""
-    out = np.array(w, dtype=float)
-    out[:, : model.context.n_u] += _certified_psi(model, out, t)
+    _certify(model, out)
+    out[:, : model.context.n_u] -= model.psi(t, out[:, model.context.n_u:])
     return out
 
 
@@ -158,16 +148,23 @@ def _psi_time_slope(model, t, z_s, h):
 
 def rectified_field(model, w, t):
     """Vector field governing Phi-coordinates: D_x Phi H + D_t Phi at Phi^-1(w),
-    one point per row of w; derivatives of psi are central differences with
-    step FD_STEP."""
+    one point per row of w, for w where psi is certified (`_certify`).
+
+    Phi keeps the stable block, so Phi^-1(w) = (w_u + psi(t, w_s); w_s).
+    Derivatives of psi are central differences with step FD_STEP; psi at t
+    is one solve, on w_s and its stencil, and psi at t +- FD_STEP one each.
+    """
     n_u = model.context.n_u
-    x = rectify_phi_inverse(model, w, t)
-    h_val = moving_frame_field(model, x, t)
+    x = np.array(w, dtype=float)
+    _certify(model, x)
     z_s = x[:, n_u:]
     rows, n_s = z_s.shape
-    # psi at z_s + h e_j, then at z_s - h e_j, for each stable direction j
+    # w_s, then w_s + h e_j and w_s - h e_j for each stable direction j
     stencil = [z_s + sign * e for e in FD_STEP * np.eye(n_s) for sign in (1.0, -1.0)]
-    pairs = model.psi(t, np.concatenate(stencil, axis=0)).reshape(n_s, 2, rows, -1)
+    psis = model.psi(t, np.concatenate([z_s] + stencil, axis=0))
+    x[:, :n_u] += psis[:rows]
+    h_val = moving_frame_field(model, x, t)
+    pairs = psis[rows:].reshape(n_s, 2, rows, -1)
     # the stable-block slope, (rows, n_u, n_s)
     dpsi = np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * FD_STEP), 0, -1).copy()
     out = h_val.copy()
@@ -197,11 +194,10 @@ def rectified_field_spectrum(model, t_grid):
     eigs = np.empty((len(t_grid), m))
     n_pos = np.empty(len(t_grid), dtype=int)
     max_imag = 0.0
+    basis = FD_STEP * np.eye(m)
     for i, t in enumerate(t_grid):
-        basis = FD_STEP * np.eye(m)
-        plus = rectified_field(model, basis, t)
-        minus = rectified_field(model, -basis, t)
-        w_t = (plus - minus).T / (2.0 * FD_STEP)
+        field = rectified_field(model, np.concatenate([basis, -basis]), t)
+        w_t = (field[:m] - field[m:]).T / (2.0 * FD_STEP)
         vals = np.linalg.eigvals(w_t)
         max_imag = max(max_imag, float(np.max(np.abs(vals.imag))))
         re = np.sort(vals.real)[::-1]

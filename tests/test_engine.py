@@ -46,7 +46,7 @@ from dsgdlab.losses import (
     sum_loss,
     zero_loss,
 )
-from dsgdlab.schedules import Schedule
+from dsgdlab.schedules import Schedule, elapsed_times
 
 
 SCHED = Schedule(1.0, 1.0, 0.5, 0.6)
@@ -630,20 +630,20 @@ def test_run_batch_rejects_an_empty_chunk():
 
 
 @pytest.mark.parametrize("k_start, steps, chunk", [(1, 3000, 256), (250, 750, 256),
+                                                   (500, 1500, 256), (1000, 3000, 256),
                                                    (2000, 6000, 256), (250, 750, 7),
                                                    (3, 2000, 1000)])
 def test_run_batch_elapsed_times_are_one_cumsum_over_the_run(k_start, steps, chunk):
-    # each chunk's weights carry the running sum of the steps before it, so
-    # every checkpoint's zeta has the bits of one cumsum over the whole run
-    # offset by zeta0; k_start = 3 with 2000 steps is the "all-diverge" case,
-    # whose checkpoints past the last crossing take the rest of the schedule
+    # the running sum starts from elapsed_times' sum before k_start, and each
+    # chunk's weights carry it on, so every checkpoint's zeta has the bits of
+    # one cumsum from step 1, the restart windows' elapsed_times; k_start = 3
+    # with 2000 steps is the "all-diverge" case, whose checkpoints past the
+    # last crossing take the rest of the schedule
     scales = [1.0, 3.0] if k_start == 3 else [0.01]
     batch, _, _ = _anti_quadratic_batch(scales, steps, chunk, 200.0, NoiseModel(),
                                         k_start=k_start, record=1)
     assert np.all(batch.diverged_at > 0) == (k_start == 3)
-    ks = np.arange(k_start, k_start + steps)
-    zeta0 = float(np.sum(SCHED.alpha(np.arange(1, k_start)))) if k_start > 1 else 0.0
-    want = zeta0 + np.concatenate([[0.0], np.cumsum(SCHED.alpha(ks))])
+    want = elapsed_times(SCHED, k_start + steps - 1)[k_start - 1:]
     assert batch.zeta.tobytes() == want.tobytes()
 
 

@@ -471,7 +471,7 @@ def test_manifold_verification_quadratic_penalized_battery():
 
 
 # psi solves (ManifoldModel._iterate calls) per 20-sample battery
-BATTERY_PSI_SOLVES = {"cross-cubic": 97, "quadratic": 2, "shifted": 96}
+BATTERY_PSI_SOLVES = {"cross-cubic": 66, "quadratic": 2, "shifted": 65}
 
 
 def _pinned(got, want, where):

@@ -5,15 +5,18 @@ from dsgdlab.errors import OutOfBallError
 from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import monomial_loss, quadratic_saddle, separable_polynomial
 from dsgdlab.manifold import ManifoldModel, PicardOptions, saddle_context
+from dsgdlab import rectify
 from dsgdlab.rectify import (
     DRIFT_FD_STEP,
+    FD_STEP,
     autonomous_restriction,
     compare_flattening_limit,
     dt_phi_decay_probe,
     eta,
+    moving_frame_field,
+    rectified_field,
     rectified_field_spectrum,
     rectify_phi,
-    rectify_phi_inverse,
     repulsion_check,
 )
 from dsgdlab.schedules import ConstantGamma, PowerLawGamma
@@ -73,39 +76,71 @@ def test_phi_flattens_manifold_points():
     assert eta(model, model.coordinate_change_inverse(point, 3.0), 3.0)[0] < 1e-9
 
 
-def test_phi_inverse_roundtrip():
-    model = cross_model()
-    rng = np.random.default_rng(0)
-    w = 0.05 * rng.standard_normal((6, 2))
-    z = rectify_phi_inverse(model, w, 4.0)
-    back = rectify_phi(model, z, 4.0)
-    assert np.max(np.abs(back - w)) < 1e-9
+@pytest.mark.parametrize("make, times", [(cross_model, (4.0, 9.0, 16.0)),
+                                         (shifted_model, (14.0, 20.0))],
+                         ids=["cross-cubic", "shifted"])
+def test_rectified_field_rows_are_pure(make, times):
+    # psi is row-pure, so the spectrum's one call on the stacked +-basis rows
+    # keeps the bits of the two separate calls
+    model = make()
+    basis = FD_STEP * np.eye(model.context.dim)
+    for t in times:
+        both = rectified_field(model, np.concatenate([basis, -basis]), t)
+        apart = np.concatenate([rectified_field(model, basis, t),
+                                rectified_field(model, -basis, t)])
+        assert both.tobytes() == apart.tobytes()
 
 
-def test_phi_inverse_is_closed_form_with_one_psi_solve(monkeypatch):
+@pytest.mark.parametrize("make", [cross_model, shifted_model], ids=["cross-cubic", "shifted"])
+def test_rectified_field_solves_psi_once_per_start_time(make, monkeypatch):
+    # psi at t on w_s and its stencil is one solve; t +- FD_STEP one each
+    model = make()
+    n_s = model.context.n_s
+    w = 0.02 * np.random.default_rng(1).standard_normal((4, model.context.dim))
+    calls = []
+
+    def counted(t, z_s):
+        calls.append((t, len(z_s)))
+        return ManifoldModel.psi(model, t, z_s)
+
+    monkeypatch.setattr(model, "psi", counted)
+    rectified_field(model, w, 8.0)
+    assert calls == [(8.0, (1 + 2 * n_s) * 4), (8.0 + FD_STEP, 4), (8.0 - FD_STEP, 4)]
+
+
+def test_rectified_field_evaluates_h_at_phi_inverse(monkeypatch):
     # Phi keeps the stable block, so Phi^-1(w) = (w_u + psi(t, w_s); w_s)
     model = cross_model()
     w = 0.05 * np.random.default_rng(1).standard_normal((6, 2))
     psi = model.psi(4.0, w[:, 1:])
+    seen = []
+
+    def spied(model, z, t):
+        seen.append(np.array(z))
+        return moving_frame_field(model, z, t)
+
+    monkeypatch.setattr(rectify, "moving_frame_field", spied)
+    rectified_field(model, w, 4.0)
+    (x,) = seen
+    assert np.array_equal(x[:, 1:], w[:, 1:])
+    assert np.array_equal(x[:, :1], w[:, :1] + psi)
+    assert np.max(np.abs(rectify_phi(model, x, 4.0) - w)) < 1e-9
+
+
+def test_rectified_field_refuses_uncertified_points(monkeypatch):
+    model = cross_model()
     calls = []
 
     def counted(t, z_s):
-        calls.append(len(z_s))
+        calls.append(t)
         return ManifoldModel.psi(model, t, z_s)
 
     monkeypatch.setattr(model, "psi", counted)
-    z = rectify_phi_inverse(model, w, 4.0)
-    assert calls == [6]
-    assert np.array_equal(z[:, 1:], w[:, 1:])
-    assert np.array_equal(z[:, :1], w[:, :1] + psi)
-
-
-def test_phi_inverse_refuses_uncertified_points():
-    model = cross_model()
     with pytest.raises(OutOfBallError):
-        rectify_phi_inverse(model, np.array([[0.0, 0.2]]), 4.0)  # |w_s| > r/3
+        rectified_field(model, np.array([[0.0, 0.2]]), 4.0)  # |w_s| > r/3
     with pytest.raises(OutOfBallError):
-        rectify_phi_inverse(model, np.array([[0.5, 0.0]]), 4.0)  # |w| > r
+        rectified_field(model, np.array([[0.5, 0.0]]), 4.0)  # |w| > r
+    assert calls == []
 
 
 def test_phi_jacobian_identity_at_origin():
@@ -193,7 +228,6 @@ def test_rectified_jacobian_block_diagonal():
     # flattening decouples the unstable block from the stable one: the
     # finite-difference Jacobian of the rectified field at the origin has
     # negligible cross blocks
-    from dsgdlab.rectify import rectified_field
     for model, t in ((quad_model(), 10.0), (cross_model(), 6.0)):
         m = model.context.dim
         n_u = model.context.n_u
