@@ -7,11 +7,11 @@ with v(k) a subgradient selection; the agentwise form
     x_n(k+1) = x_n(k) + beta_k sum_{l in neighbors} (x_l - x_n)
                - alpha_k (v_n(k) + xi_n(k+1))
 is its special case with Q = L kron I_d and beta_k = alpha_k gamma_k. Noise is
-drawn from one sub-stream per agent, spawned from the master seed, so stacked
-and agentwise runs can consume identical realizations. `run_batch` is the one
-loop that iterates the recursion; `run` and `run_agentwise` are its one-seed
-views, and `general_step`/`agentwise_step` are the single-step references.
-It steps each chunk once and serves it to one observer call. A run's noise is
+drawn from one sub-stream per (row seed, agent), spawned from that row's
+seed, so stacked and agentwise runs can consume identical realizations.
+`run_batch`, one row per seed, is the one way to iterate the recursion;
+`general_step`/`agentwise_step` are the single-step references. It steps
+each chunk once and serves it to one observer call. A run's noise is
 drawn one chunk ahead by a forked child process (`os.fork`, so POSIX only)
 into a shared step-major buffer, while the parent steps the chunk before.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedError
-from .graphs import consensus_penalty, laplacian
+from .graphs import laplacian
 from .schedules import elapsed_times
 
 DIVERGENCE_CEILING = 1e12
@@ -46,7 +46,6 @@ class NoiseModel:
 
     kind: str = "none"
     scale: float = 0.0
-    seed: int = 0
     restrict_to_constraint: bool = False
 
     def __post_init__(self):
@@ -55,32 +54,28 @@ class NoiseModel:
         if self.kind != "none" and self.scale <= 0:
             raise ValueError("gaussian and uniform-sphere noise need a positive scale")
 
-    def start(self, n_agents, agent_dim, rotation=None, seed=None):
-        """A stream for `seed` (default: the model's seed), or for each seed
-        of a sequence of row seeds."""
+    def start(self, seeds, n_agents, agent_dim, rotation=None):
+        """A stream with one row per seed of the sequence `seeds`."""
         projector = None
         if self.restrict_to_constraint:
             if rotation is None:
                 raise ValueError("restrict_to_constraint needs the constraint rotation")
             basis = rotation.constraint_basis
             projector = basis @ basis.T
-        return NoiseStream(self.kind, self.scale,
-                           self.seed if seed is None else seed,
-                           n_agents, agent_dim, projector)
+        return NoiseStream(self.kind, self.scale, seeds, n_agents, agent_dim, projector)
 
 
 class NoiseStream:
     """Stateful noise source with one spawned generator per (seed, agent).
 
-    `seeds` is one seed, whose events have shape (n_agents, agent_dim), or a
-    sequence of row seeds, whose events have shape (rows, n_agents,
-    agent_dim); row r draws exactly what a stream of seeds[r] alone draws.
+    `seeds` is a sequence of row seeds; an event has shape (rows, n_agents,
+    agent_dim), and row r draws exactly what a stream of seeds[r] alone draws.
     """
 
     def __init__(self, kind, scale, seeds, n_agents, agent_dim, projector=None):
         self.kind = kind
         self.scale = scale
-        self.rows = None if np.ndim(seeds) == 0 else len(seeds)
+        self.rows = len(seeds)
         self.n_agents = n_agents
         self.agent_dim = agent_dim
         self.projector = projector
@@ -88,7 +83,7 @@ class NoiseStream:
             self._gens = None
         else:
             self._gens = [np.random.default_rng(child)
-                          for seed in np.atleast_1d(seeds)
+                          for seed in seeds
                           for child in np.random.SeedSequence(int(seed)).spawn(n_agents)]
 
     def draw(self):
@@ -109,9 +104,8 @@ class NoiseStream:
         draws are projected. Chunked draws consume each generator exactly as
         repeated single draws do, so chunking never changes realizations.
         """
-        rows = self.rows or 1
-        n, d = self.n_agents, self.agent_dim
-        shape = (count,) + ((rows,) if self.rows else ()) + (n, d)
+        rows, n, d = self.rows, self.n_agents, self.agent_dim
+        shape = (count, rows, n, d)
         if out is None:
             out = np.empty(shape)
         elif out.shape != shape or not out.flags.c_contiguous:
@@ -268,7 +262,8 @@ def row_norms(x):
 
 
 def general_step(x, k, loss, q, schedule, noise):
-    """One update of the penalized recursion; consumes one noise event.
+    """One update of the penalized recursion; consumes one event of a one-row
+    noise stream.
 
     Test-only: the single-step reference of the general form (acceptance test_01).
     """
@@ -289,7 +284,8 @@ def general_step(x, k, loss, q, schedule, noise):
 
 def agentwise_step(states, k, losses, graph, schedule, noise):
     """One agentwise update; each agent mixes neighbor states and descends its
-    private loss. Equals the stacked general step with Q = L kron I_d.
+    private loss; consumes one event of a one-row noise stream. Equals the
+    stacked general step with Q = L kron I_d.
 
     Test-only: the single-step reference of the agentwise form (acceptance test_01).
     """
@@ -297,39 +293,13 @@ def agentwise_step(states, k, losses, graph, schedule, noise):
         raise ValueError("step index starts at 1")
     states = np.asarray(states, dtype=float)
     grads = np.stack([c.subgradient(states[n]) for n, c in enumerate(losses.components)])
-    xi = noise.draw()
+    xi = noise.draw()[0]
     # sum over neighbors of (x_l - x_n) is exactly -(L @ states) row-wise
     new = (states - schedule.beta(k) * (laplacian(graph) @ states)
            - schedule.alpha(k) * (grads + xi))
     if not np.all(np.isfinite(new)):
         raise DivergedError(k)
     return new
-
-
-@dataclass
-class Trajectory:
-    """Checkpointed record of a run: per-checkpoint step count, elapsed time,
-    metrics and state.
-
-    Test-only: the one-seed view of a `BatchRun`.
-    """
-
-    steps: np.ndarray
-    zeta: np.ndarray
-    consensus_error: np.ndarray
-    grad_norm: np.ndarray
-    state_norm: np.ndarray
-    states: np.ndarray
-    sup_state_norm: float
-    noise_kind: str
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def final_state(self):
-        """Test-only: the one-seed view of `BatchRun.final_states`."""
-        return self.states[-1]
 
 
 def _record_points(steps, record):
@@ -346,43 +316,6 @@ def _record_points(steps, record):
     pts = set(range(0, steps + 1, interval))
     pts.add(steps)
     return sorted(pts)
-
-
-def run(initial, steps, loss, q, schedule, noise=NoiseModel(), *, record="geometric",
-        ceiling=DIVERGENCE_CEILING, n_agents=1):
-    """Iterate the general recursion, recording metrics and states at checkpoints.
-
-    The one-row view of `run_batch` whose only seed is the noise seed, so it is
-    deterministic given that seed. n_agents fixes the noise sub-stream layout:
-    with n_agents = N the run consumes the same realizations as the agentwise
-    form on N agents. Raises DivergedError past the ceiling.
-
-    Test-only: the one-seed view of `run_batch`.
-    """
-    x0 = np.asarray(initial, dtype=float)
-    batch = run_batch(x0, steps, loss, q, schedule, noise, [noise.seed], record=record,
-                      ceiling=ceiling, n_agents=n_agents)
-    if batch.diverged_at[0] >= 0:
-        raise DivergedError(int(batch.diverged_at[0]))
-    return Trajectory(batch.steps, batch.zeta, batch.consensus_error[0],
-                      batch.grad_norm[0], batch.state_norm[0], batch.states[0],
-                      float(batch.sup_state_norm[0]), noise.kind)
-
-
-def run_agentwise(initial_states, steps, losses, graph, schedule, noise=NoiseModel(),
-                  *, record="geometric"):
-    """Iterate the agentwise recursion on a communication graph: `run` with
-    Q = L kron I_d and one noise sub-stream per agent.
-
-    Test-only: the one-seed view of `run_batch` in the agentwise form.
-    """
-    states = np.asarray(initial_states, dtype=float)
-    n, d = states.shape
-    if n != len(losses.components) or d != losses.components[0].dim:
-        raise ValueError("initial states disagree with the loss stack")
-    return run(states.ravel(), steps, losses.assembled,
-               consensus_penalty(laplacian(graph), d), schedule, noise, record=record,
-               n_agents=n)
 
 
 def per_step(callback):
@@ -438,10 +371,10 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
               observer=None, n_agents=1, k_start=1):
     """Run one seed per row of a vectorized batch of the general recursion.
 
-    This is the one loop that iterates the recursion; `run` and
-    `run_agentwise` are its one-row views. Each seed draws from its own
-    spawned streams, so row s reproduces `run` with that seed up to the BLAS
-    summation order of the wider batch; one `draw_chunk` call draws every
+    This is the one loop that iterates the recursion; a one-seed run is a
+    batch of one row. Each seed draws from its own spawned streams, so row s
+    reproduces the one-row batch of that seed up to the BLAS summation order
+    of the wider batch; one `draw_chunk` call draws every
     row's noise for a chunk of steps, in a child forked before the loop that
     draws chunk i + 1 while this process steps chunk i (`_NoiseProducer`).
     A failure in the child is raised here, and the child is reaped on every
@@ -480,7 +413,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     qm = q.matrix
-    stream = noise.start(n_agents, m // n_agents, q.rotation, seed=seeds)
+    stream = noise.start(seeds, n_agents, m // n_agents, q.rotation)
 
     points = _record_points(steps, record)
     n_rec = len(points)

@@ -137,12 +137,12 @@ def boolean(raw):
 
 
 def parse_seeds(spec):
-    """Distinct non-negative seeds from `lo:hi` or a comma/space list."""
+    """Distinct seeds, 0 <= seed < 2**63, from `lo:hi` or a comma/space list."""
     lo, colon, hi = spec.partition(":")
     seeds = list(range(int(lo), int(hi))) if colon else \
         [int(s) for s in spec.replace(",", " ").split()]
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
+    if any(not 0 <= s < 2**63 for s in seeds):
+        raise ValueError("seeds must be non-negative and below 2**63")
     if not seeds:
         raise ValueError("the seed list is empty")
     if len(set(seeds)) < len(seeds):
@@ -192,7 +192,7 @@ def build_noise(config):
     restrict = config.get("noise", "restrict_to_constraint", False, boolean)
     # NoiseModel refuses an unknown kind, and a zero scale for a noisy kind
     return config.get("noise", "kind", "none",
-                      lambda kind: NoiseModel(kind, scale, 0, restrict))
+                      lambda kind: NoiseModel(kind, scale, restrict))
 
 
 def saddle_quartic_component(n_agents):
@@ -510,15 +510,16 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
         slope = float(np.polyfit(np.log(k0_grid), np.log(med), 1)[0])
     else:
         slope = float("nan")
-    def band_mean(prefix):
+
+    def band(prefix):
+        """The band's per-record sums and counts, their total and its mean drift."""
         sums = np.array([r[f"sum_x_{prefix}"] for r in records])
         counts = np.array([r[f"count_{prefix}"] for r in records])
         total = counts.sum()
-        return float(sums.sum() / total) if total else float("nan")
+        return sums, counts, total, float(sums.sum() / total) if total else float("nan")
 
-    sums = np.array([r["sum_x_mid"] for r in records])
-    counts = np.array([r["count_mid"] for r in records])
-    total = counts.sum()
+    lo, mid, hi = (band(prefix) for prefix in ("lo", "mid", "hi"))
+    sums, counts, total, _ = mid
     rng = np.random.default_rng(12345)
     boots = []
     if total:
@@ -534,9 +535,9 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
     out = {
         "band_lo": band_lo,
         "band_hi": band_hi,
-        "low_band_mean_drift": band_mean("lo"),
-        "mid_band_mean_drift": band_mean("mid"),
-        "high_band_mean_drift": band_mean("hi"),
+        "low_band_mean_drift": lo[-1],
+        "mid_band_mean_drift": mid[-1],
+        "high_band_mean_drift": hi[-1],
         "mid_band_ci_lo": ci_lo,
         "mid_band_ci_hi": ci_hi,
         "excursion_slope": slope,
@@ -608,6 +609,9 @@ def setup_drift_stats(config):
         grid = [int(v) for v in raw.split()]
         if not grid or min(grid) < 1:
             raise ValueError("need one or more positive integers")
+        if len(set(grid)) < len(grid):
+            repeated = next(k0 for i, k0 in enumerate(grid) if k0 in grid[:i])
+            raise ValueError(f"k0 = {repeated} is listed more than once")
         return grid
 
     k0_grid = config.get("drift", "k0_grid", "250 500 1000 2000", restarts)

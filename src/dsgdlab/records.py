@@ -77,7 +77,7 @@ def read_campaign(path):
         for name, val in zip(fields, row):
             try:
                 num = float(val)
-                rec[name] = int(num) if name == "seed" and num == int(num) else num
+                rec[name] = int(num) if name == "seed" and num.is_integer() else num
             except ValueError:
                 rec[name] = val
         records.append(rec)

@@ -7,7 +7,7 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 import numpy as np
 import pytest
 
-from dsgdlab.engine import NoiseModel, agentwise_step, general_step, run, run_batch
+from dsgdlab.engine import NoiseModel, agentwise_step, general_step, run_batch
 from dsgdlab.experiments import (
     ExperimentConfig,
     run_experiment,
@@ -75,10 +75,10 @@ def test_01_agentwise_general_equivalence():
         losses = sum_loss(comps)
         dim = comps[0].dim
         q = consensus_penalty(laplacian(graph), dim)
-        noise = NoiseModel("gaussian", 0.5, seed=int(rng.integers(1 << 30)))
+        noise, seeds = NoiseModel("gaussian", 0.5), [int(rng.integers(1 << 30))]
         xa = 0.5 * rng.standard_normal((n, dim))
         xg = xa.ravel().copy()
-        s_a, s_g = noise.start(n, dim), noise.start(n, dim)
+        s_a, s_g = noise.start(seeds, n, dim), noise.start(seeds, n, dim)
         for k in range(1, 31):
             xa = agentwise_step(xa, k, losses, graph, sched, s_a)
             xg = general_step(xg, k, losses.assembled, q, sched, s_g)
@@ -302,10 +302,11 @@ def test_10_integrator_and_gap_scaling():
     x0 = np.array([1.0, -1.0])
     terminal = []
     for a in (0.1, 0.05):
-        traj = run(x0, 400, loss2, q2, Schedule(a, 1.0, 1.0, 0.6), record=1)
+        batch = run_batch(x0, 400, loss2, q2, Schedule(a, 1.0, 1.0, 0.6), NoiseModel(), [0],
+                          record=1)
         sol = integrate_dgf(loss2, q2, ConstantGamma(0.0), x0, 0.0,
-                            float(traj.zeta[-1]) + 1e-9, step=1e-3)
-        terminal.append(discrete_vs_continuous_gap(traj, sol)[-1])
+                            float(batch.zeta[-1]) + 1e-9, step=1e-3)
+        terminal.append(discrete_vs_continuous_gap(batch.zeta, batch.states[0], sol)[-1])
     halving = terminal[0] / terminal[1]
     ok = order_ok and abs(halving - 2.0) <= 0.5
     check(10, "integrator order and gap scaling", ok,

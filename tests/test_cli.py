@@ -198,6 +198,10 @@ PROBES = {
     "cubic-coef-nan": ("manifold_cross_cubic", [("problem", "cubic_coef", "nan")]),
     "cubic-coef-infinite": ("manifold_cross_cubic", [("problem", "cubic_coef", "inf")]),
     "l1-weight-infinite": ("critical_point_l1", [("problem", "l1_weight", "inf")]),
+    # each passed `validate`: a seed past int64 then overflowed in the run, and
+    # a repeated k0 fitted an excursion slope to one distinct restart index
+    "seed-too-large": ("consensus", [("run", "seeds", "9223372036854775808")]),
+    "k0-grid-repeated": ("drift_stats", [("drift", "k0_grid", "250 250")]),
 }
 
 
@@ -398,6 +402,17 @@ def test_report_malformed_records_is_config_error(tmp_path, name, content):
     assert "Traceback" not in err
 
 
+def test_report_reads_a_non_integer_seed_cell(tmp_path):
+    # a seed cell that is not an integer stays a float, infinity included
+    path = tmp_path / "r" / "records.tsv"
+    path.parent.mkdir()
+    path.write_bytes(b"# dsgdlab-campaign v1\n# config-hash: abc\n# columns: seed\ninf\n")
+    code, out, err = run_cli("report", str(tmp_path))
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert out.startswith(f"{path}: ?, 1 rows, hash abc\n")
+
+
 def test_unknown_kind_rejected(tmp_path):
     broken = GOOD_CONFIG.replace("kind = consensus", "kind = banana")
     path = write_config(tmp_path, broken)
@@ -473,6 +488,19 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library example", run as a script with
+    # warnings as errors, so the example cannot drift from the API
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src"),
+                              "PYTHONWARNINGS": "error"})
+    assert out.returncode == 0, out.stderr
 
 
 def test_manifold_run_with_a_failed_solve_exits_2(tmp_path, monkeypatch):

@@ -23,8 +23,6 @@ from dsgdlab.engine import (
     general_step,
     per_step,
     row_norms,
-    run,
-    run_agentwise,
     run_batch,
 )
 from dsgdlab.errors import DivergedError
@@ -63,7 +61,7 @@ def test_one_step_consensus_hand_case():
     sched = Schedule(1.0, 1.0, 0.5, 0.6)
     q, losses = consensus_problem(2, 1)
     x = np.array([1.0, 0.0])
-    stream = NoiseModel().start(2, 1)
+    stream = NoiseModel().start([0], 2, 1)
     new = general_step(x, 1, losses.assembled, q, sched, stream)
     assert np.allclose(new, [0.5, 0.5])
 
@@ -71,7 +69,7 @@ def test_one_step_consensus_hand_case():
 def test_fixed_point_is_fixed():
     q, losses = consensus_problem(3, 2)
     x = np.tile([0.3, -0.7], 3)  # consensual, zero loss: v = 0 and Qx = 0
-    stream = NoiseModel().start(3, 2)
+    stream = NoiseModel().start([0], 3, 2)
     new = general_step(x, 5, losses.assembled, q, SCHED, stream)
     assert np.array_equal(new, x)
 
@@ -80,7 +78,7 @@ def test_plain_descent_step_hand_case():
     loss = quadratic_saddle([1.0, -1.0])
     q = penalty_from_matrix(np.zeros((2, 2)))
     sched = Schedule(0.1, 1.0, 1.0, 0.6)  # alpha_1 = 0.1
-    stream = NoiseModel().start(1, 2)
+    stream = NoiseModel().start([0], 1, 2)
     new = general_step(np.array([1.0, 1.0]), 1, loss, q, sched, stream)
     assert np.allclose(new, [0.9, 1.1])
 
@@ -90,7 +88,7 @@ def test_general_step_detects_divergence():
                       lambda x: np.full_like(np.asarray(x, float), np.inf))
     q = penalty_from_matrix(np.zeros((1, 1)))
     with pytest.raises(DivergedError) as err:
-        general_step(np.array([1.0]), 3, loss, q, SCHED, NoiseModel().start(1, 1))
+        general_step(np.array([1.0]), 3, loss, q, SCHED, NoiseModel().start([0], 1, 1))
     assert err.value.step == 3
 
 
@@ -113,11 +111,11 @@ def test_agentwise_matches_general_random_tuples():
         g = Graph.from_edges(n, edges)
         losses = random_agent_losses(rng, n, d)
         q = consensus_penalty(laplacian(g), d)
-        noise = NoiseModel("gaussian", 0.5, seed=int(rng.integers(1 << 30)))
+        noise, seeds = NoiseModel("gaussian", 0.5), [int(rng.integers(1 << 30))]
         x0 = rng.standard_normal((n, d))
 
-        s_a = noise.start(n, d)
-        s_g = noise.start(n, d)
+        s_a = noise.start(seeds, n, d)
+        s_g = noise.start(seeds, n, d)
         xa = x0.copy()
         xg = x0.ravel().copy()
         for k in range(1, 16):
@@ -130,7 +128,7 @@ def test_pure_consensus_preserves_mean():
     g = path_graph(4)
     losses = sum_loss([zero_loss(2) for _ in range(4)])
     x = np.random.default_rng(0).standard_normal((4, 2))
-    stream = NoiseModel().start(4, 2)
+    stream = NoiseModel().start([0], 4, 2)
     mean0 = x.mean(axis=0)
     for k in range(1, 200):
         x = agentwise_step(x, k, losses, g, SCHED, stream)
@@ -141,52 +139,42 @@ def test_two_agent_quadratics_reach_sum_minimizer():
     # f1 = (x-1)^2/2, f2 = (x+1)^2/2: the sum is minimized at 0. The agents'
     # disagreement floor is Theta(1/gamma_k); the network mean contracts fast.
     losses = sum_loss([shifted_quadratic([1.0]), shifted_quadratic([-1.0])])
-    g = path_graph(2)
-    traj = run_agentwise(np.array([[2.0], [-0.5]]), 100_000, losses, g,
-                         Schedule(1.0, 1.0, 0.5, 0.6))
-    assert abs(traj.final_state.mean()) < 1e-4
-    assert np.linalg.norm(traj.final_state) < 5e-3
-    assert traj.consensus_error[-1] < 5e-3
+    q = consensus_penalty(laplacian(path_graph(2)), 1)
+    batch = run_batch(np.array([2.0, -0.5]), 100_000, losses.assembled, q,
+                      Schedule(1.0, 1.0, 0.5, 0.6), NoiseModel(), [0], n_agents=2)
+    final = batch.final_states[0]
+    assert abs(final.mean()) < 1e-4
+    assert np.linalg.norm(final) < 5e-3
+    assert batch.consensus_error[0, -1] < 5e-3
 
 
 def test_run_zero_steps_contains_initial_state_only():
     q, losses = consensus_problem(2, 1)
-    traj = run(np.array([1.0, 0.0]), 0, losses.assembled, q, SCHED)
-    assert len(traj) == 1
-    assert traj.steps[0] == 0
-    assert np.array_equal(traj.states[0], [1.0, 0.0])
+    batch = run_batch(np.array([1.0, 0.0]), 0, losses.assembled, q, SCHED, NoiseModel(), [0])
+    assert len(batch.steps) == 1
+    assert batch.steps[0] == 0
+    assert np.array_equal(batch.states[0], [[1.0, 0.0]])
 
 
 def test_run_determinism_same_seed():
     q, losses = consensus_problem(3, 1)
-    noise = NoiseModel("gaussian", 0.3, seed=9)
-    a = run(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise, n_agents=3)
-    b = run(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise, n_agents=3)
+    noise = NoiseModel("gaussian", 0.3)
+    a = run_batch(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise, [9],
+                  n_agents=3)
+    b = run_batch(np.array([1.0, 0.0, -1.0]), 500, losses.assembled, q, SCHED, noise, [9],
+                  n_agents=3)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.consensus_error, b.consensus_error)
 
 
-def test_run_agentwise_equals_run_general_whole_trajectory():
-    rng = np.random.default_rng(5)
-    n, d = 3, 2
-    g = path_graph(n)
-    losses = random_agent_losses(rng, n, d)
-    q = consensus_penalty(laplacian(g), d)
-    noise = NoiseModel("uniform-sphere", 0.4, seed=77)
-    x0 = rng.standard_normal((n, d))
-    ta = run_agentwise(x0, 300, losses, g, SCHED, noise, record=1)
-    tg = run(x0.ravel(), 300, losses.assembled, q, SCHED, noise, record=1, n_agents=n)
-    assert np.max(np.abs(ta.states - tg.states)) < 1e-12
-
-
 def test_consensus_error_decays_with_zero_loss():
     q, losses = consensus_problem(5, 2)
-    noise = NoiseModel("gaussian", 0.1, seed=3)
     x0 = np.random.default_rng(1).standard_normal(10)
-    traj = run(x0, 100_000, losses.assembled, q, SCHED, noise, n_agents=5)
-    idx_1e3 = np.searchsorted(traj.steps, 1000)
-    assert traj.consensus_error[-1] < 1e-3
-    assert traj.consensus_error[-1] < traj.consensus_error[idx_1e3]
+    batch = run_batch(x0, 100_000, losses.assembled, q, SCHED, NoiseModel("gaussian", 0.1),
+                      [3], n_agents=5)
+    idx_1e3 = np.searchsorted(batch.steps, 1000)
+    assert batch.consensus_error[0, -1] < 1e-3
+    assert batch.consensus_error[0, -1] < batch.consensus_error[0, idx_1e3]
 
 
 def test_expected_one_step_update_matches_drift():
@@ -197,7 +185,7 @@ def test_expected_one_step_update_matches_drift():
     k = 10
     sigma = 0.5
     n_draws = 40_000
-    stream = NoiseModel("gaussian", sigma, seed=11).start(1, 2)
+    stream = NoiseModel("gaussian", sigma).start([11], 1, 2)
     acc = np.zeros(2)
     for _ in range(n_draws):
         acc += general_step(x, k, loss, q, SCHED, stream)
@@ -212,7 +200,7 @@ def test_noise_streams_are_zero_mean_with_directional_excitation():
     # positive part along any unit direction stays above a positive floor
     rng = np.random.default_rng(17)
     for kind in ("gaussian", "uniform-sphere"):
-        stream = NoiseModel(kind, 1.0, seed=5).start(2, 3)
+        stream = NoiseModel(kind, 1.0).start([5], 2, 3)
         draws = stream.draw_chunk(4000).reshape(4000, 6)
         assert np.max(np.abs(draws.mean(axis=0))) < 0.05
         second_moment = np.mean(np.sum(draws ** 2, axis=1))
@@ -227,8 +215,8 @@ def test_noise_streams_are_zero_mean_with_directional_excitation():
 def test_noise_restricted_to_constraint_directions():
     q, losses = consensus_problem(3, 2)
     rot = q.rotation
-    noise = NoiseModel("gaussian", 1.0, seed=4, restrict_to_constraint=True)
-    stream = noise.start(3, 2, rot)
+    noise = NoiseModel("gaussian", 1.0, restrict_to_constraint=True)
+    stream = noise.start([4], 3, 2, rot)
     for _ in range(10):
         draw = stream.draw().ravel()
         assert np.linalg.norm(draw @ rot.off_basis) < 1e-12
@@ -237,21 +225,21 @@ def test_noise_restricted_to_constraint_directions():
 def test_boundedness_probe_coercive_and_anticoercive():
     loss = quadratic_form(np.eye(2))
     q = penalty_from_matrix(np.zeros((2, 2)))
-    noise = NoiseModel("gaussian", 1.0, seed=0)
-    traj = run(np.array([5.0, -3.0]), 100_000, loss, q, SCHED, noise)
-    assert traj.sup_state_norm <= 1e3
+    batch = run_batch(np.array([5.0, -3.0]), 100_000, loss, q, SCHED,
+                      NoiseModel("gaussian", 1.0), [0])
+    assert batch.diverged_at[0] == -1 and batch.sup_state_norm[0] <= 1e3
 
     anti = quadratic_form(-np.eye(2))
-    with pytest.raises(DivergedError):
-        run(np.array([1.0, 0.0]), 500_000, anti, q, Schedule(1.0, 1.0, 0.5, 0.6),
-            ceiling=1e3)
+    batch = run_batch(np.array([1.0, 0.0]), 500_000, anti, q, Schedule(1.0, 1.0, 0.5, 0.6),
+                      NoiseModel(), [0], ceiling=1e3)
+    assert batch.diverged_at[0] > 0
 
 
 def test_boundedness_pure_consensus_norm_nonincreasing():
     q, losses = consensus_problem(4, 1)
     x0 = np.array([3.0, -1.0, 2.0, 0.0])
-    traj = run(x0, 10_000, losses.assembled, q, SCHED)
-    assert traj.sup_state_norm <= np.linalg.norm(x0) + 1e-12
+    batch = run_batch(x0, 10_000, losses.assembled, q, SCHED, NoiseModel(), [0])
+    assert batch.sup_state_norm[0] <= np.linalg.norm(x0) + 1e-12
 
 
 def test_network_mean_residual_identity_and_gap():
@@ -262,14 +250,14 @@ def test_network_mean_residual_identity_and_gap():
     rng = np.random.default_rng(12)
     n, d = 4, 2
     losses = sum_loss([shifted_quadratic(rng.standard_normal(d)) for _ in range(n)])
-    g = path_graph(n)
-    rotation = consensus_penalty(laplacian(g), d).rotation
+    q = consensus_penalty(laplacian(path_graph(n)), d)
 
-    def mean_recursion(x0, steps, noise):
-        traj = run_agentwise(x0, steps, losses, g, SCHED, noise, record=1)
+    def mean_recursion(x0, steps, noise, seed):
+        batch = run_batch(x0.ravel(), steps, losses.assembled, q, SCHED, noise, [seed],
+                          record=1, n_agents=n)
         # a fresh stream for the run's seed replays the realizations it drew
-        xi_means = noise.start(n, d, rotation).draw_chunk(steps).mean(axis=1)
-        blocks = traj.states.reshape(-1, n, d)
+        xi_means = noise.start([seed], n, d, q.rotation).draw_chunk(steps)[:, 0].mean(axis=1)
+        blocks = batch.states[0].reshape(-1, n, d)
         means = blocks.mean(axis=1)
         avg_grad = np.mean([c.subgradient(blocks[:-1, i])
                             for i, c in enumerate(losses.components)], axis=0)
@@ -280,14 +268,14 @@ def test_network_mean_residual_identity_and_gap():
                 np.linalg.norm(avg_grad - grad_at_mean, axis=1))
 
     blocks, identity, gap = mean_recursion(rng.standard_normal((n, d)), 400,
-                                           NoiseModel("gaussian", 0.2, seed=21))
+                                           NoiseModel("gaussian", 0.2), 21)
     assert len(identity) == 400
     assert np.max(identity) < 1e-12
     spread = np.linalg.norm(blocks - blocks.mean(axis=1, keepdims=True), axis=2).max(axis=1)
     assert np.all(gap <= spread[:-1] + 1e-12)
     # at consensus the gap vanishes
     consensual = np.tile(rng.standard_normal(d), (n, 1))
-    _, _, gap = mean_recursion(consensual, 1, NoiseModel())
+    _, _, gap = mean_recursion(consensual, 1, NoiseModel(), 0)
     assert gap[0] < 1e-14
 
 
@@ -303,10 +291,9 @@ def test_run_batch_rows_match_single_runs():
     batch = run_batch(x0, 200, losses.assembled, q, SCHED, noise, seeds,
                       n_agents=n, chunk=64)
     for row, seed in enumerate(seeds):
-        single = run(x0, 200, losses.assembled, q, SCHED,
-                     NoiseModel("gaussian", 0.3, seed=seed), n_agents=n)
-        assert np.linalg.norm(batch.final_states[row] - single.final_state) < 1e-12
-        assert abs(batch.consensus_error[row, -1] - single.consensus_error[-1]) < 1e-12
+        single = run_batch(x0, 200, losses.assembled, q, SCHED, noise, [seed], n_agents=n)
+        assert np.linalg.norm(batch.final_states[row] - single.final_states[0]) < 1e-12
+        assert abs(batch.consensus_error[row, -1] - single.consensus_error[0, -1]) < 1e-12
 
 
 def test_run_batch_divergence_recorded_not_fatal():
@@ -358,7 +345,7 @@ def test_run_batch_steps_match_agentwise_form():
                                             states.append(x.copy())))
         assert len(states) == steps and np.all(batch.diverged_at == -1)
         for row, seed in enumerate(seeds):
-            stream = NoiseModel("gaussian", 0.5, seed=seed).start(n, dim)
+            stream = NoiseModel("gaussian", 0.5).start([seed], n, dim)
             xa = x0[row].reshape(n, dim)
             for k, xb in enumerate(states, start=1):
                 xa = agentwise_step(xa, k, losses, g, sched, stream)
@@ -446,11 +433,11 @@ def test_draw_chunk_matches_per_agent_reference(kind, restrict):
             out = acc.reshape(count, n, d)
         return out
 
-    model = NoiseModel(kind, scale, seed, restrict)
-    chunked, single = model.start(n, d, rotation), model.start(n, d, rotation)
+    model = NoiseModel(kind, scale, restrict)
+    chunked, single = model.start([seed], n, d, rotation), model.start([seed], n, d, rotation)
     draws = [chunked.draw_chunk(c) for c in (5, 0, 9, 1)]
     for got in draws:
-        assert got.shape == (len(got), n, d)
+        assert got.shape == (len(got), 1, n, d)
         assert got.flags.c_contiguous
         want = reference(len(got))
         assert got.tobytes() == want.tobytes()
@@ -501,7 +488,7 @@ GAUSS = NoiseModel("gaussian", 0.1)
 KERNEL_CASES = {
     "none-diverges": dict(scales=[0.5, 1.0, 0.01], steps=700, ceiling=1e6, noise=GAUSS),
     "none-diverges-restricted": dict(scales=[0.5, 1.0], steps=600, ceiling=1e6,
-                                     noise=NoiseModel("gaussian", 0.1, 0, True),
+                                     noise=NoiseModel("gaussian", 0.1, True),
                                      record=50),
     "some-diverge": dict(scales=[1.0, 3.0, 0.01], steps=700, ceiling=200.0, noise=GAUSS,
                          k_start=3),
@@ -560,7 +547,7 @@ def _observed_checkpoints(scales, steps, chunk, ceiling, noise, record):
 
 
 NOISES = [NoiseModel(), GAUSS, NoiseModel("uniform-sphere", 0.1),
-          NoiseModel("gaussian", 0.1, 0, True)]
+          NoiseModel("gaussian", 0.1, True)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -585,17 +572,10 @@ def test_checkpoint_states_are_the_observed_states(scales, steps, record, chunk,
     assert batch.states.shape == (len(scales), len(batch.steps), 4)
     assert batch.states.tobytes() == want.tobytes()
     assert batch.final_states.tobytes() == batch.states[:, -1].tobytes()
-    # and `run` keeps the states of its one-row batch
+    # and so are a one-row batch's, the one-seed run
     alone, want = _observed_checkpoints(scales[:1], steps, chunk, ceiling, noise, record)
-    args = (_anti_quadratic_starts(scales[:1])[0], steps, quadratic_form(-np.eye(4)),
-            consensus_penalty(laplacian(path_graph(2)), 2), SCHED, noise)
-    if alone.diverged_at[0] >= 0:
-        with pytest.raises(DivergedError):
-            run(*args, record=record, ceiling=ceiling, n_agents=2)
-    else:
-        traj = run(*args, record=record, ceiling=ceiling, n_agents=2)
-        assert traj.states.tobytes() == want[0].tobytes()
-        assert traj.final_state.tobytes() == want[0, -1].tobytes()
+    assert alone.states.tobytes() == want.tobytes()
+    assert alone.final_states.tobytes() == want[:, -1].tobytes()
 
 
 class _CountingLoss:
@@ -676,7 +656,7 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
     # that carries the path graph's rotation, so that restricted noise is projected
     n, d, steps, ceiling = 2, 2, 300, 1.0
     rotation = consensus_penalty(laplacian(path_graph(n)), d).rotation
-    model = NoiseModel(kind, 0.3, 0, restrict)
+    model = NoiseModel(kind, 0.3, restrict)
     seeds = [3, 11, 0, 7, 5]
     # rows that start near the ceiling cross it within the run
     x0 = np.array([0.0, 0.99, 0.2, 0.995, 0.0])[:, None] * np.array([0.5, 0.5, 0.5, 0.5])
@@ -701,7 +681,7 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
     diverged = batch.diverged_at
     assert np.any(diverged > 0) and np.any(diverged == -1)
     for row, seed in enumerate(seeds):
-        stream = model.start(n, d, rotation, seed=seed)
+        stream = model.start([seed], n, d, rotation)
         own = np.concatenate([stream.draw_chunk(len(part)) for part in draws])
         assert own.tobytes() == drawn[:, row].tobytes()
         x = x0[row].copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsgdlab.engine import NoiseModel, run
+from dsgdlab.engine import NoiseModel, run_batch
 from dsgdlab.errors import ClockMismatchError
 from dsgdlab.flow import discrete_vs_continuous_gap, integrate_dgf
 from dsgdlab.graphs import penalty_from_matrix
@@ -72,9 +72,9 @@ def test_penalized_value_nonincreasing_with_frozen_gamma():
 def test_gap_zero_for_zero_steps_and_at_fixed_point():
     loss = quadratic_form(np.eye(2))
     q = penalty_from_matrix(np.zeros((2, 2)))
-    traj = run(np.zeros(2), 0, loss, q, Schedule(0.1, 1.0, 1.0, 0.6))
+    batch = run_batch(np.zeros(2), 0, loss, q, Schedule(0.1, 1.0, 1.0, 0.6), NoiseModel(), [0])
     sol = integrate_dgf(loss, q, ConstantGamma(0.0), np.zeros(2), 0.0, 1e-9)
-    gaps = discrete_vs_continuous_gap(traj, sol)
+    gaps = discrete_vs_continuous_gap(batch.zeta, batch.states[0], sol)
     assert np.allclose(gaps, 0.0)
 
 
@@ -91,33 +91,24 @@ def test_gap_halves_when_alpha_scale_halves():
     terminal = []
     for a in (0.1, 0.05, 0.025):
         sched = Schedule(a, 1.0, 1.0, 0.6)
-        traj = run(x0, 400, loss, q, sched, record=1)
+        batch = run_batch(x0, 400, loss, q, sched, NoiseModel(), [0], record=1)
         sol = integrate_dgf(loss, q, ConstantGamma(0.0), x0, 0.0,
-                            float(traj.zeta[-1]) + 1e-9, step=1e-3)
-        gaps = discrete_vs_continuous_gap(traj, sol)
+                            float(batch.zeta[-1]) + 1e-9, step=1e-3)
+        gaps = discrete_vs_continuous_gap(batch.zeta, batch.states[0], sol)
         terminal.append(gaps[-1])
     assert terminal[0] / terminal[1] == pytest.approx(2.0, rel=0.25)
     slope = np.polyfit(np.log([0.1, 0.05, 0.025]), np.log(terminal), 1)[0]
     assert 1.0 <= slope <= 1.5
 
 
-def test_gap_rejects_noisy_trajectory():
-    loss = quadratic_form(np.eye(1))
-    q = penalty_from_matrix(np.zeros((1, 1)))
-    traj = run(np.ones(1), 10, loss, q, Schedule(0.1, 1.0, 1.0, 0.6),
-               NoiseModel("gaussian", 0.1, seed=1))
-    sol = integrate_dgf(loss, q, ConstantGamma(0.0), np.ones(1), 0.0, 2.0)
-    with pytest.raises(ValueError):
-        discrete_vs_continuous_gap(traj, sol)
-
-
 def test_gap_clock_mismatch():
     loss = quadratic_form(np.eye(1))
     q = penalty_from_matrix(np.zeros((1, 1)))
-    traj = run(np.ones(1), 100, loss, q, Schedule(0.1, 1.0, 1.0, 0.6))
+    batch = run_batch(np.ones(1), 100, loss, q, Schedule(0.1, 1.0, 1.0, 0.6), NoiseModel(),
+                      [0])
     short = integrate_dgf(loss, q, ConstantGamma(0.0), np.ones(1), 0.0, 0.01)
     with pytest.raises(ClockMismatchError):
-        discrete_vs_continuous_gap(traj, short)
+        discrete_vs_continuous_gap(batch.zeta, batch.states[0], short)
 
 
 def test_constraint_distance_decreasing_past_penalty_threshold():

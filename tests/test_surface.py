@@ -16,10 +16,7 @@ Dunder methods are reached by the language and are not scanned. The unreached
 members must be exactly TEST_ONLY_MEMBERS, each with its `Test-only:` line.
 
 The scan matches names, not bindings, so a definition whose name is also used
-for something else counts as reached. `engine.run` is such a case: its name
-collides with the method `manifold._BlockScan.run` (and with `subprocess.run`
-and the `"run"` subcommand), so the scan cannot flag `run` even though outside
-the tests only `run_agentwise` calls it.
+for something else counts as reached.
 """
 
 import ast
@@ -33,7 +30,6 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 TEST_ONLY = {
     "general_step": "the single-step reference of the general form (acceptance test_01).",
     "agentwise_step": "the single-step reference of the agentwise form (acceptance test_01).",
-    "run_agentwise": "the one-seed view of `run_batch` in the agentwise form.",
     "per_step": "the one-step-at-a-time view of a chunk observer.",
     "integrate_dgf": "acceptance test_10 integrates the flow that runs track.",
     "discrete_vs_continuous_gap": "acceptance test_10 measures the discrete-continuous gap.",
@@ -51,7 +47,6 @@ TEST_ONLY_MEMBERS = {
         "the round trip of the coordinate change and eta's on-manifold points.",
     "CampaignResult.recompute_aggregates":
         "the check that a result's aggregates follow from its records.",
-    "Trajectory.final_state": "the one-seed view of `BatchRun.final_states`.",
 }
 
 
