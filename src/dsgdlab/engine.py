@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DivergedError
 from .graphs import laplacian
-from .schedules import elapsed_times
 
 DIVERGENCE_CEILING = 1e12
 
@@ -182,6 +181,8 @@ class _NoiseProducer:
     def _produce(self, stream, ready, free):
         """The child's whole life: draw every chunk, then exit."""
         gc.disable()  # a collection would write to, and so copy, the parent's pages
+        # a draw that overflows makes its row diverge in the parent's ceiling check
+        np.seterr(over="ignore", invalid="ignore")
         code = 0
         try:
             for i, span in enumerate(self.spans):
@@ -303,43 +304,39 @@ def agentwise_step(states, k, losses, graph, schedule, noise):
 
 
 def _record_points(steps, record):
+    """The checkpoint steps: 0, steps, and the powers of 2 or the multiples
+    of the record interval between them."""
     if record == "geometric":
-        pts = {0, steps}
-        p = 1
-        while p < steps:
-            pts.add(p)
-            p *= 2
-        return sorted(pts)
-    interval = int(record)
-    if interval < 1:
+        pts = {2**i for i in range(int(steps).bit_length())}
+    elif int(record) < 1:
         raise ValueError("record interval must be >= 1")
-    pts = set(range(0, steps + 1, interval))
-    pts.add(steps)
-    return sorted(pts)
+    else:
+        pts = set(range(0, steps + 1, int(record)))
+    return sorted(pts | {0, steps})
 
 
 def per_step(callback):
-    """A `run_batch` observer that calls callback(k, zeta_k, x, active) once
-    per step, in step order, with that step's (rows, m) states and (rows,)
-    live mask.
+    """A `run_batch` observer that calls callback(k, x, active) once per step,
+    in step order, with the step's schedule index k, its (rows, m) states and
+    its (rows,) live mask.
 
     Test-only: the one-step-at-a-time view of a chunk observer.
     """
-    def observer(k_first, zetas, states, active):
-        for j, (zeta, x, live) in enumerate(zip(zetas, states, active)):
-            callback(k_first + j, zeta, x, live)
+    def observer(k_first, states, active):
+        for j, (x, live) in enumerate(zip(states, active)):
+            callback(k_first + j, x, live)
     return observer
 
 
 def checkpoint_metrics(xs, loss, rotation):
-    """Consensus error, restricted gradient norm and state norm of each row of
-    the (rows, m) states xs: the norms of xs off the constraint space, of the
-    constraint part of the subgradient at xs projected onto it, and of xs."""
+    """Consensus error and restricted gradient norm of each row of the
+    (rows, m) states xs: the norms of xs off the constraint space, and of the
+    constraint part of the subgradient at xs projected onto it."""
     basis = rotation.constraint_basis
     cons = np.linalg.norm(xs @ rotation.off_basis, axis=1)
     proj = (xs @ basis) @ basis.T
     gn = np.linalg.norm(loss.subgradient(proj) @ basis, axis=1)
-    return cons, gn, np.linalg.norm(xs, axis=1)
+    return cons, gn
 
 
 @dataclass
@@ -349,10 +346,8 @@ class BatchRun:
 
     seeds: np.ndarray
     steps: np.ndarray
-    zeta: np.ndarray
     consensus_error: np.ndarray  # (n_seeds, n_records)
     grad_norm: np.ndarray
-    state_norm: np.ndarray
     states: np.ndarray  # (n_seeds, n_records, m)
     sup_state_norm: np.ndarray
     diverged_at: np.ndarray  # -1 where the seed stayed finite
@@ -371,35 +366,32 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
               observer=None, n_agents=1, k_start=1):
     """Run one seed per row of a vectorized batch of the general recursion.
 
-    This is the one loop that iterates the recursion; a one-seed run is a
-    batch of one row. Each seed draws from its own spawned streams, so row s
-    reproduces the one-row batch of that seed up to the BLAS summation order
-    of the wider batch; one `draw_chunk` call draws every
-    row's noise for a chunk of steps, in a child forked before the loop that
-    draws chunk i + 1 while this process steps chunk i (`_NoiseProducer`).
-    A failure in the child is raised here, and the child is reaped on every
-    path, so no process outlives the call. Each checkpoint keeps every row's
-    state (`BatchRun.states`), copied from the chunk buffer, and its metrics come
-    from `checkpoint_metrics` on those states. Diverged rows are frozen at
-    their last state below the ceiling and recorded, not fatal; once every row
-    has diverged the loop stops, and the remaining checkpoints repeat the
-    frozen rows' states and metrics.
-    observer(k_first, zetas, states, active) is called once per chunk with
-    the chunk's (span, rows, m) states, the schedule index k_first of its
-    first step, the elapsed times zetas after each step and the (span, rows)
-    mask of the rows still live after each step. `states` and `active` are
-    valid only during the call (later steps reuse them), so an observer
-    copies what it keeps and never writes to them; `per_step` adapts a
-    per-step callback. k_start shifts the schedule index (restart
-    experiments resume mid-schedule).
+    This is the one loop that iterates the recursion, on the schedule index k
+    alone (k_start shifts it: restart experiments resume mid-schedule); the
+    elapsed time zeta_k of the ODE method is `schedules.elapsed_times`. A
+    one-seed run is a batch of one row. Each seed draws from its own spawned
+    streams, so row s reproduces the one-row batch of that seed up to the
+    BLAS summation order of the wider batch. Each chunk's noise is one
+    `draw_chunk` call, made one chunk ahead in a child forked before the loop
+    (`_NoiseProducer`); a failure there is raised here, and the child is
+    reaped on every path, so no process outlives the call.
 
     Steps run `chunk` at a time. Divergence and the sup-norm are checked once
     per chunk on the chunk's stored states: from its first step past the
-    ceiling on, a row's states are overwritten with its last state below
-    the ceiling, and the sup-norm spans only its live steps. Once every row
-    has crossed, only the steps before the last crossing are served. So every
-    result, and the observed sequence flattened per step, is the same for
-    any chunk size.
+    ceiling (an overflow to inf or NaN included) on, a row is frozen at its
+    last state below the ceiling and recorded, not fatal, and the sup-norm
+    spans only its live steps. Once every row has crossed, the loop stops,
+    only the steps before the last crossing are served, and the checkpoints
+    left repeat the frozen states. Each checkpoint keeps every row's state
+    (`BatchRun.states`) and its `checkpoint_metrics`. So every result, and
+    the observed sequence flattened per step, is the same for any chunk size.
+
+    observer(k_first, states, active) is called once per chunk with the
+    schedule index of its first step, the chunk's (span, rows, m) states and
+    the (span, rows) mask of the rows live after each step. Both are valid
+    only during the call (later steps reuse them), so an observer copies
+    what it keeps and never writes to them; `per_step` adapts a per-step
+    callback.
     """
     seeds = np.asarray(list(seeds), dtype=int)
     s_count = len(seeds)
@@ -417,27 +409,6 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
 
     points = _record_points(steps, record)
     n_rec = len(points)
-    zeta_rec = np.empty(n_rec)
-    # the sum of alpha over the schedule's steps so far, from step 1
-    elapsed = zeta_rec[0] = elapsed_times(schedule, k_start - 1)[-1]
-    zeta_idx = 1
-
-    def weights(k, span):
-        """The schedule indices, alpha and the elapsed time zeta after each of
-        steps k .. k + span - 1 of this run; the checkpoints among them keep
-        their zeta. The running sum of alpha is carried from call to call, so
-        it adds in step order, and each zeta has the bits of `elapsed_times`."""
-        nonlocal elapsed, zeta_idx
-        ks = np.arange(k_start + k - 1, k_start + k - 1 + span)
-        alphas = schedule.alpha(ks)
-        sums = np.cumsum(np.concatenate(([elapsed], alphas)))
-        elapsed = sums[-1]
-        zetas = sums[1:]
-        while zeta_idx < n_rec and points[zeta_idx] < k + span:
-            zeta_rec[zeta_idx] = zetas[points[zeta_idx] - k]
-            zeta_idx += 1
-        return ks, alphas, zetas
-
     # checkpoint-major: the metrics read each checkpoint as one C-ordered (rows, m) block
     rec = np.empty((n_rec, s_count, m))
     rec[0] = x
@@ -475,18 +446,21 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
                 break
             xs = states[:span]
             xi = [None] * span if producer is None else producer.chunk(i)
-            ks, alphas, zetas = weights(k, span)
-            gammas = schedule.gamma(ks)
+            ks = np.arange(k_start + k - 1, k_start + k - 1 + span)
+            alphas, gammas = schedule.alpha(ks), schedule.gamma(ks)
             start = x.copy()
             frozen = None if active.all() else ~active
-            for j in range(span):
-                x = step(x, alphas[j], gammas[j], xi[j], xs[j])
-                if frozen is not None:
-                    x[frozen] = start[frozen]
-            if producer is not None:
-                producer.release(i)
-            # each active row's first step past the ceiling (NaN included), or span
-            norms = row_norms(xs)
+            # a row that overflows to inf or NaN crosses the ceiling below and
+            # is recorded as diverged, so its overflow is no error
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(span):
+                    x = step(x, alphas[j], gammas[j], xi[j], xs[j])
+                    if frozen is not None:
+                        x[frozen] = start[frozen]
+                if producer is not None:
+                    producer.release(i)
+                # each active row's first step past the ceiling (NaN included), or span
+                norms = row_norms(xs)
             crossed = active & ~(norms <= ceiling)
             hit = crossed.any(axis=0)
             cross = np.where(hit, crossed.argmax(axis=0), span)
@@ -503,8 +477,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             # every step while a row is live: the steps before the last crossing
             served = int(np.count_nonzero(live.any(axis=1)))
             if observer is not None and served:
-                observer(k_start + k - 1, zetas[:served], xs[:served],
-                         live[:served])
+                observer(k_start + k - 1, xs[:served], live[:served])
             while rec_idx < n_rec and points[rec_idx] < k + served:
                 rec[rec_idx] = xs[points[rec_idx] - k]
                 rec_idx += 1
@@ -512,17 +485,10 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     finally:
         if producer is not None:
             producer.close()
-    # a checkpoint without its zeta means every row diverged before span i
-    # ran; the checkpoints left take theirs from the spans not run
-    if zeta_idx < n_rec:
-        for span in spans[i:]:
-            weights(k, span)
-            k += span
     # once every row has diverged, stepping on would record its frozen states
-    # again, and their metrics are those of the first record that holds them
+    # again: the checkpoints left hold the rows' last states
     rec[rec_idx:] = x
-    cols = [checkpoint_metrics(xs, loss, q.rotation) for xs in rec[:rec_idx + 1]]
-    cols += cols[-1:] * (n_rec - len(cols))
-    cons, grad, norm = (np.stack(col, axis=1) for col in zip(*cols))
-    return BatchRun(seeds, np.asarray(points), zeta_rec, cons, grad, norm,
-                    rec.transpose(1, 0, 2), sup_norm, diverged_at)
+    cons, grad = (np.stack(col, axis=1) for col in
+                  zip(*(checkpoint_metrics(xs, loss, q.rotation) for xs in rec)))
+    return BatchRun(seeds, np.asarray(points), cons, grad, rec.transpose(1, 0, 2),
+                    sup_norm, diverged_at)

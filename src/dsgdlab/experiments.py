@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .engine import NoiseModel, row_norms, run_batch
+from .engine import DIVERGENCE_CEILING, NoiseModel, row_norms, run_batch
 from .errors import ConfigError, DsgdLabError
 from .graphs import (
     complete_graph,
@@ -137,17 +137,20 @@ def boolean(raw):
 
 
 def parse_seeds(spec):
-    """Distinct seeds, 0 <= seed < 2**63, from `lo:hi` or a comma/space list."""
+    """Distinct sorted seeds, 0 <= seed < 2**63, from `lo:hi` or a comma/space
+    list. A range is checked at its ends and never listed, so its size costs
+    nothing here."""
     lo, colon, hi = spec.partition(":")
-    seeds = list(range(int(lo), int(hi))) if colon else \
-        [int(s) for s in spec.replace(",", " ").split()]
-    if any(not 0 <= s < 2**63 for s in seeds):
-        raise ValueError("seeds must be non-negative and below 2**63")
+    seeds = range(int(lo), int(hi)) if colon else \
+        sorted(int(s) for s in spec.replace(",", " ").split())
     if not seeds:
         raise ValueError("the seed list is empty")
-    if len(set(seeds)) < len(seeds):
-        repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
-        raise ConfigError(f"seed {repeated} is listed more than once")
+    if not 0 <= seeds[0] or not seeds[-1] < 2**63:
+        raise ValueError("seeds must be non-negative and below 2**63")
+    # a range has no repeats, and a sorted list holds its repeats side by side
+    repeated = [] if colon else [a for a, b in zip(seeds, seeds[1:]) if a == b]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} is listed more than once")
     return seeds
 
 
@@ -262,28 +265,44 @@ def build_problem(config):
     return Problem(losses, q, graph.vertex_count, d, known)
 
 
+def per_seed(seeds, width, fill):
+    """A (len(seeds), width) array of fill. A size numpy cannot index (its
+    ValueError) or len() cannot count (OverflowError) is a MemoryError."""
+    try:
+        return np.full((len(seeds), width), fill)
+    except (ValueError, OverflowError) as exc:
+        raise MemoryError(f"cannot allocate {width} values for each seed in {seeds}") from exc
+
+
 def initial_states(config, problem, seeds):
-    """Per-seed initial stacked states, deterministic in the seed list."""
+    """Per-seed initial stacked states, deterministic in the seed list; a
+    start past the divergence ceiling is refused."""
     mode = config.get("init", "mode", "consensual")
     m = problem.n_agents * problem.agent_dim
-    if mode == "consensual":
-        y = config.get("init", "value", parse=parse_vector)
-        if len(y) != problem.agent_dim:
-            raise ConfigError("init value must have the agent dimension")
-        return np.tile(np.tile(y, problem.n_agents), (len(seeds), 1))
-    if mode == "stacked":
-        x = config.get("init", "value", parse=parse_vector)
-        if len(x) != m:
-            raise ConfigError("stacked init value must have the full dimension")
-        return np.tile(x, (len(seeds), 1))
-    if mode == "gaussian":
-        scale = config.get("init", "scale", 1.0, parse=real)
-        out = np.empty((len(seeds), m))
+    if mode in ("consensual", "stacked"):
+        # one agent's value, replicated, or the whole stacked state
+        width = problem.agent_dim if mode == "consensual" else m
+        value = config.get("init", "value", parse=parse_vector)
+        if len(value) != width:
+            raise ConfigError(f"{mode} init value must have {width} entries")
+        out = per_seed(seeds, m, np.tile(value, m // width))
+    elif mode == "gaussian":
+        scale = config.get("init", "scale", 1.0,
+                           parse=ranged(float, -DIVERGENCE_CEILING, DIVERGENCE_CEILING))
+        out = per_seed(seeds, m, 0.0)
         for i, s in enumerate(seeds):
             gen = np.random.default_rng(np.random.SeedSequence([int(s), 0xD5]))
             out[i] = scale * gen.standard_normal(m)
-        return out
-    raise ConfigError(f"unknown init mode {mode!r}")
+    else:
+        raise ConfigError(f"unknown init mode {mode!r}")
+    # the largest |x_i| first: it bounds the norm from below, and the norms
+    # of rows below the ceiling cannot overflow
+    past = np.max(np.abs(out), axis=1) > DIVERGENCE_CEILING
+    past = past if past.any() else row_norms(out) > DIVERGENCE_CEILING
+    if past.any():
+        raise ConfigError(f"[init] the start of seed {seeds[int(np.argmax(past))]} lies past "
+                          f"the divergence ceiling {DIVERGENCE_CEILING:g}")
+    return out
 
 
 # -- campaign plumbing ---------------------------------------------------------
@@ -332,7 +351,7 @@ def campaign_setup(config, known):
     if known is not None and known not in problem.known:
         raise ConfigError(f"{config.kind} experiments need a loss with a known {known}")
     return (problem, build_schedule(config), build_noise(config),
-            sorted(config.get("run", "seeds", parse=parse_seeds)))
+            config.get("run", "seeds", parse=parse_seeds))
 
 
 # -- seed campaigns --------------------------------------------------------------
@@ -464,16 +483,15 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
     restarting on the manifold (at the saddle) at index k0. Rows are censored
     once the state leaves the model's certified region."""
     steps = int((window_factor - 1) * k0)
-    saddle = model.context.saddle
-    n_seeds = len(seeds)
-    s_series = np.full((n_seeds, steps), np.nan)
-    censor = np.full(n_seeds, -1, dtype=int)
-    n_u = model.context.n_u
+    s_series = per_seed(seeds, steps, np.nan)
+    censor = np.full(len(s_series), -1, dtype=int)
+    zeta = elapsed_times(schedule, k0 + steps - 1)
     z_buf = None
 
-    def observer(k_first, zetas, states, active):
+    def observer(k_first, states, active):
         nonlocal z_buf
-        span = len(zetas)
+        span = len(states)
+        zetas = zeta[k_first:k_first + span]
         if z_buf is None or len(z_buf) < span:
             # one buffer for every chunk: a fresh one per chunk would be
             # paged in anew each time
@@ -490,14 +508,14 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
         ok = live & (np.arange(span)[:, None] < first)
         cols = s_series[:, k_first - k0:k_first - k0 + span]
         if model.psi_is_zero:
-            cols[...] = np.where(ok, row_norms(z[:, :, :n_u]), np.nan).T
+            cols[...] = np.where(ok, row_norms(z[:, :, :model.context.n_u]), np.nan).T
         else:
             for j in np.flatnonzero(ok.any(axis=1)):
                 cols[ok[j], j] = model.distance(z[j, ok[j]], float(zetas[j]))
 
-    run_batch(np.tile(saddle, (n_seeds, 1)), steps, problem.assembled, problem.q,
-              schedule, noise, seeds, k_start=k0, observer=observer,
-              record=max(steps, 1))
+    # every row restarts at the saddle
+    run_batch(model.context.saddle, steps, problem.assembled, problem.q, schedule, noise,
+              seeds, k_start=k0, observer=observer, record=max(steps, 1))
     return s_series, censor
 
 

@@ -72,9 +72,10 @@ def integrate_dgf(loss, q, gamma, x0, t0, t1, step=1e-3):
 
 def discrete_vs_continuous_gap(zeta, states, solution):
     """Per-checkpoint distance between one row of a run, its checkpoint
-    states at elapsed times zeta (a `BatchRun`'s `states[r]` and `zeta`), and
-    the flow on the elapsed-time clock. The states must come from a
-    noise-free run: the flow is the noise-free limit.
+    states (a `BatchRun`'s `states[r]`) at elapsed times zeta (from step 1,
+    `elapsed_times(schedule, steps)[batch.steps]`), and the flow on the
+    elapsed-time clock. The states must come from a noise-free run: the flow
+    is the noise-free limit.
 
     Test-only: acceptance test_10 measures the discrete-continuous gap.
     """

@@ -30,7 +30,7 @@ from dsgdlab.losses import (
 )
 from dsgdlab.manifold import ManifoldModel, PicardOptions, linearize, saddle_context
 from dsgdlab.rectify import rectified_field_spectrum, repulsion_check
-from dsgdlab.schedules import ConstantGamma, PowerLawGamma, Schedule
+from dsgdlab.schedules import ConstantGamma, PowerLawGamma, Schedule, elapsed_times
 
 
 def check(num, name, ok, detail=""):
@@ -302,11 +302,12 @@ def test_10_integrator_and_gap_scaling():
     x0 = np.array([1.0, -1.0])
     terminal = []
     for a in (0.1, 0.05):
-        batch = run_batch(x0, 400, loss2, q2, Schedule(a, 1.0, 1.0, 0.6), NoiseModel(), [0],
-                          record=1)
-        sol = integrate_dgf(loss2, q2, ConstantGamma(0.0), x0, 0.0,
-                            float(batch.zeta[-1]) + 1e-9, step=1e-3)
-        terminal.append(discrete_vs_continuous_gap(batch.zeta, batch.states[0], sol)[-1])
+        sched = Schedule(a, 1.0, 1.0, 0.6)
+        batch = run_batch(x0, 400, loss2, q2, sched, NoiseModel(), [0], record=1)
+        zeta = elapsed_times(sched, 400)[batch.steps]
+        sol = integrate_dgf(loss2, q2, ConstantGamma(0.0), x0, 0.0, float(zeta[-1]) + 1e-9,
+                            step=1e-3)
+        terminal.append(discrete_vs_continuous_gap(zeta, batch.states[0], sol)[-1])
     halving = terminal[0] / terminal[1]
     ok = order_ok and abs(halving - 2.0) <= 0.5
     check(10, "integrator order and gap scaling", ok,

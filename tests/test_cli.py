@@ -202,6 +202,10 @@ PROBES = {
     # a repeated k0 fitted an excursion slope to one distinct restart index
     "seed-too-large": ("consensus", [("run", "seeds", "9223372036854775808")]),
     "k0-grid-repeated": ("drift_stats", [("drift", "k0_grid", "250 250")]),
+    # a start past the divergence ceiling: each passed `validate` and then
+    # overflowed in the run
+    "init-value-huge": ("saddle_avoidance_control_on", [("init", "value", "1e200 0")]),
+    "init-scale-huge": ("consensus", [("init", "scale", "1e300")]),
 }
 
 
@@ -214,6 +218,19 @@ def test_probe_is_config_error(tmp_path, case, command):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("edit", [("noise", "scale", "1e300"),
+                                  ("schedule", "alpha_scale", "1e300"),
+                                  ("schedule", "gamma_scale", "1e300")],
+                         ids=["noise-scale", "alpha-scale", "gamma-scale"])
+def test_overflowing_run_records_divergence(tmp_path, edit):
+    # every row overflows to inf or NaN within its first steps (in the noise
+    # child's draws, or in the step): each is recorded as diverged, with no
+    # RuntimeWarning, which this suite turns into an error
+    code, out, err = run_cli("run", str(shipped("consensus", tmp_path, [edit])))
+    assert code == 0, err
+    assert "diverged = 3\n" in (tmp_path / "results" / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -527,6 +544,18 @@ def test_unallocatable_step_count_exits_2(tmp_path):
     code, _, err = run_cli("run", str(path))
     assert code == 2
     assert err.startswith("experiment failed: MemoryError: ")
+
+
+@pytest.mark.parametrize("seeds", ["0:9223372036854775808", "1:9223372036854775808",
+                                   "0:4611686018427387904"])
+@pytest.mark.parametrize("name, command", [("consensus", "validate"), ("drift_stats", "run")])
+def test_unallocatable_seed_count_exits_2(tmp_path, seeds, name, command):
+    # a seed range is never listed, so it fails at its first per-seed array;
+    # these counts are past what numpy can index or len() can count, so they
+    # fail before any memory is touched, and exit 2 as an unallocatable size
+    code, _, err = run_cli(command, str(shipped(name, tmp_path, [("run", "seeds", seeds)])))
+    assert code == 2, err
+    assert err.startswith("experiment failed: MemoryError: cannot allocate")
 
 
 def test_report_reads_a_manifold_output_directory(tmp_path):

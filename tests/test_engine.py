@@ -44,7 +44,7 @@ from dsgdlab.losses import (
     sum_loss,
     zero_loss,
 )
-from dsgdlab.schedules import Schedule, elapsed_times
+from dsgdlab.schedules import Schedule
 
 
 SCHED = Schedule(1.0, 1.0, 0.5, 0.6)
@@ -341,8 +341,7 @@ def test_run_batch_steps_match_agentwise_form():
         states = []
         batch = run_batch(x0, steps, losses.assembled, q, sched,
                           NoiseModel("gaussian", 0.5), seeds, n_agents=n, chunk=8,
-                          observer=per_step(lambda k, zeta, x, active:
-                                            states.append(x.copy())))
+                          observer=per_step(lambda k, x, active: states.append(x.copy())))
         assert len(states) == steps and np.all(batch.diverged_at == -1)
         for row, seed in enumerate(seeds):
             stream = NoiseModel("gaussian", 0.5).start([seed], n, dim)
@@ -386,7 +385,7 @@ def test_run_batch_stops_once_every_row_diverged():
     steps = 5000
     calls = []
 
-    def count_calls(k, zeta, x, active):
+    def count_calls(k, x, active):
         calls.append(k)
 
     alone = run_batch(np.array([[1.0]]), steps, anti, q, sched, NoiseModel(), [0],
@@ -399,8 +398,8 @@ def test_run_batch_stops_once_every_row_diverged():
     assert len(calls) - stopped_after == steps
     assert both.diverged_at[1] == -1
     assert alone.steps[-1] == steps and len(alone.steps) == len(both.steps)
-    for name in ("consensus_error", "grad_norm", "state_norm", "final_states",
-                 "sup_state_norm", "diverged_at"):
+    for name in ("consensus_error", "grad_norm", "final_states", "sup_state_norm",
+                 "diverged_at"):
         assert np.array_equal(getattr(alone, name)[0], getattr(both, name)[0]), name
 
 
@@ -459,14 +458,12 @@ def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, recor
     q = consensus_penalty(laplacian(path_graph(2)), 2)
     x0 = _anti_quadratic_starts(scales)
     calls, spans = [], []
-    flatten = per_step(lambda k, zeta, x, active:
-                       calls.append((k, zeta, x.copy(), active.copy())))
+    flatten = per_step(lambda k, x, active: calls.append((k, x.copy(), active.copy())))
 
-    def observer(k_first, zetas, states, active):
-        assert len(zetas) == len(states)
+    def observer(k_first, states, active):
         assert active.shape == (len(states), len(scales))
         spans.append(len(states))
-        flatten(k_first, zetas, states, active)
+        flatten(k_first, states, active)
 
     batch = run_batch(x0, steps, loss or quadratic_form(-np.eye(4)), q, SCHED, noise,
                       range(len(scales)), record=record, ceiling=ceiling, chunk=chunk,
@@ -480,8 +477,8 @@ def _assert_same_run(a, b):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
     assert len(a[1]) == len(b[1])
     for ca, cb in zip(a[1], b[1]):
-        assert ca[:2] == cb[:2]
-        assert ca[2].tobytes() == cb[2].tobytes() and np.array_equal(ca[3], cb[3])
+        assert ca[0] == cb[0]
+        assert ca[1].tobytes() == cb[1].tobytes() and np.array_equal(ca[2], cb[2])
 
 
 GAUSS = NoiseModel("gaussian", 0.1)
@@ -500,10 +497,9 @@ KERNEL_CASES = {
 def test_run_batch_is_the_same_for_every_chunk_size(case):
     spec = KERNEL_CASES[case]
     ref = _anti_quadratic_batch(chunk=1, **spec)
-    # each observed step carries its own index and the elapsed time after it
-    at = {int(k) + spec.get("k_start", 1) - 1: z for k, z in zip(ref[0].steps, ref[0].zeta)}
-    seen = [zeta == at[k] for k, zeta, *_ in ref[1] if k in at]
-    assert len(seen) > 1 and all(seen)
+    # each observed step carries its own schedule index, consecutive from k_start
+    k_start = spec.get("k_start", 1)
+    assert [k for k, *_ in ref[1]] == list(range(k_start, k_start + len(ref[1])))
     diverged = ref[0].diverged_at
     if case.startswith("none"):
         assert np.all(diverged == -1)
@@ -539,8 +535,8 @@ def _observed_checkpoints(scales, steps, chunk, ceiling, noise, record):
     past the last crossing, where every row is frozen."""
     batch, calls, _ = _anti_quadratic_batch(scales, steps, chunk, ceiling, noise,
                                             record=record)
-    seen = {k: x for k, _, x, _ in calls}
-    frozen = calls[-1][2] if calls else _anti_quadratic_starts(scales)
+    seen = {k: x for k, x, _ in calls}
+    frozen = calls[-1][1] if calls else _anti_quadratic_starts(scales)
     want = [_anti_quadratic_starts(scales) if p == 0 else seen.get(p, frozen)
             for p in batch.steps]
     return batch, np.stack(want, axis=1)
@@ -609,24 +605,6 @@ def test_run_batch_rejects_an_empty_chunk():
         _anti_quadratic_batch([1.0], 10, 0, 1e6, NoiseModel())
 
 
-@pytest.mark.parametrize("k_start, steps, chunk", [(1, 3000, 256), (250, 750, 256),
-                                                   (500, 1500, 256), (1000, 3000, 256),
-                                                   (2000, 6000, 256), (250, 750, 7),
-                                                   (3, 2000, 1000)])
-def test_run_batch_elapsed_times_are_one_cumsum_over_the_run(k_start, steps, chunk):
-    # the running sum starts from elapsed_times' sum before k_start, and each
-    # chunk's weights carry it on, so every checkpoint's zeta has the bits of
-    # one cumsum from step 1, the restart windows' elapsed_times; k_start = 3
-    # with 2000 steps is the "all-diverge" case, whose checkpoints past the
-    # last crossing take the rest of the schedule
-    scales = [1.0, 3.0] if k_start == 3 else [0.01]
-    batch, _, _ = _anti_quadratic_batch(scales, steps, chunk, 200.0, NoiseModel(),
-                                        k_start=k_start, record=1)
-    assert np.all(batch.diverged_at > 0) == (k_start == 3)
-    want = elapsed_times(SCHED, k_start + steps - 1)[k_start - 1:]
-    assert batch.zeta.tobytes() == want.tobytes()
-
-
 def test_run_batch_allocates_its_schedule_weights_per_chunk():
     # a 10**7-step run holds no whole-run array of weights (one would be
     # 80 MB): up to the first chunk's observer call, allocations stay small
@@ -672,7 +650,7 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, restrict, chunk
     monkeypatch.setattr(_NoiseProducer, "chunk", spy)
     batch = run_batch(x0, steps, zero_loss(n * d), PenaltyMatrix(np.zeros((4, 4)), rotation),
                       SCHED, model, seeds, ceiling=ceiling, chunk=chunk,
-                      n_agents=n, observer=per_step(lambda k, zeta, x, active:
+                      n_agents=n, observer=per_step(lambda k, x, active:
                                                     calls.append(x.copy())))
     monkeypatch.undo()
     assert len(draws) == -(-steps // chunk)
@@ -796,7 +774,7 @@ def test_a_killed_run_leaves_no_producer():
 
         os.fork = announced_fork
 
-        def observer(k_first, zetas, states, active):
+        def observer(k_first, states, active):
             print("stepping", flush=True)
 
         run_batch(np.zeros((50, 4)), 10**6, zero_loss(4),

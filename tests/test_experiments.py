@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from functools import partial
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from dsgdlab.experiments import (
     run_experiment,
 )
 from dsgdlab.records import _fmt, read_campaign, write_campaign, write_summary
+from dsgdlab.schedules import elapsed_times
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +40,26 @@ def make_config(kind, **sections):
         base[name.replace("_", "-") if name == "critical_point" else name] = {
             k: str(v) for k, v in payload.items()}
     return ExperimentConfig(kind, f"test-{kind}", base)
+
+
+def test_wide_seed_range_is_never_listed():
+    # 3e9 seeds under a 1 GB address space: a list of them would need tens of
+    # GB, so the range must be checked at its ends and kept a range
+    script = textwrap.dedent("""
+        import resource, time
+        from dsgdlab.experiments import parse_seeds
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        start = time.perf_counter()
+        seeds = parse_seeds("0:3000000000")
+        print(len(seeds), seeds[0], seeds[-1], time.perf_counter() - start)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    count, first, last, seconds = out.stdout.split()
+    assert (int(count), int(first), int(last)) == (3 * 10**9, 0, 3 * 10**9 - 1)
+    assert float(seconds) < 1.0
 
 
 SCHED = {"alpha_scale": 1.0, "tau_alpha": 1.0, "gamma_scale": 0.5, "tau_gamma": 0.6}
@@ -53,7 +78,8 @@ def consensus_config(steps=20000, seeds="0:5", graph="path:5"):
 
 
 def test_parse_helpers():
-    assert parse_seeds("0:4") == [0, 1, 2, 3]
+    assert parse_seeds("0:4") == range(4)
+    assert parse_seeds("9, 3 5") == [3, 5, 9]
     assert parse_seeds("3, 5, 9") == [3, 5, 9]
     with pytest.raises(ConfigError, match="seed 3 is listed more than once"):
         parse_seeds("3,3")
@@ -323,6 +349,36 @@ def test_drift_records_are_pinned(tmp_path, monkeypatch, name):
                       for step in (r["censored_at"] - r["k0"] for r in result.records
                                    if r["censored_at"] >= 0)}
     assert positions == (set() if name == "shipped" else {"first", "mid", "last"})
+
+
+@pytest.mark.parametrize("chunk", [256, 5])
+def test_drift_observer_reads_the_elapsed_times(monkeypatch, chunk):
+    # the drift records cannot show an off-by-one in zeta (their frame is
+    # fixed and psi is zero), so the times handed to the coordinate change
+    # are read directly: one per step, the window's slice of elapsed_times
+    cfg = drift_config(seeds="0:8")
+    cfg.sections["drift"]["k0_grid"] = "250 500"
+    windows = []
+    restart_series = experiments._restart_series
+    change = experiments.ManifoldModel.coordinate_change
+
+    def recording(problem, schedule, noise, model, seeds, k0, factor):
+        windows.append((schedule, k0, int((factor - 1) * k0), []))
+        return restart_series(problem, schedule, noise, model, seeds, k0, factor)
+
+    def coordinate_change(model, x, t, out=None):
+        windows[-1][3].append(np.array(t))
+        return change(model, x, t, out=out)
+
+    monkeypatch.setattr(experiments, "_restart_series", recording)
+    monkeypatch.setattr(experiments.ManifoldModel, "coordinate_change", coordinate_change)
+    monkeypatch.setattr(experiments, "run_batch", partial(run_batch, chunk=chunk))
+    run_experiment(cfg)
+    assert [k0 for _, k0, _, _ in windows] == [250, 500]
+    for schedule, k0, steps, times in windows:
+        want = elapsed_times(schedule, k0 + steps - 1)[k0:]
+        assert len(times) == -(-steps // chunk)
+        assert np.concatenate(times).tobytes() == want.tobytes()
 
 
 # records.tsv and summary.txt of two shipped seed campaigns at 3000 steps,

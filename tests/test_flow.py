@@ -6,7 +6,7 @@ from dsgdlab.errors import ClockMismatchError
 from dsgdlab.flow import discrete_vs_continuous_gap, integrate_dgf
 from dsgdlab.graphs import penalty_from_matrix
 from dsgdlab.losses import LossOracle, finite_difference_gradient, quadratic_form, zero_loss
-from dsgdlab.schedules import ConstantGamma, Schedule
+from dsgdlab.schedules import ConstantGamma, Schedule, elapsed_times
 
 
 def test_linear_decay_closed_form():
@@ -72,9 +72,11 @@ def test_penalized_value_nonincreasing_with_frozen_gamma():
 def test_gap_zero_for_zero_steps_and_at_fixed_point():
     loss = quadratic_form(np.eye(2))
     q = penalty_from_matrix(np.zeros((2, 2)))
-    batch = run_batch(np.zeros(2), 0, loss, q, Schedule(0.1, 1.0, 1.0, 0.6), NoiseModel(), [0])
+    sched = Schedule(0.1, 1.0, 1.0, 0.6)
+    batch = run_batch(np.zeros(2), 0, loss, q, sched, NoiseModel(), [0])
     sol = integrate_dgf(loss, q, ConstantGamma(0.0), np.zeros(2), 0.0, 1e-9)
-    gaps = discrete_vs_continuous_gap(batch.zeta, batch.states[0], sol)
+    gaps = discrete_vs_continuous_gap(elapsed_times(sched, 0)[batch.steps], batch.states[0],
+                                      sol)
     assert np.allclose(gaps, 0.0)
 
 
@@ -92,9 +94,10 @@ def test_gap_halves_when_alpha_scale_halves():
     for a in (0.1, 0.05, 0.025):
         sched = Schedule(a, 1.0, 1.0, 0.6)
         batch = run_batch(x0, 400, loss, q, sched, NoiseModel(), [0], record=1)
-        sol = integrate_dgf(loss, q, ConstantGamma(0.0), x0, 0.0,
-                            float(batch.zeta[-1]) + 1e-9, step=1e-3)
-        gaps = discrete_vs_continuous_gap(batch.zeta, batch.states[0], sol)
+        zeta = elapsed_times(sched, 400)[batch.steps]
+        sol = integrate_dgf(loss, q, ConstantGamma(0.0), x0, 0.0, float(zeta[-1]) + 1e-9,
+                            step=1e-3)
+        gaps = discrete_vs_continuous_gap(zeta, batch.states[0], sol)
         terminal.append(gaps[-1])
     assert terminal[0] / terminal[1] == pytest.approx(2.0, rel=0.25)
     slope = np.polyfit(np.log([0.1, 0.05, 0.025]), np.log(terminal), 1)[0]
@@ -104,11 +107,12 @@ def test_gap_halves_when_alpha_scale_halves():
 def test_gap_clock_mismatch():
     loss = quadratic_form(np.eye(1))
     q = penalty_from_matrix(np.zeros((1, 1)))
-    batch = run_batch(np.ones(1), 100, loss, q, Schedule(0.1, 1.0, 1.0, 0.6), NoiseModel(),
-                      [0])
+    sched = Schedule(0.1, 1.0, 1.0, 0.6)
+    batch = run_batch(np.ones(1), 100, loss, q, sched, NoiseModel(), [0])
     short = integrate_dgf(loss, q, ConstantGamma(0.0), np.ones(1), 0.0, 0.01)
     with pytest.raises(ClockMismatchError):
-        discrete_vs_continuous_gap(batch.zeta, batch.states[0], short)
+        discrete_vs_continuous_gap(elapsed_times(sched, 100)[batch.steps], batch.states[0],
+                                   short)
 
 
 def test_constraint_distance_decreasing_past_penalty_threshold():
