@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedError
+from .errors import DivergedError, allocation
 from .graphs import laplacian
 
 DIVERGENCE_CEILING = 1e12
@@ -380,11 +380,13 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     per chunk on the chunk's stored states: from its first step past the
     ceiling (an overflow to inf or NaN included) on, a row is frozen at its
     last state below the ceiling and recorded, not fatal, and the sup-norm
-    spans only its live steps. Once every row has crossed, the loop stops,
-    only the steps before the last crossing are served, and the checkpoints
-    left repeat the frozen states. Each checkpoint keeps every row's state
-    (`BatchRun.states`) and its `checkpoint_metrics`. So every result, and
-    the observed sequence flattened per step, is the same for any chunk size.
+    spans only its live steps; a frozen row steps on (a step acts row by row)
+    until one restore at the chunk's end. Once every row has crossed, the
+    loop stops, only the steps before the last crossing are served, and the
+    checkpoints left repeat the frozen states. Each checkpoint keeps every
+    row's state (`BatchRun.states`) and its `checkpoint_metrics`. So every
+    result, and the observed sequence flattened per step, is the same for
+    any chunk size.
 
     observer(k_first, states, active) is called once per chunk with the
     schedule index of its first step, the chunk's (span, rows, m) states and
@@ -434,8 +436,9 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
 
     states = np.empty((min(chunk, steps), s_count, m))
     # one span per chunk, the last one cut short; a step count too large to
-    # run fails here, as numpy refuses the allocation with a MemoryError
-    spans = np.minimum(chunk, steps - np.arange(0, steps, chunk)).tolist()
+    # run fails here with a MemoryError
+    with allocation(f"the chunk spans of {steps} steps"):
+        spans = np.minimum(chunk, steps - np.arange(0, steps, chunk)).tolist()
     # with no rows or no steps there is nothing to draw, and no child to fork
     producer = (_NoiseProducer(stream, spans) if noise.kind != "none" and s_count and spans
                 else None)
@@ -449,14 +452,11 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             ks = np.arange(k_start + k - 1, k_start + k - 1 + span)
             alphas, gammas = schedule.alpha(ks), schedule.gamma(ks)
             start = x.copy()
-            frozen = None if active.all() else ~active
-            # a row that overflows to inf or NaN crosses the ceiling below and
-            # is recorded as diverged, so its overflow is no error
+            # a row that overflows to inf or NaN crosses the ceiling below (or
+            # crossed before, and is restored), so its overflow is no error
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(span):
                     x = step(x, alphas[j], gammas[j], xi[j], xs[j])
-                    if frozen is not None:
-                        x[frozen] = start[frozen]
                 if producer is not None:
                     producer.release(i)
                 # each active row's first step past the ceiling (NaN included), or span
@@ -465,13 +465,13 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
             hit = crossed.any(axis=0)
             cross = np.where(hit, crossed.argmax(axis=0), span)
             live = active & (np.arange(span)[:, None] < cross)
-            if hit.any():
-                diverged_at[hit] = k_start + k + cross[hit] - 1
+            diverged_at[hit] = k_start + k + cross[hit] - 1
+            if not live.all():
                 # from its crossing on, a row keeps its last state below the ceiling
-                last = np.where((cross > 0)[:, None], xs[cross - 1, np.arange(s_count)],
-                                start)
+                last = np.where((hit & (cross > 0))[:, None],
+                                xs[cross - 1, np.arange(s_count)], start)
                 np.copyto(xs, last, where=~live[:, :, None])
-                active &= ~hit
+            active &= ~hit
             np.maximum(sup_norm, np.max(norms, axis=0, where=live, initial=0.0),
                        out=sup_norm)
             # every step while a row is live: the steps before the last crossing

@@ -1,5 +1,18 @@
 """Exception types shared across the library."""
 
+from contextlib import contextmanager
+
+
+@contextmanager
+def allocation(what):
+    """Around the one call that sizes an array: numpy's refusal of a size it
+    cannot index (its ValueError) or len() cannot count (OverflowError) is
+    the MemoryError of any allocation too large to grant."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise MemoryError(f"cannot allocate {what}") from exc
+
 
 class DsgdLabError(Exception):
     """Base class for all library errors."""

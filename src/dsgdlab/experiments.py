@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .engine import DIVERGENCE_CEILING, NoiseModel, row_norms, run_batch
-from .errors import ConfigError, DsgdLabError
+from .errors import ConfigError, DsgdLabError, allocation
 from .graphs import (
     complete_graph,
     consensus_penalty,
@@ -54,6 +54,7 @@ from .rectify import (
 from .schedules import ConstantGamma, Schedule, elapsed_times, interpolate_gamma, validate
 
 DEFAULT_SEED_CHUNK = 1024  # rows per batch: a memory cap, not a unit of parallel work
+INDEX_MAX = 2**63 - 1      # the largest seed, step count, k0 or sample count: int64's
 
 
 # Campaigns run in this process; the benchmark harness still imports this.
@@ -145,7 +146,7 @@ def parse_seeds(spec):
         sorted(int(s) for s in spec.replace(",", " ").split())
     if not seeds:
         raise ValueError("the seed list is empty")
-    if not 0 <= seeds[0] or not seeds[-1] < 2**63:
+    if not 0 <= seeds[0] or not seeds[-1] <= INDEX_MAX:
         raise ValueError("seeds must be non-negative and below 2**63")
     # a range has no repeats, and a sorted list holds its repeats side by side
     repeated = [] if colon else [a for a, b in zip(seeds, seeds[1:]) if a == b]
@@ -266,12 +267,10 @@ def build_problem(config):
 
 
 def per_seed(seeds, width, fill):
-    """A (len(seeds), width) array of fill. A size numpy cannot index (its
-    ValueError) or len() cannot count (OverflowError) is a MemoryError."""
-    try:
+    """A (len(seeds), width) array of fill; a size past numpy's or len()'s
+    range is a MemoryError (`allocation`)."""
+    with allocation(f"{width} values for each seed in {seeds}"):
         return np.full((len(seeds), width), fill)
-    except (ValueError, OverflowError) as exc:
-        raise MemoryError(f"cannot allocate {width} values for each seed in {seeds}") from exc
 
 
 def initial_states(config, problem, seeds):
@@ -449,10 +448,12 @@ def setup_seed_campaign(config):
     `steps` steps from its initial state, one record per seed."""
     spec = SEED_CAMPAIGNS[config.kind]
     problem, schedule, noise, seeds = campaign_setup(config, spec.known)
-    steps = config.get("run", "steps", parse=ranged(int, 0))
+    steps = config.get("run", "steps", parse=ranged(int, 0, INDEX_MAX))
     tol = config.get("tolerances", spec.tol_key, spec.tol_default, positive)
     if spec.coercive:
-        radius = config.get("tolerances", "coercivity_radius", 10.0, positive)
+        # sampled out to 10 radii, which stay finite below the ceiling
+        radius = config.get("tolerances", "coercivity_radius", 10.0,
+                            ranged(float, 0.0, DIVERGENCE_CEILING, strict=True))
         if not check_coercivity(problem.assembled, radius, 500, seed=0).passed:
             raise ConfigError("loss fails the sampled coercivity check")
     inits = initial_states(config, problem, seeds)
@@ -480,8 +481,9 @@ def setup_seed_campaign(config):
 
 def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
     """S_k = eta(z(k), zeta_k) per seed over the window [k0, window_factor k0],
-    restarting on the manifold (at the saddle) at index k0. Rows are censored
-    once the state leaves the model's certified region."""
+    restarting on the manifold (at the saddle) at index k0. A row is censored
+    at its first step outside the model's certified region or past the
+    divergence ceiling, whichever comes first; S is NaN from that step on."""
     steps = int((window_factor - 1) * k0)
     s_series = per_seed(seeds, steps, np.nan)
     censor = np.full(len(s_series), -1, dtype=int)
@@ -514,9 +516,9 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
                 cols[ok[j], j] = model.distance(z[j, ok[j]], float(zetas[j]))
 
     # every row restarts at the saddle
-    run_batch(model.context.saddle, steps, problem.assembled, problem.q, schedule, noise,
-              seeds, k_start=k0, observer=observer, record=max(steps, 1))
-    return s_series, censor
+    batch = run_batch(model.context.saddle, steps, problem.assembled, problem.q, schedule,
+                      noise, seeds, k_start=k0, observer=observer, record=max(steps, 1))
+    return s_series, np.where(censor < 0, batch.diverged_at, censor)
 
 
 def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
@@ -569,14 +571,10 @@ def drift_aggregate(records, band_lo, band_hi, tau_alpha, k0_grid):
     return out
 
 
-def _drift_records(seeds, k0, series, censor, thresh, band_lo, band_hi, radius):
+def _drift_records(seeds, k0, series, censor, thresh, band_lo, band_hi, sup_s):
     """Each seed's excursion and band drift sums after the restart at k0, from
-    the window's (seeds, steps) S series."""
+    the window's (seeds, steps) S series and its per-seed sup S."""
     finite = np.isfinite(series)
-    # np.nanmax's own reduction, without its warning on all-NaN rows
-    sup_s = np.where(finite.any(axis=1), np.fmax.reduce(series, axis=1), radius)
-    # a ball exit is a large excursion
-    sup_s = np.where(censor >= 0, np.maximum(sup_s, radius), sup_s)
     x_incr = np.diff(series, axis=1)
     pair_ok = finite[:, :-1] & finite[:, 1:]
     before = series[:, :-1]
@@ -625,8 +623,8 @@ def setup_drift_stats(config):
 
     def restarts(raw):
         grid = [int(v) for v in raw.split()]
-        if not grid or min(grid) < 1:
-            raise ValueError("need one or more positive integers")
+        if not grid or min(grid) < 1 or max(grid) > INDEX_MAX:
+            raise ValueError("need one or more integers from 1 to 2**63 - 1")
         if len(set(grid)) < len(grid):
             repeated = next(k0 for i, k0 in enumerate(grid) if k0 in grid[:i])
             raise ValueError(f"k0 = {repeated} is listed more than once")
@@ -670,13 +668,15 @@ def setup_drift_stats(config):
         all_series = {k0: _restart_series(problem, schedule, noise, model, seeds, k0,
                                           factor) for k0 in k0_grid}
         band_lo, band_hi = _band_edges(all_series, lo_q, hi_q)
-        c_fit = float(np.median([np.median(np.nanmax(
-            np.where(np.isfinite(s), s, model.radius), axis=1))
-            / k0 ** (0.5 - tau_alpha) for k0, (s, _) in all_series.items()]))
+        # each seed's sup S, np.nanmax's own reduction; a censored row (only
+        # it has NaN) left the region or diverged: at least the radius
+        sups = {k0: np.fmax(np.fmax.reduce(s, axis=1), np.where(c >= 0, model.radius, -np.inf))
+                for k0, (s, c) in all_series.items()}
+        c_fit = float(np.median([np.median(sups[k0]) / k0 ** (0.5 - tau_alpha) for k0 in sups]))
         records = [rec for k0, (series, censor) in all_series.items()
                    for rec in _drift_records(seeds, k0, series, censor,
                                              c_fit * k0 ** (0.5 - tau_alpha),
-                                             band_lo, band_hi, model.radius)]
+                                             band_lo, band_hi, sups[k0])]
 
         def summarize(recs):
             return {**drift_aggregate(recs, band_lo, band_hi, tau_alpha, k0_grid),
@@ -727,7 +727,7 @@ def setup_manifold_verification(config):
         raise ConfigError(f"unknown manifold battery {battery!r}")
     ctx = saddle_context(loss, q, gamma, np.zeros(loss.dim))
     model = ManifoldModel(ctx, span[0], span[1], opts)
-    n_samples = config.get("manifold", "n_samples", 500, ranged(int, 1))
+    n_samples = config.get("manifold", "n_samples", 500, ranged(int, 1, INDEX_MAX))
     t0 = model.t_start + 0.25 * (model.t_end - model.t_start - model.picard.horizon
                                  - model.picard.tail)
     t0 = max(model.t_start + 1.0, t0)

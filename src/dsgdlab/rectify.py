@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfBallError
+from .errors import OutOfBallError, allocation
 from .graphs import penalty_from_matrix
 from .losses import LossOracle
 from .manifold import ManifoldModel, saddle_context
@@ -33,12 +33,10 @@ AUTONOMOUS_SPAN = 40.0        # time span of the autonomous restriction's model
 
 def _certify(model, z):
     """Check that every row of z (2-D, rotated coordinates) lies where psi is
-    certified: inside the validity ball (rotated-frame norm), and when psi is
-    solved, with the stable block inside the contraction radius too
-    (`ManifoldModel.certified`)."""
-    inside = np.linalg.norm(z, axis=1) <= model.radius + 1e-12 if model.psi_is_zero \
-        else model.certified(z)
-    if not np.all(inside):
+    certified, `ManifoldModel.certified`: the one region, for a zero psi as
+    for a solved one, that the repulsion sweep and the drift campaign censor
+    by."""
+    if not np.all(model.certified(z)):
         raise OutOfBallError("point outside the region where the manifold map is certified")
 
 
@@ -59,8 +57,9 @@ def eta(model, x, t):
 
     Test-only: the paper's distance functional, checked on and off the manifold.
     """
-    phi = rectify_phi(model, model.coordinate_change(x, t), t)
-    return np.linalg.norm(phi[:, : model.context.n_u], axis=1)
+    z = model.coordinate_change(x, t)
+    _certify(model, z)
+    return model.distance(z, t)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,8 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500, see
     before_all, after_all, eps_all = [], [], []
     censored = 0
     for t in np.asarray(t_grid, dtype=float):
-        offsets = rng.standard_normal((n_samples, ctx.dim))
+        with allocation(f"{n_samples} samples at each time"):
+            offsets = rng.standard_normal((n_samples, ctx.dim))
         offsets *= (sample_ball * rng.random(n_samples) ** (1.0 / ctx.dim)
                     / np.linalg.norm(offsets, axis=1))[:, None]
         xs = ctx.saddle + offsets

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError
+from .errors import ScheduleError, allocation
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ def validate(schedule):
 
 def elapsed_times(schedule, k_max):
     """zeta_k = sum_{j<=k} alpha_j for k = 0..k_max (zeta_0 = 0)."""
-    ks = np.arange(1, k_max + 1, dtype=float)
+    with allocation(f"{k_max} elapsed times"):
+        ks = np.arange(1, k_max + 1, dtype=float)
     return np.concatenate([[0.0], np.cumsum(schedule.alpha(ks))])
 
 

@@ -206,6 +206,16 @@ PROBES = {
     # overflowed in the run
     "init-value-huge": ("saddle_avoidance_control_on", [("init", "value", "1e200 0")]),
     "init-scale-huge": ("consensus", [("init", "scale", "1e300")]),
+    # sizes past int64, and a coercivity radius whose sampled shell overflows:
+    # each ended in numpy's traceback, at `run` or at both commands
+    "steps-past-int64": ("consensus", [("run", "steps", "1" + "0" * 25)]),
+    "k0-grid-past-int64": ("drift_stats", [("problem", "loss", "saddle_quartic"),
+                                           ("drift", "t_end", "25"),
+                                           ("drift", "k0_grid", "1" + "0" * 25)]),
+    "n-samples-past-int64": ("manifold_quadratic",
+                             [("manifold", "n_samples", "1" + "0" * 25)]),
+    "coercivity-radius-huge": ("critical_point_wells",
+                               [("tolerances", "coercivity_radius", "1e308")]),
 }
 
 
@@ -556,6 +566,22 @@ def test_unallocatable_seed_count_exits_2(tmp_path, seeds, name, command):
     code, _, err = run_cli(command, str(shipped(name, tmp_path, [("run", "seeds", seeds)])))
     assert code == 2, err
     assert err.startswith("experiment failed: MemoryError: cannot allocate")
+
+
+@pytest.mark.parametrize("name, edits, commands", [
+    # the solved-psi span check sizes the elapsed times of the last window
+    ("drift_stats", [("problem", "loss", "saddle_quartic"), ("drift", "t_end", "25"),
+                     ("drift", "k0_grid", str(2**62))], ("validate", "run")),
+    # the repulsion sweep draws n_samples points at each time
+    ("manifold_quadratic", [("manifold", "n_samples", str(2**62))], ("run",)),
+], ids=["drift-elapsed-times", "manifold-samples"])
+def test_unindexable_size_exits_2(tmp_path, name, edits, commands):
+    # sizes below 2**63 that numpy still cannot index: its ValueError is the
+    # MemoryError of an unallocatable size, before any memory is touched
+    for command in commands:
+        code, _, err = run_cli(command, str(shipped(name, tmp_path, edits)))
+        assert code == 2, err
+        assert err.startswith("experiment failed: MemoryError: cannot allocate")
 
 
 def test_report_reads_a_manifold_output_directory(tmp_path):

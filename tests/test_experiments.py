@@ -322,6 +322,23 @@ def test_drift_censoring_step_records_nan(monkeypatch):
         np.testing.assert_array_equal(s_zero, s_solved)
 
 
+def test_drift_row_that_diverges_is_censored(tmp_path):
+    # noise of scale 1e17 throws every row past the divergence ceiling at its
+    # first step. A diverged row has left the certified region: it is censored
+    # at that step, its S is NaN from there, and its sup S is the radius
+    cfg = drift_config(seeds="0:5")
+    cfg.sections["noise"]["scale"] = "1e17"
+    cfg.sections["drift"]["k0_grid"] = "250 500"
+    result = run_experiment(cfg)
+    assert len(result.records) == 10
+    for r in result.records:
+        assert (r["censored_at"], r["sup_s"]) == (r["k0"], 0.3)
+        assert r["count_lo"] == r["count_mid"] == r["count_hi"] == 0
+    assert result.aggregates["censored"] == 10
+    write_summary(result, tmp_path / "summary.txt")
+    assert "censored = 10\n" in (tmp_path / "summary.txt").read_text()
+
+
 # records.tsv and summary.txt written by the per-step callback that the
 # chunk observer replaced: the shipped noise, and the censoring variant above
 DRIFT_PINNED = {"shipped": {},

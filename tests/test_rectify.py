@@ -61,7 +61,8 @@ def shifted_model():
 
 def test_phi_identity_for_quadratic():
     model = quad2_model()
-    z = np.array([[0.1, -0.05], [0.0, 0.2]])
+    # both rows inside the certified region: |z_s| <= r/3 with r = 0.5
+    z = np.array([[0.1, -0.05], [0.0, 0.15]])
     assert np.array_equal(rectify_phi(model, z, 5.0), z)
 
 
@@ -177,6 +178,11 @@ def test_phi_refuses_rows_psi_cannot_certify():
     with pytest.raises(OutOfBallError):
         rectify_phi(model, np.array([[0.0, 0.05], [0.0, 0.2]]), 2.0)
     assert rectify_phi(model, [[0.0, 0.05]], 2.0)[0, 1] == 0.05
+    # a zero psi has the same region: the row lies in the ball (r = 0.5) but
+    # past r/3, where the repulsion sweep and the drift campaign censor it
+    quad = quad2_model()
+    with pytest.raises(OutOfBallError):
+        rectify_phi(quad, [[0.0, 0.2]], 5.0)
 
 
 def test_repulsion_quadratic_exact():
