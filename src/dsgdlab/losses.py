@@ -168,22 +168,13 @@ def _derivative_terms(exponents, coefficients, order):
     return powers, terms
 
 
-def _progression(seq):
-    """The slice that picks the indices seq if they form an increasing
-    arithmetic progression, else None."""
-    step = seq[1] - seq[0] if len(seq) > 1 else 1
-    if step < 1 or any(b - a != step for a, b in zip(seq, seq[1:])):
-        return None
-    return slice(seq[0], seq[-1] + 1, step)
-
-
 _ONE = np.ones((1, 1))
 
 
 class _Kernel:
     """One derivative order of a polynomial, compiled from its plan into
-    power steps and rounds of numpy calls. Called on x of shape (..., d), it
-    returns shape (...) + tail; a 1-D x gives a scalar value.
+    power steps and one term list of numpy calls. Called on x of shape
+    (..., d), it returns shape (...) + tail; a 1-D x gives a scalar value.
 
     It works on x as the d columns of its (rows, d) view. Its output and its
     workspace (a term row, then one row per stored power) are column-major
@@ -193,17 +184,13 @@ class _Kernel:
     x_i**(q - 1) times x_i. So x * x is numpy's square exactly, no power goes
     through pow, and no unneeded power can overflow.
 
-    Round r holds the r-th term of every slot that has one, so each slot sums
-    in its own term order. Round 0 writes its terms into the output, each
-    later round adds its terms to their slots, and one add of +0.0 over the
+    The terms are stably sorted by slot, so each slot sums in its own term
+    order. A slot's first term writes its product into the output column,
+    each later term of the slot adds its own, and one add of +0.0 over the
     whole output ends the sum. That gives the bits of a sum from +0.0: the
     two differ only while every term so far is -0.0, and then only in the
-    sign of that zero, which the final +0.0 settles. When round 0 has two or
-    more terms whose monomials are each one power, at a progression of rows
-    of x's columns or of the workspace, and whose slots form a progression,
-    it is one multiply by its coefficient vector into a slice of the output.
-    Any other round goes term by term, each monomial multiplying its factors
-    in coordinate order.
+    sign of that zero, which the final +0.0 settles. Each monomial
+    multiplies its factors in coordinate order.
     """
 
     def __init__(self, plan, dim, order):
@@ -217,15 +204,13 @@ class _Kernel:
                 self.powers.append((len(self.powers) + 1, i, where[i, q - 1]))
                 where[i, q] = (2, len(self.powers))
         self.depth = len(self.powers) + 1   # and row 0, the term
-        by_slot = {}
-        for slot, c, factors in terms:
-            by_slot.setdefault(slot, []).append((c, [where[f] for f in factors] or [(0, 0)]))
-        rounds = [[(slot, *by_slot[slot][r]) for slot in sorted(by_slot)
-                   if len(by_slot[slot]) > r]
-                  for r in range(max(map(len, by_slot.values()), default=0))]
-        self.rounds = [_round(terms, r == 0) for r, terms in enumerate(rounds)]
+        terms = sorted(terms, key=lambda term: term[0])
+        self.terms = []   # (slot, is it the slot's first term, c, first factor, the rest)
+        for k, (slot, c, factors) in enumerate(terms):
+            head, *rest = [where[f] for f in factors] or [(0, 0)]
+            self.terms.append((slot, k == 0 or terms[k - 1][0] != slot, c, head, rest))
         # a slot with no term is never written, so it must start at zero
-        self.fresh = np.empty if len(by_slot) == self.width else np.zeros
+        self.fresh = np.empty if len({slot for slot, _, _ in terms}) == self.width else np.zeros
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -238,56 +223,19 @@ class _Kernel:
             np.multiply(arrays[a][j], cols[i], work[row])
         out = self.fresh((rows, self.width))
         columns, term = out.T, work[0]
-        for run in self.rounds:
-            run(arrays, columns, term)
-        if self.rounds:
-            np.add(out, 0.0, out)
-        out = out.reshape(lead + self.tail)
-        return out[()] if out.ndim == 0 else out
-
-
-def _wide(terms):
-    """(slots, array, rows) of a round of two or more terms that are each
-    one factor, at a progression of rows of one array, in a progression of
-    slots; else None."""
-    arrays = {factors[0][0] for _, _, factors in terms}
-    if len(terms) < 2 or len(arrays) > 1 or any(len(f) != 1 for _, _, f in terms):
-        return None
-    slots = _progression([slot for slot, _, _ in terms])
-    rows = _progression([factors[0][1] for _, _, factors in terms])
-    return (slots, arrays.pop(), rows) if slots and rows else None
-
-
-def _round(terms, first):
-    """One round of a `_Kernel`, its (slot, coefficient, factors) terms, as a
-    function of the arrays the factors index, the output's columns and a
-    term row. The first round writes its terms; later rounds add them. A
-    first round with a `_wide` shape is one multiply."""
-    wide = _wide(terms) if first else None
-    if wide is not None:
-        coef = np.array([c for _, c, _ in terms])[:, None]
-        slots, a, rows = wide
-
-        def run(arrays, cols, term):
-            # C order walks each slot's rows in the inner loop, where the
-            # coefficient is a scalar; numpy's own order would put the few
-            # slots innermost
-            np.multiply(coef, arrays[a][rows], cols[slots], order="C")
-        return run
-
-    flat = [(slot, c, factors[0], factors[1:]) for slot, c, factors in terms]
-
-    def run(arrays, cols, term):
-        for slot, c, (a, j), rest in flat:
+        for slot, first, c, (a, j), rest in self.terms:
             mono = arrays[a][j]
             for a, j in rest:
                 mono = np.multiply(mono, arrays[a][j], term)
+            column = columns[slot]
             if first:
-                np.multiply(c, mono, cols[slot])
+                np.multiply(c, mono, column)
             else:
-                column = cols[slot]
                 np.add(column, np.multiply(c, mono, term), column)
-    return run
+        if self.terms:
+            np.add(out, 0.0, out)
+        out = out.reshape(lead + self.tail)
+        return out[()] if out.ndim == 0 else out
 
 
 def polynomial(exponents, coefficients):

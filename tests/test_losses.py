@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsgdlab.losses import (
@@ -408,8 +408,7 @@ def _polynomial_cases(draw):
                          min_size=1, max_size=6))
     if draw(st.booleans()):
         # separable, one power shared by each run of d terms over the d
-        # coordinates, so that a derivative's first round is often one power
-        # of every coordinate: the shape that runs as one multiply
+        # coordinates: many terms that are each one power, one per coordinate
         exps = [[exps[t - t % d][0] if j == t % d else 0 for j in range(d)]
                 for t in range(len(exps))]
     coefs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
@@ -421,6 +420,10 @@ def _polynomial_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_polynomial_cases())
+# the gradient's slot 0 sums 1e16, x1 and -1e16, with slot 1's term between
+# the last two: in term order that is 0.0, and a regrouping that is not
+# stable gives 1.0
+@example((np.array([[1, 0], [1, 1], [1, 0]]), [1e16, 1.0, -1e16], np.ones((5, 2))))
 def test_compiled_polynomial_has_the_reference_bits(case):
     # value, gradient and Hessian, on random exponent matrices with zero
     # coefficients, signed zeros, infinities and NaNs, for one point, a batch
