@@ -17,6 +17,7 @@ a certified horizon.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,18 +408,36 @@ def _decay_scan(log_decay, inc, reverse=False):
     return scan.run(x, np.empty(x.size))
 
 
+_SHARED = threading.local()
+
+
+def _shared_buffer(size):
+    """The calling thread's flat scratch buffer, at least `size` elements long.
+    It grows to the largest solve and every later solve of every model reuses
+    it, so its pages are faulted in once rather than once per solve."""
+    buffer = getattr(_SHARED, "buffer", None)
+    if buffer is None or buffer.size < size:
+        _SHARED.buffer = None       # release the smaller one first
+        buffer = _SHARED.buffer = np.empty(size)
+    return buffer
+
+
 class _PicardWork:
     """One Picard solve's buffers and the operator's coefficients that no
-    substitution changes, allocated once per solve and reused by every
+    substitution changes, set up once per solve and reused by every
     substitution.
 
-    Each substitution writes the remainder field into `g` (with `w` and `q`
-    as its scratch) and the new iterate into one of `iterates`. `blocks`
-    holds each block's columns, weights (phi1, phi_tilde) and scan: stable
-    forward on a_i, unstable (absent when n_u = 0) backward on -a_i. They
-    share the padded scan buffer `scan` and the difference buffer `diff`,
-    also the scan's carry scratch. `start` is the stable block's initial
-    condition propagated along the grid.
+    The buffers are carved from the thread's shared flat buffer
+    (`_shared_buffer`), so a solve allocates none of them; every buffer is
+    written before it is read, and a caller copies what it returns. Each
+    substitution writes the remainder field into `g` (with `w` and `q` as
+    its scratch) and the new iterate into one of `iterates`; a substitution
+    on the first k rows uses the first k rows of each. `blocks` holds each
+    block's columns, weights (phi1, phi_tilde) and scan: stable forward on
+    a_i, unstable (absent when n_u = 0) backward on -a_i. They share the
+    padded scan buffer `scan` and the difference buffer `diff`, also the
+    scan's carry scratch. `start` is the stable block's initial condition
+    propagated along the grid.
     """
 
     def __init__(self, frame, a_s):
@@ -427,21 +446,25 @@ class _PicardWork:
         n_u = frame.n_u
         a_coef = frame.cumlam[1:] - frame.cumlam[:-1]          # (n-1, M)
         prop = np.exp(frame.cumlam[:, n_u:] - frame.cumlam[0, n_u:])
-        self.start = prop * a_s[:, None, :]
         sides = [(slice(n_u, m), a_coef[:, n_u:], False)]
         if n_u:
             sides.append((slice(0, n_u), -a_coef[:, :n_u], True))
         self.blocks = [(cols, (_phi1(a), _phi_tilde(a)), _BlockScan(a, reverse))
                        for cols, a, reverse in sides]
-        self.iterates = np.zeros((batch, n, m)), np.zeros((batch, n, m))
-        self.g, self.w, self.q = np.empty((3, batch, n, m))
-        self.scan = np.empty(max(math.prod(scan.buffer_shape(batch))
-                                 for _, _, scan in self.blocks))
-        self.diff = np.empty(batch * (n - 1) * max(n_u, m - n_u))
+        shapes = [(batch, n, m)] * 5 + [(batch, n, m - n_u)]
+        sizes = [math.prod(shape) for shape in shapes] + [
+            max(math.prod(scan.buffer_shape(batch)) for _, _, scan in self.blocks),
+            batch * (n - 1) * max(n_u, m - n_u)]
+        *parts, _ = np.split(_shared_buffer(sum(sizes)), np.cumsum(sizes))
+        u, new, self.g, self.w, self.q, self.start = (
+            part.reshape(shape) for part, shape in zip(parts, shapes))
+        self.iterates = u, new
+        self.scan, self.diff = parts[len(shapes):]
+        np.multiply(prop, a_s[:, None, :], out=self.start)
 
     def row_changes(self, new, old):
         """Each row's max |new - old|, computed in the scratch buffer w."""
-        change = np.subtract(new, old, out=self.w)
+        change = np.subtract(new, old, out=self.w[: len(new)])
         return np.max(np.abs(change, out=change), axis=(1, 2))
 
 
@@ -664,33 +687,36 @@ class ManifoldModel:
 
     def remainder_field(self, z, frame, work):
         """Nonlinear remainder in rotated coordinates at every grid time,
-        written into work.g and returned.
+        written into the first len(z) rows of work.g and returned.
 
-        z has shape (batch, n, M): F-rotated(z, t) = U F(U^T z, t) + Udot U^T z
+        z has shape (rows, n, M): F-rotated(z, t) = U F(U^T z, t) + Udot U^T z
         with F(y, t) = -grad h(y + g) - gamma Q (y + g) - A(t) y.
         """
         ctx = self.context
-        w = frame.rotation.unrotate(z, out=work.w)
+        rows = len(z)
+        q = work.q[:rows]
+        w = frame.rotation.unrotate(z, out=work.w[:rows])
         np.add(w, frame.g_path, out=w)
         grad = ctx.loss.subgradient(w)
         if np.any(ctx.qmat):
-            penalty = np.matmul(w, ctx.qmat, out=work.q)
+            penalty = np.matmul(w, ctx.qmat, out=q)
             np.multiply(frame.gamma_vals[:, None], penalty, out=penalty)
             drive = np.negative(grad, out=w)
             np.subtract(drive, penalty, out=drive)
         else:
             # gamma Q (y + g) vanishes with Q
             drive = np.negative(grad, out=w)
-        f_rot = frame.rotation.rotate(drive, out=work.g)
+        f_rot = frame.rotation.rotate(drive, out=work.g[:rows])
         # U A U^T z is diagonal in the rotated frame: just lambda * z
-        np.subtract(f_rot, np.multiply(frame.lambdas, z, out=work.q), out=f_rot)
+        np.subtract(f_rot, np.multiply(frame.lambdas, z, out=q), out=f_rot)
         if frame.mode_rate is not None:
-            np.add(f_rot, frame.mode_rate.rotate(z, out=work.q), out=f_rot)
+            np.add(f_rot, frame.mode_rate.rotate(z, out=q), out=f_rot)
         return f_rot
 
     def _apply_integral_operator(self, u, frame, work, out):
-        """One substitution into the right-hand side of the integral equation,
-        written into out; returns the remainder field minus the forcing.
+        """One substitution into the right-hand side of the integral equation
+        on the first len(u) rows of the workspace, written into out; returns
+        the remainder field minus the forcing.
 
         Each block runs the exponential-trapezoid recursion x <- e^{a_i} x +
         h (near phi1 - (near - far) phi_tilde), near being the field at the
@@ -712,7 +738,7 @@ class ManifoldModel:
             if scan.reverse:
                 np.negative(scan.run(x, work.diff), out=out[:, :, cols])
             else:
-                np.add(work.start, scan.run(x, work.diff), out=out[:, :, cols])
+                np.add(work.start[: len(u)], scan.run(x, work.diff), out=out[:, :, cols])
         return g_all
 
     def _iterate(self, t0, a_s):
@@ -721,51 +747,73 @@ class ManifoldModel:
 
         Each row stops on its own: once its change is below tol it keeps that
         iterate, and the growth check and the tail bound look at each row's
-        own iterations, so a row's bits do not depend on the other rows.
+        own iterations, so a row's bits do not depend on the other rows. The
+        rows still converging are kept as a leading block of the workspace:
+        a row that converges moves behind them with its final iterate, in
+        both iterate buffers, and each substitution runs on that block alone.
 
-        Returns the frame, the workspace, the converged iterate, the other
-        iterate buffer (spare), the largest row change per iteration and the
-        largest row tail bound. Raises ContractionError when a row's iterates
-        diverge and HorizonError when a row's certified truncation error
-        exceeds TAIL_TOL.
+        Returns the frame, the workspace, the converged iterate and the other
+        iterate buffer (spare), both with their rows in workspace order, the
+        workspace position of each input row, the largest row change per
+        iteration (a converged row counts 0) and the largest row tail bound.
+        Raises ContractionError when a row's iterates diverge and
+        HorizonError when a row's certified truncation error exceeds
+        TAIL_TOL.
         """
         opts = self.picard
         if a_s.shape[1] != self.context.n_s:
             raise ValueError(f"a_s must have {self.context.n_s} stable components")
+        if not len(a_s):
+            raise ValueError("a_s must have at least one row")
         if np.max(np.linalg.norm(a_s, axis=1)) > self.radius / 3.0 + 1e-12:
             raise ContractionError(
                 "stable initial condition outside the contraction radius (r/3)")
         frame = self.frame(t0)
         work = _PicardWork(frame, a_s)
         u, new = work.iterates
+        u[:, :, : frame.n_u] = 0.0
         u[:, :, frame.n_u:] = work.start
 
         deltas = []
-        live = np.ones(len(a_s), dtype=bool)
-        grow = np.zeros(len(a_s), dtype=int)
-        last = np.full(len(a_s), np.inf)
+        rows = np.arange(len(a_s))      # the input row at each position
+        live = len(a_s)                 # positions [:live] are still iterating
+        grow = np.zeros(live, dtype=int)
+        last = np.full(live, np.inf)
         limit = 1e6 * (1.0 + np.max(np.abs(a_s), axis=1))
-        g_tail = np.zeros(len(a_s))
+        g_tail = 0.0
         for _ in range(PICARD_MAX_ITERS):
-            g_all = self._apply_integral_operator(u, frame, work, new)
-            new[~live] = u[~live]   # a converged row keeps its iterate
-            change = work.row_changes(new, u)
+            g_all = self._apply_integral_operator(u[:live], frame, work, new[:live])
+            change = work.row_changes(new[:live], u[:live])
             deltas.append(float(np.max(change)))
             u, new = new, u
-            done = live & (change < opts.tol)
+            done = change < opts.tol
             # a row's tail bound uses its last iteration's field
-            g_tail[done] = np.max(np.abs(g_all[done, opts.horizon_steps:, : frame.n_u]),
-                                  axis=(1, 2), initial=0.0)
-            live &= ~done
-            if not live.any():
+            g_tail = max(g_tail, float(np.max(
+                np.abs(g_all[done, opts.horizon_steps:, : frame.n_u]), initial=0.0)))
+            going = ~done
+            if not going.any():
                 break
-            grew = live & (change > last)
+            grew = going & (change > last)
             grow = np.where(grew, grow + 1, 0)
             if np.any(grow >= 3) or np.any(grew & (change > limit)):
                 raise ContractionError(
                     "integral-equation iterates stopped contracting; "
                     "shrink the initial condition or the radius")
             last = change
+            if done.any():
+                # the going rows first, then the converged ones, into both
+                # buffers; take's "clip" mode (the indices are in range)
+                # writes into out without a buffered copy
+                order = np.concatenate([np.flatnonzero(going), np.flatnonzero(done)])
+                np.take(u[:live], order, axis=0, out=new[:live], mode="clip")
+                u, new = new, u
+                start = work.start[:live]
+                np.copyto(start, np.take(start, order, axis=0, mode="clip",
+                                         out=_view(work.q.reshape(-1), start.shape)))
+                rows[:live] = rows[order]
+                grow, last, limit = grow[going], last[going], limit[going]
+                live = len(grow)
+                new[live: len(order)] = u[live: len(order)]
         else:
             raise ContractionError(
                 f"no convergence to {opts.tol:g} within {PICARD_MAX_ITERS} iterations")
@@ -773,40 +821,40 @@ class ManifoldModel:
         tail_est = 0.0
         if frame.n_u:
             sigma_floor = float(np.min(frame.lambdas[:, : frame.n_u]))
-            tail_est = float(np.max(g_tail)) / sigma_floor \
-                * float(np.exp(-sigma_floor * opts.tail))
+            tail_est = g_tail / sigma_floor * float(np.exp(-sigma_floor * opts.tail))
         if tail_est > TAIL_TOL:
             raise HorizonError(
                 f"truncated-tail bound {tail_est:.2e} exceeds the tolerance; "
                 "extend the tail window")
-        return frame, work, u, new, np.array(deltas), tail_est
+        return frame, work, u, new, np.argsort(rows), np.array(deltas), tail_est
 
     def picard_solve(self, t0, a_s):
         """Fixed-point iteration of the manifold integral equation, plus one
-        extra substitution that measures the residual.
+        extra substitution, on every row, that measures the residual.
 
         a_s is one stable-block initial condition per row, each within a third
         of the validity radius. Raises ContractionError when iterates diverge
         and HorizonError when the certified truncation error exceeds tol.
-        Every iteration runs in one workspace allocated per solve.
+        Every iteration runs in the thread's shared workspace
+        (`_shared_buffer`); the solution's arrays are copies of it.
         """
         a_s = np.atleast_2d(np.asarray(a_s, dtype=float))
-        frame, work, u, spare, deltas, tail_est = self._iterate(t0, a_s)
+        frame, work, u, spare, position, deltas, tail_est = self._iterate(t0, a_s)
         self._apply_integral_operator(u, frame, work, spare)
         residual = float(np.max(work.row_changes(spare, u)))
         end = self.picard.horizon_steps + 1
-        return PicardSolution(frame.times[:end], u[:, :end, :], frame.n_u, deltas,
+        return PicardSolution(frame.times[:end], u[position, :end, :], frame.n_u, deltas,
                               residual, tail_est)
 
     def psi(self, t0, z_s):
         """Graph map of the manifold: unstable components over the stable
-        block. The same bits as picard_solve(t0, z_s).psi, without the
-        residual's extra substitution."""
+        block, (rows, n_u). The same bits as picard_solve(t0, z_s).psi,
+        without the residual's extra substitution."""
         z_s = np.atleast_2d(np.asarray(z_s, dtype=float))
-        if self.psi_is_zero:
-            return np.zeros((z_s.shape[0], self.context.n_u))
-        u = self._iterate(t0, z_s)[2]
-        return u[:, 0, : self.context.n_u]
+        if self.psi_is_zero or not len(z_s):
+            return np.zeros((len(z_s), self.context.n_u))
+        _, _, u, _, position, _, _ = self._iterate(t0, z_s)
+        return u[position, 0, : self.context.n_u]
 
     # -- the certified region -------------------------------------------------
 

@@ -86,7 +86,8 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500, see
     the worst relative growth rate on points meaningfully off the manifold;
     c3_hat is the smallest curvature allowance making the inequality hold on
     every pair. Points outside the model's certified region are censored and
-    counted.
+    counted; when every point is censored, both constants are NaN and the
+    fit is not valid.
     """
     ctx = model.context
     rng = np.random.default_rng(seed)
@@ -116,6 +117,9 @@ def repulsion_check(model, sample_ball, epsilon_grid, t_grid, n_samples=500, see
     after = np.concatenate(after_all)
     eps = np.concatenate(eps_all)
     n_pairs = len(before)
+    if not n_pairs:
+        # every point was censored: nothing to fit, and the check fails
+        return RepulsionReport(np.nan, np.nan, np.array([], dtype=int), 0, censored)
 
     floor = max(1e-9, float(np.quantile(before, RATE_FLOOR_QUANTILE)))
     mask = before > floor

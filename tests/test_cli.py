@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dsgdlab import cli, experiments
 from dsgdlab.cli import main
-from dsgdlab.records import read_campaign
+from dsgdlab.records import read_campaign, read_manifold_report
 
 GOOD_CONFIG = """
 [experiment]
@@ -254,6 +254,30 @@ def test_empty_graph_file_is_config_error(tmp_path, text, command):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "results").exists()
+
+
+# shifted batteries that pass `validate` and whose repulsion sweep censors a
+# whole time slice (20 samples) or every point (2 samples): each run ended in
+# numpy's traceback, from the psi solve of no rows or the fit on no pairs
+CENSORED = {
+    "slice-censored": ([("manifold", "n_samples", "20"), ("schedule", "gamma_scale", "0.05")],
+                       None),
+    "all-censored": ([("manifold", "n_samples", "2"), ("schedule", "gamma_scale", "0.01")],
+                     {"passed": "False", "pairs": "0", "censored": "20"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENSORED))
+def test_censored_repulsion_sweep_is_reported(tmp_path, case):
+    edits, repulsion = CENSORED[case]
+    code, out, err = run_cli("run", str(shipped("manifold_shifted", tmp_path, edits)))
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    meta, sections = read_manifold_report(tmp_path / "results" / "report.txt")
+    assert int(sections["repulsion"]["censored"]) > 0
+    if repulsion:
+        assert repulsion.items() <= sections["repulsion"].items()
+    assert run_cli("report", str(tmp_path / "results"))[0] == 0
 
 
 # a key the kind's setup never reads: id -> (config, edits, kind, refused key)

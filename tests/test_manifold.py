@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dsgdlab import manifold
 from dsgdlab.errors import (
     ContractionError,
     EigvecContinuityError,
@@ -36,6 +37,7 @@ from dsgdlab.manifold import (
     linearize,
     saddle_context,
 )
+from dsgdlab.rectify import autonomous_restriction
 from dsgdlab.schedules import ConstantGamma, PowerLawGamma
 
 
@@ -482,20 +484,62 @@ def test_decay_scan_without_decay_is_a_cumulative_sum():
                           PicardOptions(horizon=8.0, dt=0.01, tail=8.0)),
 ], ids=["cross-cubic", "shifted"])
 def test_picard_solution_survives_later_solves(make_model):
-    # every solve iterates in its own workspace: later solves of other batch
-    # sizes and start times leave an earlier solution's arrays as they were,
-    # and solving the first problem again gives the same bits
+    # every solve iterates in the one shared workspace and returns copies:
+    # later solves of other batch sizes and start times, on this model and on
+    # its autonomous restriction's, leave an earlier solution's arrays and
+    # psi's as they were, and solving the first problem again gives the same
+    # bits
     model = make_model()
+    auto = autonomous_restriction(model.context, model.picard)
     rng = np.random.default_rng(5)
     a_s = 0.05 * rng.uniform(-1.0, 1.0, (3, model.context.n_s))
     first = model.picard_solve(6.0, a_s)
-    u, deltas = first.u.copy(), first.deltas.copy()
+    psi = model.psi(6.0, a_s)
+    u, deltas, psi_bytes = first.u.copy(), first.deltas.copy(), psi.tobytes()
     for t0, batch in ((7.0, 1), (6.5, 5), (7.0, 3)):
-        model.picard_solve(t0, 0.05 * rng.uniform(-1.0, 1.0, (batch, model.context.n_s)))
+        for other in (model, auto):
+            a_other = 0.05 * rng.uniform(-1.0, 1.0, (batch, other.context.n_s))
+            other.picard_solve(t0, a_other)
+            other.psi(t0, a_other)
     assert np.array_equal(first.u, u) and np.array_equal(first.deltas, deltas)
+    assert psi.tobytes() == psi_bytes
     again = model.picard_solve(6.0, a_s)
     assert np.array_equal(again.u, u) and np.array_equal(again.deltas, deltas)
     assert again.residual == first.residual and again.tail_estimate == first.tail_estimate
+
+
+@pytest.mark.parametrize("battery", ["quadratic", "cross-cubic", "shifted"])
+def test_solve_writes_the_workspace_before_reading_it(battery):
+    # the shared workspace keeps what the last solve left in it: a solve has
+    # the same bits after a larger solve at another start time, and after
+    # the whole workspace was filled with NaN. The quadratic battery's psi
+    # runs its solve with the zero shortcut switched off on a copy
+    model = copy.copy(battery_model(battery))
+    model.psi_is_zero = False
+    n_s, t0 = model.context.n_s, model.t_start + 2.0
+    a_s = 0.05 * np.random.default_rng(3).uniform(-1.0, 1.0, (3, n_s))
+    reference = model.picard_solve(t0, a_s)
+    psi = model.psi(t0, a_s)
+    model.picard_solve(t0 + 1.5, 0.5 * np.resize(a_s, (8, n_s)))
+    dirty = model.picard_solve(t0, a_s)
+    manifold._shared_buffer(1).fill(np.nan)
+    cleared = model.picard_solve(t0, a_s)
+    for sol in (dirty, cleared):
+        assert sol.u.tobytes() == reference.u.tobytes()
+        assert sol.deltas.tobytes() == reference.deltas.tobytes()
+        assert (sol.residual, sol.tail_estimate) == (reference.residual,
+                                                      reference.tail_estimate)
+    manifold._shared_buffer(1).fill(np.nan)
+    assert model.psi(t0, a_s).tobytes() == psi.tobytes()
+
+
+def test_psi_of_no_rows_is_empty():
+    # a repulsion sweep whose time slice is censored whole asks for these
+    for battery in ("quadratic", "cross-cubic", "shifted"):
+        model = battery_model(battery)
+        n_u, n_s = model.context.n_u, model.context.n_s
+        assert model.psi(model.t_start + 2.0, np.zeros((0, n_s))).shape == (0, n_u)
+        assert model.distance(np.zeros((0, n_u + n_s)), model.t_start + 2.0).shape == (0,)
 
 
 def test_solves_retain_no_memory():
@@ -678,3 +722,48 @@ def test_psi_row_is_its_solo_solve(data):
     together = model.psi(t0, z_s)
     for row, z in zip(together, z_s):
         assert row.tobytes() == model.psi(t0, z[None]).tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_solve_rows_are_their_solo_solves(data):
+    # rows converge at different iterations (z_s = 0 at the first, rows near
+    # r/3 last) and a converged row leaves the substitutions; the batch keeps
+    # each row's solo bits, raises no error its rows do not raise alone, and
+    # its deltas are the rows' solo deltas, a converged row counting 0
+    model = battery_model("cross-cubic")
+    opts = model.picard
+    t0 = model.t_start + data.draw(st.floats(0.0, 0.5)) * (
+        model.t_end - model.t_start - opts.horizon - opts.tail)
+    size = st.one_of(st.just(0.0), st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e),
+                     st.floats(-4.0, 0.0).map(lambda e: -(10.0 ** e)))
+    z_s = (model.radius / 3.0) * np.array(
+        data.draw(st.lists(size, min_size=2, max_size=8)))[:, None]
+    sol = model.picard_solve(t0, z_s)
+    solos = [model.picard_solve(t0, z[None]) for z in z_s]
+    for row, solo in zip(sol.u, solos):
+        assert row.tobytes() == solo.u[0].tobytes()
+    padded = np.zeros((len(solos), max(solo.iterations for solo in solos)))
+    for row, solo in zip(padded, solos):
+        row[: solo.iterations] = solo.deltas
+    assert sol.deltas.tobytes() == np.max(padded, axis=0).tobytes()
+    assert sol.iterations == max(solo.iterations for solo in solos)
+    assert sol.residual == max(solo.residual for solo in solos)
+    assert sol.tail_estimate == max(solo.tail_estimate for solo in solos)
+
+
+def test_growing_row_raises_after_other_rows_converged():
+    # at this coefficient the row at r/3 grows from its second iteration and
+    # stops contracting at its fourth, alone and beside rows that converge
+    # first: z_s = 0 at the first iteration, 1e-4 at the third, when the
+    # growing row's count must move with it; rows substituted per iteration
+    model = ManifoldModel(cross_cubic_context(30.0), 1.0, 40.0,
+                          PicardOptions(horizon=10.0, dt=0.005, tail=5.0, tol=1e-10))
+    cases = {(0.1,): [1, 1, 1, 1], (0.0, 0.01, 0.1): [3, 2, 2, 2],
+             (1e-4, 0.1): [2, 2, 2, 1]}
+    for z_s, rows in cases.items():
+        with mock.patch.object(model, "_apply_integral_operator",
+                               wraps=model._apply_integral_operator) as operator:
+            with pytest.raises(ContractionError, match="stopped contracting"):
+                model.picard_solve(3.0, np.array(z_s)[:, None])
+        assert [len(call.args[0]) for call in operator.call_args_list] == rows

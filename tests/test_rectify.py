@@ -212,6 +212,15 @@ def test_repulsion_cross_cubic():
     assert len(rep.violations) == 0
 
 
+def test_repulsion_with_every_point_censored_fails_its_fit():
+    # every sample lies outside the validity ball r = 0.3: no pairs to fit
+    rep = repulsion_check(cross_model(), sample_ball=5.0, epsilon_grid=[1e-3],
+                          t_grid=[3.0, 4.0], n_samples=4, seed=0)
+    assert (rep.n_pairs, rep.n_censored) == (0, 8)
+    assert np.isnan(rep.c2_hat) and np.isnan(rep.c3_hat)
+    assert len(rep.violations) == 0 and not rep.fit_valid
+
+
 def test_rectified_spectrum_quadratic_matches_split():
     model = quad_model()
     rep = rectified_field_spectrum(model, np.linspace(6.0, 20.0, 5))
