@@ -37,15 +37,10 @@ DIVERGENCE_CEILING = 1e12
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean per-step noise: none, gaussian(sigma), or uniform-sphere(r).
-
-    restrict_to_constraint projects each stacked draw onto nullspace(Q),
-    exciting only constraint directions.
-    """
+    """Zero-mean per-step noise: none, gaussian(sigma), or uniform-sphere(r)."""
 
     kind: str = "none"
     scale: float = 0.0
-    restrict_to_constraint: bool = False
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "uniform-sphere"):
@@ -53,15 +48,9 @@ class NoiseModel:
         if self.kind != "none" and self.scale <= 0:
             raise ValueError("gaussian and uniform-sphere noise need a positive scale")
 
-    def start(self, seeds, n_agents, agent_dim, rotation=None):
+    def start(self, seeds, n_agents, agent_dim):
         """A stream with one row per seed of the sequence `seeds`."""
-        projector = None
-        if self.restrict_to_constraint:
-            if rotation is None:
-                raise ValueError("restrict_to_constraint needs the constraint rotation")
-            basis = rotation.constraint_basis
-            projector = basis @ basis.T
-        return NoiseStream(self.kind, self.scale, seeds, n_agents, agent_dim, projector)
+        return NoiseStream(self.kind, self.scale, seeds, n_agents, agent_dim)
 
 
 class NoiseStream:
@@ -71,13 +60,12 @@ class NoiseStream:
     agent_dim), and row r draws exactly what a stream of seeds[r] alone draws.
     """
 
-    def __init__(self, kind, scale, seeds, n_agents, agent_dim, projector=None):
+    def __init__(self, kind, scale, seeds, n_agents, agent_dim):
         self.kind = kind
         self.scale = scale
         self.rows = len(seeds)
         self.n_agents = n_agents
         self.agent_dim = agent_dim
-        self.projector = projector
         if kind == "none":
             self._gens = None
         else:
@@ -99,9 +87,9 @@ class NoiseStream:
         Each (seed, agent) generator fills its (count, agent_dim) block of one
         contiguous (rows, n_agents, count, agent_dim) buffer, which is scaled
         once; one transposing copy then moves the buffer to the step-major
-        layout, a whole agent_dim-wide event at a time, where restricted
-        draws are projected. Chunked draws consume each generator exactly as
-        repeated single draws do, so chunking never changes realizations.
+        layout, a whole agent_dim-wide event at a time. Chunked draws consume
+        each generator exactly as repeated single draws do, so chunking never
+        changes realizations.
         """
         rows, n, d = self.rows, self.n_agents, self.agent_dim
         shape = (count, rows, n, d)
@@ -127,12 +115,6 @@ class NoiseStream:
         cell = np.dtype((np.void, 8 * d))
         np.copyto(out.view(cell)[..., 0].reshape(count, rows, n),
                   buf.view(cell)[..., 0].transpose(2, 0, 1))
-        if self.projector is not None:
-            # a product summed row by row, so a draw's projection does not
-            # depend on the chunk size (a BLAS product's summation order can)
-            flat = out.reshape(count, rows, n * d)
-            for r in range(rows):
-                flat[:, r] = (flat[:, r, :, None] * self.projector.T).sum(axis=1)
         return out
 
 
@@ -407,7 +389,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     qm = q.matrix
-    stream = noise.start(seeds, n_agents, m // n_agents, q.rotation)
+    stream = noise.start(seeds, n_agents, m // n_agents)
 
     points = _record_points(steps, record)
     n_rec = len(points)

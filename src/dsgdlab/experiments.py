@@ -130,13 +130,6 @@ positive = ranged(float, 0.0, strict=True)
 real = ranged(float, -math.inf)   # any finite float
 
 
-def boolean(raw):
-    """A configparser boolean: 1/yes/true/on or 0/no/false/off."""
-    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError("must be one of 1/yes/true/on or 0/no/false/off")
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
 def parse_seeds(spec):
     """Distinct sorted seeds, 0 <= seed < 2**63, from `lo:hi` or a comma/space
     list. A range is checked at its ends and never listed, so its size costs
@@ -193,10 +186,8 @@ def build_schedule(config):
 
 def build_noise(config):
     scale = config.get("noise", "scale", 0.0, ranged(float, 0.0))
-    restrict = config.get("noise", "restrict_to_constraint", False, boolean)
     # NoiseModel refuses an unknown kind, and a zero scale for a noisy kind
-    return config.get("noise", "kind", "none",
-                      lambda kind: NoiseModel(kind, scale, restrict))
+    return config.get("noise", "kind", "none", lambda kind: NoiseModel(kind, scale))
 
 
 def saddle_quartic_component(n_agents):
@@ -228,11 +219,9 @@ class Problem:
 def build_problem(config):
     key = config.get("problem", "loss")
     graph = config.get("problem", "graph", parse=build_graph)
-    if not graph.is_connected():
-        raise ConfigError("communication graph must be connected")
 
     if key == "zero":
-        d = config.get("problem", "agent_dim", parse=ranged(int, 1))
+        d = config.get("problem", "agent_dim", parse=ranged(int, 1, INDEX_MAX))
         losses = sum_loss([zero_loss(d)] * graph.vertex_count)
         known = {}
     elif key in ("quadratic_wells", "l1_wells"):
@@ -263,6 +252,9 @@ def build_problem(config):
         raise ConfigError(f"unknown loss key {key!r}")
 
     q = consensus_penalty(laplacian(graph), d)
+    # nullspace(L kron I_d) has dimension d for each connected component
+    if q.rotation.constraint_dim != d:
+        raise ConfigError("communication graph must be connected")
     return Problem(losses, q, graph.vertex_count, d, known)
 
 

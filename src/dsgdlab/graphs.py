@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, allocation
 
 # An eigenvalue counts as zero if |lam| < ZERO_EIG_REL_TOL * max|lam|
 # (relative, hence scale-free). Eigenvalues in the ambiguity band just above
@@ -44,23 +44,6 @@ class Graph:
     def from_edges(cls, vertex_count, edges):
         normalized = frozenset((min(i, j), max(i, j)) for i, j in edges)
         return cls(vertex_count, normalized)
-
-    def neighbors(self, n):
-        """1-indexed neighbor set of vertex n."""
-        return {j if i == n else i for i, j in self.edges if n in (i, j)}
-
-    def is_connected(self):
-        if self.vertex_count == 1:
-            return True
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
 
     def adjacency(self):
         a = np.zeros((self.vertex_count, self.vertex_count))
@@ -151,7 +134,9 @@ def consensus_penalty(lap, agent_dim):
     if agent_dim <= 0:
         raise ValueError("agent_dim must be positive")
     lap = np.asarray(lap, dtype=float)
-    return penalty_from_matrix(np.kron(lap, np.eye(agent_dim)))
+    with allocation(f"the consensus penalty of {len(lap)} agents of dimension {agent_dim}"):
+        matrix = np.kron(lap, np.eye(agent_dim))
+    return penalty_from_matrix(matrix)
 
 
 @dataclass(frozen=True)
@@ -169,10 +154,6 @@ class ConstraintRotation:
     @property
     def off_basis(self):
         return self.rotation[:, self.constraint_dim:]
-
-    def constraint_part(self, x):
-        """Coordinates of x along the constraint space (rotated frame)."""
-        return np.asarray(x) @ self.constraint_basis
 
 
 def _fix_eigvec_signs(vectors):

@@ -86,12 +86,11 @@ def saddle_context(loss, q, gamma, saddle):
     saddle = np.asarray(saddle, dtype=float)
     if loss.hessian is None:
         raise ValueError("saddle analysis needs a twice-differentiable loss near the point")
-    rotation = q.rotation
-    grad_c = rotation.constraint_part(loss.subgradient(saddle))
+    basis = q.rotation.constraint_basis
+    grad_c = loss.subgradient(saddle) @ basis
     if np.linalg.norm(grad_c) > GRAD_TOL:
         raise RegularityError(
             f"restricted gradient norm {np.linalg.norm(grad_c):.2e} exceeds {GRAD_TOL:g}")
-    basis = rotation.constraint_basis
     hess_c = basis.T @ loss.hessian(saddle) @ basis
     eig_c = np.linalg.eigvalsh(hess_c)
     if np.min(np.abs(eig_c)) <= MIN_RESTRICTED_EIG:

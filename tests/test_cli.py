@@ -164,6 +164,7 @@ PROBES = {
     "critical-without-minimizer": ("critical_point_wells",
                                    [("problem", "loss", "saddle_quartic"),
                                     ("problem", "anchors", None)]),
+    # the key is no longer read, so any value of it is refused at both commands
     "restrict-not-boolean": ("consensus", [("noise", "restrict_to_constraint", "maybe")]),
     "tolerance-typo": ("consensus", [("tolerances", "consensus_tol", None),
                                      ("tolerances", "consensus_tl", "1e-3")]),
@@ -214,6 +215,7 @@ PROBES = {
                                            ("drift", "k0_grid", "1" + "0" * 25)]),
     "n-samples-past-int64": ("manifold_quadratic",
                              [("manifold", "n_samples", "1" + "0" * 25)]),
+    "agent-dim-past-int64": ("consensus", [("problem", "agent_dim", str(2**63))]),
     "coercivity-radius-huge": ("critical_point_wells",
                                [("tolerances", "coercivity_radius", "1e308")]),
 }
@@ -295,6 +297,9 @@ UNREAD = {
                                  "[init] value"),
     "cubic-coef-on-quadratic": ("manifold_quadratic", [("problem", "cubic_coef", "0.1")],
                                 "manifold-verify", "[problem] cubic_coef"),
+    # D-SGD draws each agent's noise in its own coordinates; no key restricts it
+    "restrict-removed": ("consensus", [("noise", "restrict_to_constraint", "false")],
+                         "consensus", "[noise] restrict_to_constraint"),
 }
 
 
@@ -328,14 +333,14 @@ def test_run_builds_problem_once(tmp_path, monkeypatch):
 
 
 def test_validate_and_run_print_the_same_echo(tmp_path):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, GOOD_CONFIG.replace("consensus_tol = 5e-2\n", ""))
     code, echo, err = run_cli("validate", str(path))
     assert code == 0, err
     code, out, err = run_cli("run", str(path))
     assert code == 0, err
     assert out.startswith(echo)
     assert "[run] steps = 2000\n" in echo
-    assert "[noise] restrict_to_constraint = False (default)\n" in echo
+    assert "[tolerances] consensus_tol = 0.001 (default)\n" in echo
 
 
 JUNK = st.text(alphabet="abxyz%:;,.-_ ", min_size=1, max_size=6)
@@ -598,7 +603,9 @@ def test_unallocatable_seed_count_exits_2(tmp_path, seeds, name, command):
                      ("drift", "k0_grid", str(2**62))], ("validate", "run")),
     # the repulsion sweep draws n_samples points at each time
     ("manifold_quadratic", [("manifold", "n_samples", str(2**62))], ("run",)),
-], ids=["drift-elapsed-times", "manifold-samples"])
+    # the consensus penalty L kron I_d is built at setup
+    ("consensus", [("problem", "agent_dim", str(2**63 - 1))], ("validate", "run")),
+], ids=["drift-elapsed-times", "manifold-samples", "agent-dim-int64-max"])
 def test_unindexable_size_exits_2(tmp_path, name, edits, commands):
     # sizes below 2**63 that numpy still cannot index: its ValueError is the
     # MemoryError of an unallocatable size, before any memory is touched
@@ -606,6 +613,7 @@ def test_unindexable_size_exits_2(tmp_path, name, edits, commands):
         code, _, err = run_cli(command, str(shipped(name, tmp_path, edits)))
         assert code == 2, err
         assert err.startswith("experiment failed: MemoryError: cannot allocate")
+        assert "Traceback" not in err
 
 
 def test_report_reads_a_manifold_output_directory(tmp_path):

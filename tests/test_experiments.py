@@ -118,12 +118,16 @@ def test_unreadable_graph_file_rejected():
             problem={"loss": "zero", "graph": "file:/nonexistent", "agent_dim": 1}))
 
 
-def test_disconnected_graph_from_file(tmp_path):
+@pytest.mark.parametrize("kind, problem", [
+    ("consensus", {"loss": "zero", "agent_dim": 1}),
+    ("consensus", {"loss": "zero", "agent_dim": 3}),
+    # the saddle losses fix d = 2
+    ("saddle-avoidance", {"loss": "saddle_quartic"}),
+], ids=["agent-dim-1", "agent-dim-3", "saddle-quartic"])
+def test_disconnected_graph_from_file(tmp_path, kind, problem):
     p = tmp_path / "g.txt"
     p.write_text("4\n1 2\n3 4\n")
-    cfg = make_config(
-        "consensus",
-        problem={"loss": "zero", "graph": f"file:{p}", "agent_dim": 1})
+    cfg = make_config(kind, problem={**problem, "graph": f"file:{p}"})
     with pytest.raises(ConfigError, match="connected"):
         build_problem(cfg)
 

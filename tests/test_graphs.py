@@ -185,6 +185,9 @@ def test_edge_list_roundtrip(tmp_path):
 
 
 def test_connectivity():
-    assert path_graph(5).is_connected()
-    assert not Graph.from_edges(4, [(1, 2), (3, 4)]).is_connected()
-    assert Graph.from_edges(1, []).is_connected()
+    # nullspace(L kron I_d) has dimension d for each connected component
+    for graph, components in [(path_graph(5), 1), (Graph.from_edges(1, []), 1),
+                              (Graph.from_edges(4, [(1, 2), (3, 4)]), 2)]:
+        for d in (1, 2):
+            rotation = consensus_penalty(laplacian(graph), d).rotation
+            assert rotation.constraint_dim == components * d, (graph, d)
