@@ -33,6 +33,8 @@ from .errors import DivergedError, allocation
 from .graphs import laplacian
 
 DIVERGENCE_CEILING = 1e12
+# steps per chunk of `run_batch`; chunks of 1024 and 4096 steps measured no faster
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,6 @@ class NoiseStream:
             self._gens = [np.random.default_rng(child)
                           for seed in seeds
                           for child in np.random.SeedSequence(int(seed)).spawn(n_agents)]
-
-    def draw(self):
-        """One noise event.
-
-        Test-only: the single-step references draw one event at a time.
-        """
-        return self.draw_chunk(1)[0]
 
     def draw_chunk(self, count, out=None):
         """count consecutive events as one C-contiguous array of shape
@@ -257,7 +252,7 @@ def general_step(x, k, loss, q, schedule, noise):
     if x.shape[-1] != qm.shape[0] or loss.dim != qm.shape[0]:
         raise ValueError("dimension mismatch between state, loss, and penalty")
     v = loss.subgradient(x)
-    xi = noise.draw().ravel()
+    xi = noise.draw_chunk(1)[0].ravel()
     alpha_k = schedule.alpha(k)
     new = x - alpha_k * (v + schedule.gamma(k) * (qm @ x) + xi)
     if not np.all(np.isfinite(new)):
@@ -276,7 +271,7 @@ def agentwise_step(states, k, losses, graph, schedule, noise):
         raise ValueError("step index starts at 1")
     states = np.asarray(states, dtype=float)
     grads = np.stack([c.subgradient(states[n]) for n, c in enumerate(losses.components)])
-    xi = noise.draw()[0]
+    xi = noise.draw_chunk(1)[0][0]
     # sum over neighbors of (x_l - x_n) is exactly -(L @ states) row-wise
     new = (states - schedule.beta(k) * (laplacian(graph) @ states)
            - schedule.alpha(k) * (grads + xi))
@@ -344,8 +339,8 @@ class BatchRun:
 
 
 def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
-              record="geometric", ceiling=DIVERGENCE_CEILING, chunk=256,
-              observer=None, n_agents=1, k_start=1):
+              record="geometric", ceiling=DIVERGENCE_CEILING, observer=None,
+              n_agents=1, k_start=1):
     """Run one seed per row of a vectorized batch of the general recursion.
 
     This is the one loop that iterates the recursion, on the schedule index k
@@ -358,7 +353,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     (`_NoiseProducer`); a failure there is raised here, and the child is
     reaped on every path, so no process outlives the call.
 
-    Steps run `chunk` at a time. Divergence and the sup-norm are checked once
+    Steps run `CHUNK` at a time. Divergence and the sup-norm are checked once
     per chunk on the chunk's stored states: from its first step past the
     ceiling (an overflow to inf or NaN included) on, a row is frozen at its
     last state below the ceiling and recorded, not fatal, and the sup-norm
@@ -368,7 +363,7 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     checkpoints left repeat the frozen states. Each checkpoint keeps every
     row's state (`BatchRun.states`) and its `checkpoint_metrics`. So every
     result, and the observed sequence flattened per step, is the same for
-    any chunk size.
+    any value of `CHUNK`.
 
     observer(k_first, states, active) is called once per chunk with the
     schedule index of its first step, the chunk's (span, rows, m) states and
@@ -386,8 +381,6 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
     m = x.shape[1]
     if m % n_agents:
         raise ValueError("state dimension must split evenly across agents")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     qm = q.matrix
     stream = noise.start(seeds, n_agents, m // n_agents)
 
@@ -416,11 +409,11 @@ def run_batch(initial, steps, loss, q, schedule, noise, seeds, *,
         np.multiply(drive, alpha, out=drive)
         return np.subtract(x, drive, out=out)
 
-    states = np.empty((min(chunk, steps), s_count, m))
+    states = np.empty((min(CHUNK, steps), s_count, m))
     # one span per chunk, the last one cut short; a step count too large to
     # run fails here with a MemoryError
     with allocation(f"the chunk spans of {steps} steps"):
-        spans = np.minimum(chunk, steps - np.arange(0, steps, chunk)).tolist()
+        spans = np.minimum(CHUNK, steps - np.arange(0, steps, CHUNK)).tolist()
     # with no rows or no steps there is nothing to draw, and no child to fork
     producer = (_NoiseProducer(stream, spans) if noise.kind != "none" and s_count and spans
                 else None)

@@ -310,13 +310,6 @@ class CampaignResult:
     summarize: object  # records -> aggregates, the function that produced them
     version: str = __version__
 
-    def recompute_aggregates(self):
-        """Aggregates must be a pure function of the per-seed records.
-
-        Test-only: the check that a result's aggregates follow from its records.
-        """
-        return self.summarize(self.records)
-
 
 def _run_seed_chunks(fn, seeds, chunk=DEFAULT_SEED_CHUNK):
     """Records of `fn` over the sorted seeds, in seed order. The seeds run in

@@ -67,14 +67,6 @@ class SaddleContext:
     def qmat(self):
         return self.q.matrix
 
-    def restricted_hessian(self):
-        """Hessian of the loss at the saddle, restricted to the constraint space.
-
-        Test-only: acceptance test_07 compares the spectrum with its eigenvalues.
-        """
-        basis = self.q.rotation.constraint_basis
-        return basis.T @ self.loss.hessian(self.saddle) @ basis
-
 
 def saddle_context(loss, q, gamma, saddle):
     """Validate the critical point and count its unstable directions.
@@ -629,15 +621,6 @@ class ManifoldModel:
         z = np.matmul(offset, np.ascontiguousarray(modes.swapaxes(-1, -2)),
                       out=None if out is None else out.reshape(stacked.shape))
         return z.reshape(x.shape) if out is None else out
-
-    def coordinate_change_inverse(self, z, t):
-        """x = U(t)^T z + g(gamma_t), the inverse of `coordinate_change`.
-
-        Test-only: the round trip of the coordinate change and eta's on-manifold points.
-        """
-        z = np.asarray(z, dtype=float)
-        g, modes = self._path_frames([t])
-        return (np.matmul(z.reshape(1, -1, z.shape[-1]), modes) + g).reshape(z.shape)
 
     def drive_field(self, x, t):
         """Right-hand side of the flow, -grad h(x) - gamma_t Q x."""

@@ -2,7 +2,7 @@
 
 alpha_k = a * k**(-tau_alpha) shrinks, gamma_k = g * k**tau_gamma grows, with
 1/2 < tau_gamma < tau_alpha <= 1, so the effective consensus weight
-beta_k = alpha_k * gamma_k decays at rate tau_beta = tau_alpha - tau_gamma in
+beta_k = alpha_k * gamma_k decays at rate tau_alpha - tau_gamma in
 (0, 1/2). Iteration counting starts at k = 1.
 """
 
@@ -31,14 +31,10 @@ class Schedule:
     def beta(self, k):
         return self.alpha(k) * self.gamma(k)
 
-    @property
-    def tau_beta(self):
-        return self.tau_alpha - self.tau_gamma
-
 
 def validate(schedule):
     """Check the exponent chain 1/2 < tau_gamma < tau_alpha <= 1, which makes
-    the consensus-weight decay exponent `Schedule.tau_beta` positive; raises
+    the consensus-weight decay exponent tau_alpha - tau_gamma positive; raises
     ScheduleError naming the violated inequality.
     """
     if schedule.alpha_scale <= 0:
@@ -53,9 +49,6 @@ def validate(schedule):
             f"tau_gamma < tau_alpha violated ({schedule.tau_gamma:g} vs {schedule.tau_alpha:g})")
     if not schedule.tau_alpha <= 1.0:
         raise ScheduleError(f"tau_alpha = {schedule.tau_alpha:g} violates tau_alpha <= 1")
-    tau_beta = schedule.tau_beta
-    if not tau_beta > 0:
-        raise ScheduleError(f"implied tau_beta = {tau_beta:g} is not positive")
 
 
 def elapsed_times(schedule, k_max):

@@ -8,12 +8,14 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dsgdlab import engine
 from dsgdlab.engine import (
     BatchRun,
     NoiseModel,
@@ -268,7 +270,7 @@ def test_network_mean_residual_identity_and_gap():
     assert gap[0] < 1e-14
 
 
-def test_run_batch_rows_match_single_runs():
+def test_run_batch_rows_match_single_runs(monkeypatch):
     rng = np.random.default_rng(31)
     n, d = 3, 2
     g = path_graph(n)
@@ -277,8 +279,9 @@ def test_run_batch_rows_match_single_runs():
     noise = NoiseModel("gaussian", 0.3)
     x0 = rng.standard_normal(n * d)
     seeds = [5, 17, 99]
-    batch = run_batch(x0, 200, losses.assembled, q, SCHED, noise, seeds,
-                      n_agents=n, chunk=64)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "CHUNK", 64)
+        batch = run_batch(x0, 200, losses.assembled, q, SCHED, noise, seeds, n_agents=n)
     for row, seed in enumerate(seeds):
         single = run_batch(x0, 200, losses.assembled, q, SCHED, noise, [seed], n_agents=n)
         assert np.linalg.norm(batch.final_states[row] - single.final_states[0]) < 1e-12
@@ -296,12 +299,13 @@ def test_run_batch_divergence_recorded_not_fatal():
     assert np.all(batch_ok.diverged_at == -1)
 
 
-def test_run_batch_steps_match_agentwise_form():
+def test_run_batch_steps_match_agentwise_form(monkeypatch):
     # the kernel every campaign runs follows the paper's agentwise recursion at
     # every step, row by row, on the three loss families of acceptance 01
     rng = np.random.default_rng(7)
     sched = Schedule(0.3, 0.9, 0.4, 0.6)
     steps = 30
+    monkeypatch.setattr(engine, "CHUNK", 8)
     for trial in range(12):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
@@ -329,7 +333,7 @@ def test_run_batch_steps_match_agentwise_form():
         x0 = 0.5 * rng.standard_normal((len(seeds), n * dim))
         states = []
         batch = run_batch(x0, steps, losses.assembled, q, sched,
-                          NoiseModel("gaussian", 0.5), seeds, n_agents=n, chunk=8,
+                          NoiseModel("gaussian", 0.5), seeds, n_agents=n,
                           observer=per_step(lambda k, x, active: states.append(x.copy())))
         assert len(states) == steps and np.all(batch.diverged_at == -1)
         for row, seed in enumerate(seeds):
@@ -418,7 +422,7 @@ def test_draw_chunk_matches_per_agent_reference(kind):
         assert got.flags.c_contiguous
         want = reference(len(got))
         assert got.tobytes() == want.tobytes()
-    singles = np.stack([single.draw() for _ in range(15)])
+    singles = np.stack([single.draw_chunk(1)[0] for _ in range(15)])
     assert np.concatenate(draws).tobytes() == singles.tobytes()
 
 
@@ -443,9 +447,10 @@ def _anti_quadratic_batch(scales, steps, chunk, ceiling, noise, k_start=1, recor
         spans.append(len(states))
         flatten(k_first, states, active)
 
-    batch = run_batch(x0, steps, loss or quadratic_form(-np.eye(4)), q, SCHED, noise,
-                      range(len(scales)), record=record, ceiling=ceiling, chunk=chunk,
-                      n_agents=2, k_start=k_start, observer=observer)
+    with mock.patch.object(engine, "CHUNK", chunk):
+        batch = run_batch(x0, steps, loss or quadratic_form(-np.eye(4)), q, SCHED, noise,
+                          range(len(scales)), record=record, ceiling=ceiling, n_agents=2,
+                          k_start=k_start, observer=observer)
     return batch, calls, spans
 
 
@@ -576,11 +581,6 @@ def test_run_batch_steps_each_chunk_once(chunk):
     assert loss.calls == spec["steps"] + len(batch.steps)
 
 
-def test_run_batch_rejects_an_empty_chunk():
-    with pytest.raises(ValueError, match="chunk"):
-        _anti_quadratic_batch([1.0], 10, 0, 1e6, NoiseModel())
-
-
 def test_run_batch_allocates_its_schedule_weights_per_chunk():
     # a 10**7-step run holds no whole-run array of weights (one would be
     # 80 MB): up to the first chunk's observer call, allocations stay small
@@ -621,8 +621,9 @@ def test_run_batch_draws_each_seeds_own_noise(monkeypatch, kind, chunk):
         return out
 
     monkeypatch.setattr(_NoiseProducer, "chunk", spy)
+    monkeypatch.setattr(engine, "CHUNK", chunk)
     batch = run_batch(x0, steps, zero_loss(n * d), penalty_from_matrix(np.zeros((4, 4))),
-                      SCHED, model, seeds, ceiling=ceiling, chunk=chunk,
+                      SCHED, model, seeds, ceiling=ceiling,
                       n_agents=n, observer=per_step(lambda k, x, active:
                                                     calls.append(x.copy())))
     monkeypatch.undo()

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsgdlab import experiments
-from dsgdlab.engine import run_batch
+from dsgdlab import engine, experiments
 from dsgdlab.errors import ConfigError, ContractionError
 from dsgdlab.experiments import (
     ExperimentConfig,
@@ -94,7 +92,7 @@ def test_consensus_experiment_runs_and_converges():
     assert result.aggregates["fraction_below_tol"] == 1.0
     assert result.aggregates["max_terminal_consensus"] < 1e-2
     assert all(r["first_passage_step"] > 0 for r in result.records)
-    assert result.recompute_aggregates() == result.aggregates
+    assert result.summarize(result.records) == result.aggregates
 
 
 def test_consensus_single_agent_trivially_zero():
@@ -287,7 +285,7 @@ def test_drift_stats_recompute_aggregates_matches():
     result = run_experiment(cfg)
     assert {"band_lo", "band_hi", "threshold_coefficient",
             "median_sup_s_k0_200"} <= set(result.aggregates)
-    np.testing.assert_equal(result.recompute_aggregates(), result.aggregates)
+    np.testing.assert_equal(result.summarize(result.records), result.aggregates)
 
 
 def test_drift_stats_zero_noise_on_manifold_is_identically_zero():
@@ -358,7 +356,7 @@ def test_drift_records_are_pinned(tmp_path, monkeypatch, name):
     # at chunk 5 censoring rows also leave on a chunk's last step
     positions = set()
     for chunk in (256, 5):
-        monkeypatch.setattr(experiments, "run_batch", partial(run_batch, chunk=chunk))
+        monkeypatch.setattr(engine, "CHUNK", chunk)
         result = run_experiment(cfg)
         write_campaign(result, tmp_path / "records.tsv")
         write_summary(result, tmp_path / "summary.txt")
@@ -393,7 +391,7 @@ def test_drift_observer_reads_the_elapsed_times(monkeypatch, chunk):
 
     monkeypatch.setattr(experiments, "_restart_series", recording)
     monkeypatch.setattr(experiments.ManifoldModel, "coordinate_change", coordinate_change)
-    monkeypatch.setattr(experiments, "run_batch", partial(run_batch, chunk=chunk))
+    monkeypatch.setattr(engine, "CHUNK", chunk)
     run_experiment(cfg)
     assert [k0 for _, k0, _, _ in windows] == [250, 500]
     for schedule, k0, steps, times in windows:

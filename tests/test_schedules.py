@@ -14,7 +14,6 @@ from dsgdlab.schedules import (
 def test_validate_ok():
     schedule = Schedule(1.0, 1.0, 1.0, 0.6)
     assert validate(schedule) is None
-    assert schedule.tau_beta == pytest.approx(0.4)
 
 
 def test_validate_tau_gamma_too_small():

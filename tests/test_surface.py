@@ -40,14 +40,7 @@ TEST_ONLY = {
     "eta": "the paper's distance functional, checked on and off the manifold.",
 }
 
-TEST_ONLY_MEMBERS = {
-    "SaddleContext.restricted_hessian":
-        "acceptance test_07 compares the spectrum with its eigenvalues.",
-    "ManifoldModel.coordinate_change_inverse":
-        "the round trip of the coordinate change and eta's on-manifold points.",
-    "CampaignResult.recompute_aggregates":
-        "the check that a result's aggregates follow from its records.",
-}
+TEST_ONLY_MEMBERS = {}
 
 
 def _definitions(node):
