@@ -120,14 +120,18 @@ def ranged(cast, low, high=math.inf, strict=False):
         if not math.isfinite(value):
             raise ValueError("must be finite")
         if not ((low < value) if strict else (low <= value)) or not value <= high:
-            raise ValueError(f"must be {'>' if strict else '>='} {low:g}"
-                             + (f" and <= {high:g}" if high < math.inf else ""))
+            bounds = ([f"{'>' if strict else '>='} {low:g}"] if low > -math.inf else []) \
+                + ([f"<= {high:g}"] if high < math.inf else [])
+            raise ValueError("must be " + " and ".join(bounds))
         return value
     return parse
 
 
 positive = ranged(float, 0.0, strict=True)
 real = ranged(float, -math.inf)   # any finite float
+# keys bounded by the divergence ceiling: past it a run's products overflow
+bounded_positive = ranged(float, 0.0, DIVERGENCE_CEILING, strict=True)
+bounded_real = ranged(float, -DIVERGENCE_CEILING, DIVERGENCE_CEILING)
 
 
 def parse_seeds(spec):
@@ -175,8 +179,11 @@ def build_graph(spec):
 
 
 def build_schedule(config):
-    sched = Schedule(*(config.get("schedule", key, parse=real)
-                       for key in ("alpha_scale", "tau_alpha", "gamma_scale", "tau_gamma")))
+    # validate refuses a scale <= 0 with its own message
+    scale = ranged(float, -math.inf, DIVERGENCE_CEILING)
+    sched = Schedule(*(config.get("schedule", key, parse=parse)
+                       for key, parse in (("alpha_scale", scale), ("tau_alpha", real),
+                                          ("gamma_scale", scale), ("tau_gamma", real))))
     try:
         validate(sched)
     except DsgdLabError as exc:
@@ -233,7 +240,7 @@ def build_problem(config):
         stacked = shifted_quadratic(np.concatenate(anchors))
         minimizer = np.mean(anchors, axis=0)
         if key == "l1_wells":
-            w = config.get("problem", "l1_weight", parse=positive)
+            w = config.get("problem", "l1_weight", parse=bounded_positive)
             comps = [l1_regularized(c, w) for c in comps]
             stacked = l1_regularized(stacked, w)
             minimizer = np.sign(minimizer) * np.maximum(np.abs(minimizer) - w, 0.0)
@@ -278,8 +285,7 @@ def initial_states(config, problem, seeds):
             raise ConfigError(f"{mode} init value must have {width} entries")
         out = per_seed(seeds, m, np.tile(value, m // width))
     elif mode == "gaussian":
-        scale = config.get("init", "scale", 1.0,
-                           parse=ranged(float, -DIVERGENCE_CEILING, DIVERGENCE_CEILING))
+        scale = config.get("init", "scale", 1.0, parse=bounded_real)
         out = per_seed(seeds, m, 0.0)
         for i, s in enumerate(seeds):
             gen = np.random.default_rng(np.random.SeedSequence([int(s), 0xD5]))
@@ -437,8 +443,7 @@ def setup_seed_campaign(config):
     tol = config.get("tolerances", spec.tol_key, spec.tol_default, positive)
     if spec.coercive:
         # sampled out to 10 radii, which stay finite below the ceiling
-        radius = config.get("tolerances", "coercivity_radius", 10.0,
-                            ranged(float, 0.0, DIVERGENCE_CEILING, strict=True))
+        radius = config.get("tolerances", "coercivity_radius", 10.0, bounded_positive)
         if not check_coercivity(problem.assembled, radius, 500, seed=0).passed:
             raise ConfigError("loss fails the sampled coercivity check")
     inits = initial_states(config, problem, seeds)
@@ -502,7 +507,8 @@ def _restart_series(problem, schedule, noise, model, seeds, k0, window_factor):
 
     # every row restarts at the saddle
     batch = run_batch(model.context.saddle, steps, problem.assembled, problem.q, schedule,
-                      noise, seeds, k_start=k0, observer=observer, record=max(steps, 1))
+                      noise, seeds, k_start=k0, observer=observer, record=max(steps, 1),
+                      n_agents=problem.n_agents)
     return s_series, np.where(censor < 0, batch.diverged_at, censor)
 
 
@@ -631,7 +637,7 @@ def setup_drift_stats(config):
     t_start = config.get("drift", "t_start", 4.0, positive)
     t_end = config.get("drift", "t_end", 10.0, ranged(float, t_start, strict=True))
     model = ManifoldModel(ctx, t_start, t_end,
-                          radius=config.get("drift", "validity_radius", 0.3, positive))
+                          radius=config.get("drift", "validity_radius", 0.3, bounded_positive))
     if not model.psi_is_zero:
         # psi is solved on a frame starting at each step's time of each window
         reach = model.picard.horizon + model.picard.tail
@@ -695,7 +701,7 @@ def setup_manifold_verification(config):
         span = (4.0, 60.0)
         opts = PicardOptions(horizon=8.0, dt=0.01, tail=4.0, tol=1e-10)
     elif battery == "cross-cubic":
-        coef = config.get("problem", "cubic_coef", 0.1, real)
+        coef = config.get("problem", "cubic_coef", 0.1, bounded_real)
         loss = monomial_loss(2, {(2, 0): 0.5, (0, 2): -0.5, (2, 1): coef})
         q = penalty_from_matrix(np.zeros((2, 2)))
         gamma = ConstantGamma(1.0)

@@ -346,6 +346,10 @@ class _BlockScan:
     """
 
     def __init__(self, log_decay, reverse=False):
+        # a stiff step's e^{log_decay} underflows to 0 below about -745, and a
+        # one-step block then divides by it; e^-600 is as negligible beside
+        # any increment, and e^600 times one stays finite
+        log_decay = np.maximum(log_decay, -600.0)
         if reverse:
             log_decay = log_decay[::-1]
         steps, m = log_decay.shape

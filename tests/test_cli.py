@@ -218,6 +218,17 @@ PROBES = {
     "agent-dim-past-int64": ("consensus", [("problem", "agent_dim", str(2**63))]),
     "coercivity-radius-huge": ("critical_point_wells",
                                [("tolerances", "coercivity_radius", "1e308")]),
+    # scales past the divergence ceiling: each overflowed in the run, or
+    # (shifted) underflowed a Picard step's decay
+    "gamma-scale-huge-consensus": ("consensus", [("schedule", "gamma_scale", "1e308")]),
+    "gamma-scale-huge-saddle": ("saddle_avoidance", [("schedule", "gamma_scale", "1e308")]),
+    "gamma-scale-huge-drift": ("drift_stats", [("schedule", "gamma_scale", "1e308")]),
+    "gamma-scale-past-int64-shifted": ("manifold_shifted",
+                                       [("schedule", "gamma_scale", str(2**63))]),
+    "alpha-scale-huge": ("drift_stats", [("schedule", "alpha_scale", "1e308")]),
+    "validity-radius-huge": ("drift_stats", [("drift", "validity_radius", "1e308")]),
+    "l1-weight-huge": ("critical_point_l1", [("problem", "l1_weight", "1e308")]),
+    "cubic-coef-huge": ("manifold_cross_cubic", [("problem", "cubic_coef", "1e308")]),
 }
 
 
@@ -233,13 +244,14 @@ def test_probe_is_config_error(tmp_path, case, command):
 
 
 @pytest.mark.parametrize("edit", [("noise", "scale", "1e300"),
-                                  ("schedule", "alpha_scale", "1e300"),
-                                  ("schedule", "gamma_scale", "1e300")],
+                                  ("schedule", "alpha_scale", "1e12"),
+                                  ("schedule", "gamma_scale", "1e12")],
                          ids=["noise-scale", "alpha-scale", "gamma-scale"])
 def test_overflowing_run_records_divergence(tmp_path, edit):
     # every row overflows to inf or NaN within its first steps (in the noise
-    # child's draws, or in the step): each is recorded as diverged, with no
-    # RuntimeWarning, which this suite turns into an error
+    # child's draws, or in the step, where a schedule scale at the divergence
+    # ceiling multiplies a state past it): each is recorded as diverged, with
+    # no RuntimeWarning, which this suite turns into an error
     code, out, err = run_cli("run", str(shipped("consensus", tmp_path, [edit])))
     assert code == 0, err
     assert "diverged = 3\n" in (tmp_path / "results" / "summary.txt").read_text()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsgdlab import engine, experiments
+from dsgdlab.engine import _NoiseProducer
 from dsgdlab.errors import ConfigError, ContractionError
 from dsgdlab.experiments import (
     ExperimentConfig,
@@ -288,6 +289,28 @@ def test_drift_stats_recompute_aggregates_matches():
     np.testing.assert_equal(result.summarize(result.records), result.aggregates)
 
 
+def test_drift_noise_is_drawn_per_agent(monkeypatch):
+    # each agent of path:2 draws its own uniform-sphere vector in R^2 of norm
+    # `scale`, as seed campaigns do, not one vector in R^4 per seed
+    cfg = drift_config(seeds="0:3", noise_kind="uniform-sphere")
+    cfg.sections["drift"]["k0_grid"] = "250 500"
+    draws = []
+    chunk_of = _NoiseProducer.chunk
+
+    # the draws happen in the producer's child; spy on the chunks the parent receives
+    def spy(producer, i):
+        out = chunk_of(producer, i)
+        draws.append(out.copy())
+        return out
+
+    monkeypatch.setattr(_NoiseProducer, "chunk", spy)
+    run_experiment(cfg)
+    assert draws
+    for chunk in draws:
+        assert chunk.shape == (len(chunk), 3, 2, 2)
+        np.testing.assert_allclose(np.linalg.norm(chunk, axis=-1), 0.1, rtol=1e-12)
+
+
 def test_drift_stats_zero_noise_on_manifold_is_identically_zero():
     result = run_experiment(drift_config(seeds="0:3", noise_kind="none"))
     assert all(r["sup_s"] == 0.0 for r in result.records)
@@ -543,6 +566,16 @@ def test_manifold_verification_quadratic_penalized_battery():
     report = run_experiment(cfg)
     assert report["battery"]["psi_is_zero"]
     assert report["overall"]["passed"]
+
+
+def test_manifold_verification_stiff_shifted_battery():
+    # at gamma_scale 1e4 a Picard step's decay along the penalized direction,
+    # about e^{-2 gamma_t dt}, underflows to 0; every section still passes
+    cfg = make_config("manifold-verify", problem={"battery": "shifted"},
+                      schedule={**SCHED, "gamma_scale": 1e4}, manifold={"n_samples": 20})
+    report = run_experiment(cfg)
+    for section in ("picard", "repulsion", "spectrum", "comparison", "overall"):
+        assert report[section]["passed"], section
 
 
 # psi solves (ManifoldModel._iterate calls) per 20-sample battery

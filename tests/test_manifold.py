@@ -473,6 +473,23 @@ def test_decay_scan_matches_sequential_recursion(peak, n_blocks, partial, batch,
                   <= 1e-12 * scale_b)
 
 
+def test_decay_scan_survives_steps_whose_decay_underflows():
+    # a stiff step's e^{a_i} underflows to 0 below a_i of about -745: each
+    # such step gets a one-step block, which must not divide by that 0
+    rng = np.random.default_rng(3)
+    log_decay = -0.1 * rng.random((40, 2))
+    log_decay[[5, 17], 0] = -800.0
+    log_decay[[17, 30], 1] = -1000.0
+    inc = rng.standard_normal((3, 40, 2))
+    forward = _sequential_decay(log_decay, inc)
+    scale = _sequential_decay(log_decay, np.abs(inc))
+    assert np.all(np.abs(_decay_scan(log_decay, inc) - forward) <= 1e-12 * scale)
+    backward = _sequential_decay(log_decay[::-1], inc[:, ::-1])[:, ::-1]
+    scale_b = _sequential_decay(log_decay[::-1], np.abs(inc[:, ::-1]))[:, ::-1]
+    assert np.all(np.abs(_decay_scan(log_decay, inc, reverse=True) - backward)
+                  <= 1e-12 * scale_b)
+
+
 def test_decay_scan_without_decay_is_a_cumulative_sum():
     inc = np.arange(12.0).reshape(2, 3, 2)
     out = _decay_scan(np.zeros((3, 2)), inc)
